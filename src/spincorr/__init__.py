@@ -19,6 +19,7 @@ from .errors import (
     NonHermitianInput,
     NotPositiveSemidefinite,
     NonUnitDirection,
+    OracleMismatch,
     SpincorrError,
 )
 from .measures import MeasureReport, concurrence, gmod_exact, gmod_lower, min_closed, report
@@ -53,6 +54,7 @@ __all__ = [
     "NonHermitianInput",
     "NonUnitDirection",
     "NotPositiveSemidefinite",
+    "OracleMismatch",
     "OracleResult",
     "SphereGrid",
     "SpincorrError",

@@ -48,3 +48,8 @@ class ClosedFormMismatch(SpincorrError):
 
 class NoSignChange(SpincorrError):
     """A root bracketing scan found no sign change in the search interval."""
+
+
+class OracleMismatch(SpincorrError):
+    """The oracle's Gram-form screen and its explicit projector algebra
+    disagree beyond roundoff, so the screen cannot be trusted."""

@@ -15,10 +15,11 @@ block; their entries have elementary closed forms, as do concurrence and
 the measurement-induced nonlocality. Every closed-form value is recomputed
 through the generic pipeline (thermal state -> Bloch form -> measures) and
 cross-checked, and a deviation above 1e-10 raises. For the ``xxz`` model
-the nonlocality takes two closed forms, split at the same marginal cutoff
-as the pipeline's branches: N = 2 kappa^2/Z^2 when the field polarizes the
-marginal, and tr(T T^t) - lambda_min(T T^t) of the diagonal correlation
-matrix T = diag(kappa/Z, kappa/Z, t3) when it is maximally mixed.
+the nonlocality takes two closed forms, and the one checked is the one for
+the branch the pipeline took: N = 2 kappa^2/Z^2 when the field polarizes
+the marginal, and tr(T T^t) - lambda_min(T T^t) of the diagonal
+correlation matrix T = diag(kappa/Z, kappa/Z, t3) when it is maximally
+mixed.
 
 Critical couplings (where concurrence first becomes nonzero) are found by
 a uniform sign scan over j in [-50, 50] followed by bisection.
@@ -27,13 +28,14 @@ a uniform sign scan over j in [-50, 50] followed by bisection.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures, qmat
 from .errors import ClosedFormMismatch, NonFiniteParameter, NoSignChange
-from .measures import MeasureReport, X_DEGENERACY_CUTOFF
+from .measures import BRANCH_X_ZERO, MeasureReport
 from .qmat import PAULIS, kron
 
 CROSS_CHECK_TOL = 1e-10
@@ -42,10 +44,18 @@ SCAN_POINTS = 2001
 BISECT_WIDTH = 1e-9
 
 
-def _require_finite(**params: float) -> None:
+def _require_finite(**params: float) -> tuple[float, ...]:
+    """Check that every parameter is a finite real number (``bool`` is not
+    one) and return them as Python floats, in order. The conversion keeps
+    numpy scalars such as ``np.float32`` from carrying single precision
+    into the closed forms."""
+    values = []
     for name, value in params.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
             raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
+        values.append(float(value))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,9 @@ class IsoDMParams:
     d: float = 0.0
 
     def __post_init__(self):
-        _require_finite(j=self.j, d=self.d)
+        j, d = _require_finite(j=self.j, d=self.d)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,10 @@ class XXZParams:
     b: float = 0.0
 
     def __post_init__(self):
-        _require_finite(j=self.j, delta=self.delta, b=self.b)
+        j, delta, b = _require_finite(j=self.j, delta=self.delta, b=self.b)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -205,11 +220,20 @@ class ModelReport:
 
 def _cross_checked_report(
     c_closed: float,
-    n_closed: float,
+    n_x_nonzero: float,
+    n_x_zero: float,
     matrix: np.ndarray,
     label: str,
 ) -> ModelReport:
+    """Cross-check closed forms against the pipeline of ``matrix``.
+
+    ``n_x_nonzero`` and ``n_x_zero`` are the closed nonlocality on either
+    side of the marginal cutoff; the one for the branch the pipeline took
+    is checked and reported, so the closed form and the pipeline never
+    split a point near |x| = 1e-9 between two branches.
+    """
     pipeline = measures.report(matrix)
+    n_closed = n_x_zero if pipeline.branch == BRANCH_X_ZERO else n_x_nonzero
     c_dev = abs(c_closed - pipeline.concurrence)
     n_dev = abs(n_closed - pipeline.min_value)
     if c_dev > CROSS_CHECK_TOL:
@@ -241,18 +265,21 @@ def measures_isodm(p: IsoDMParams) -> ModelReport:
     mu, nu, z = state.entries["mu"], state.entries["nu"], state.entries["Z"]
     c_closed = (2.0 / z) * max(0.0, abs(nu) - mu)
     n_closed = 2.0 * abs(nu) ** 2 / z**2
-    return _cross_checked_report(c_closed, n_closed, state.matrix, "isodm")
+    return _cross_checked_report(c_closed, n_closed, n_closed, state.matrix, "isodm")
 
 
 def measures_xxz(p: XXZParams) -> ModelReport:
     """Closed-form measures of the xxz model at ``p``:
     C = (2/Z) max{0, |kappa| - sqrt(delta_plus delta_minus)}, and N from the
     correlation matrix T = diag(kappa/Z, kappa/Z, t3) with
-    t3 = (delta_plus + delta_minus - 2 epsilon)/(2Z) and marginal
-    x_z = (delta_plus - delta_minus)/(2Z): N = 2 kappa^2/Z^2 when
-    |x_z| > 1e-9 (the measurement axis is pinned to z), otherwise
+    t3 = (delta_plus + delta_minus - 2 epsilon)/(2Z): N = 2 kappa^2/Z^2
+    when the marginal x_z = (delta_plus - delta_minus)/(2Z) is polarized
+    (the measurement axis is pinned to z), otherwise
     N = (kappa/Z)^2 + max{(kappa/Z)^2, t3^2} = tr(T T^t) - lambda_min(T T^t).
-    Both are exact for every j, delta, b.
+    Both are exact for every j, delta, b. Which one applies is decided by
+    the pipeline's branch (|x| > 1e-9 from the Bloch decomposition), not by
+    x_z from the entries: the two round differently within a few hundred
+    ulps of the cutoff.
     """
     state = thermal_xxz(p)
     e = state.entries
@@ -265,13 +292,10 @@ def measures_xxz(p: XXZParams) -> ModelReport:
     )
     c_closed = (2.0 / z) * max(0.0, abs(kappa) - math.sqrt(dp * dm))
     t12_sq = kappa**2 / z**2
-    x_z = (dp - dm) / (2.0 * z)
-    if abs(x_z) > X_DEGENERACY_CUTOFF:
-        n_closed = 2.0 * t12_sq
-    else:
-        t3 = (dp + dm - 2.0 * eps) / (2.0 * z)
-        n_closed = t12_sq + max(t12_sq, t3 * t3)
-    return _cross_checked_report(c_closed, n_closed, state.matrix, "xxz")
+    t3 = (dp + dm - 2.0 * eps) / (2.0 * z)
+    n_polarized = 2.0 * t12_sq
+    n_mixed = t12_sq + max(t12_sq, t3 * t3)
+    return _cross_checked_report(c_closed, n_polarized, n_mixed, state.matrix, "xxz")
 
 
 def _bisect_root(f, lo: float, hi: float, f_lo: float) -> float:
@@ -309,7 +333,7 @@ def critical_coupling_isodm(d: float, scan_points: int = SCAN_POINTS) -> float:
     """Exchange threshold j_c where the isodm concurrence first turns on:
     the root of |nu(j, d)| = mu(j, d). Concurrence is positive for j > j_c
     and zero for j <= j_c in a neighborhood of the root."""
-    _require_finite(d=d)
+    (d,) = _require_finite(d=d)
 
     def gap(j: float) -> float:
         mu, _, nu, _ = _isodm_entries(j, d)
@@ -326,7 +350,7 @@ def critical_coupling_xxz(
     The field b cancels from the condition, so the threshold is
     b-independent (the field suppresses the magnitude of the concurrence
     above threshold but does not move the threshold)."""
-    _require_finite(delta=delta, b=b)
+    delta, b = _require_finite(delta=delta, b=b)
 
     def gap(j: float) -> float:
         dp, dm, _, kappa, _ = _xxz_entries(j, delta, b)

@@ -9,6 +9,21 @@ independent entanglement witness (negative partial transpose) and a
 spot check that the nearest fixed-basis zero-discord state is the dephased
 state, which is the reduction the discord oracle relies on.
 
+Measuring the first qubit along n dephases rho to (rho + U rho U)/2 with
+U = n.sigma (x) I, so the disturbance is the quadratic form
+D(n) = (||rho||^2 - n^T G n)/2 with G_ab = Re tr(rho A_a rho A_b) and
+A_a = sigma_a (x) I. G is built from explicit operator products, never from
+the Bloch form, so it stays independent of the closed forms it checks. The
+scan and the refinement score directions with this Gram screen; the
+explicit projector algebra stays the arbiter. Grid rows whose screen lies
+within 1e-14 of the best are re-scored explicitly, a refinement trial that
+close to the current best is decided by explicit values at both points, and
+the reported value is always explicit. Every decision and every reported
+bit is therefore the one explicit scoring alone would give. Each arbiter
+call checks that screen and explicit value agree to 5e-15, and every
+result checks it to 1e-12 at the final direction; a disagreement raises
+:class:`OracleMismatch`.
+
 Measurements act on the first qubit only. Grid evaluations are independent
 and order-free; reductions compare by value with ties broken by the lowest
 grid index, so parallel and sequential evaluation agree exactly.
@@ -23,7 +38,7 @@ import numpy as np
 
 from . import qmat
 from .bloch import decompose
-from .errors import NonUnitDirection
+from .errors import NonUnitDirection, OracleMismatch
 from .measures import X_DEGENERACY_CUTOFF
 from .qmat import I2, PAULIS
 
@@ -31,6 +46,12 @@ _DIRECTION_TOL = 1e-9
 _REFINE_INITIAL_STEP = 0.1
 _REFINE_FINAL_STEP = 1e-7
 _PAULI_STACK = np.stack(PAULIS)
+_FIRST_QUBIT_PAULIS = np.stack([np.kron(s, I2) for s in PAULIS])
+# Gram-screen values closer than this are re-decided by the explicit
+# projector algebra; screen and explicit values differ by about 3e-16.
+_TIE_MARGIN = 1e-14
+# Screen/explicit agreement required at the final direction of every result.
+_FINAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,8 +147,42 @@ def _angles_to_direction(theta: float, phi: float) -> np.ndarray:
     )
 
 
+def _gram(rho: np.ndarray) -> np.ndarray:
+    """Gram matrix G_ab = Re tr(rho A_a rho A_b) with A_a = sigma_a (x) I,
+    from explicit operator products: the disturbance along n is
+    (||rho||^2 - n^T G n)/2."""
+    a_rho = _FIRST_QUBIT_PAULIS @ rho
+    gram = np.einsum("aij,bji->ab", a_rho, a_rho).real
+    return (gram + gram.T) / 2.0
+
+
+def _plain_screen(gram: np.ndarray, norm2: float):
+    """The Gram screen (x, y, z) -> (norm2 - n^T G n)/2 in plain floats."""
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram.tolist()
+
+    def screen(x: float, y: float, z: float) -> float:
+        quad = g00 * x * x + g11 * y * y + g22 * z * z
+        quad += 2.0 * (g01 * x * y + g02 * x * z + g12 * y * z)
+        return 0.5 * (norm2 - quad)
+
+    return screen
+
+
+def _arbiter(rho: np.ndarray, n: np.ndarray, screen: float) -> float:
+    """Explicit disturbance at ``n``, after checking that the Gram screen
+    there agrees with it to half the tie margin."""
+    value = _disturbance(rho, n)
+    if abs(value - screen) > _TIE_MARGIN / 2.0:
+        raise OracleMismatch(
+            f"Gram screen {screen!r} deviates from the explicit disturbance "
+            f"{value!r} at direction {n!r}"
+        )
+    return value
+
+
 def _refine(
     rho: np.ndarray,
+    screen,
     direction: np.ndarray,
     value: float,
     maximize: bool,
@@ -137,38 +192,73 @@ def _refine(
 
     Each sweep tries +/-step on the polar and azimuthal angles, keeping
     strict improvements; the step halves when a sweep yields none, from
-    0.1 rad down to 1e-7. Deterministic for identical inputs.
+    0.1 rad down to 1e-7. Trials are scored by ``screen``; a trial
+    within the tie margin of the current best is decided by the explicit
+    disturbance at both points instead, so every move is the one explicit
+    scoring alone would make. ``value`` is the explicit disturbance at
+    ``direction``. Deterministic for identical inputs.
     """
     sign = 1.0 if maximize else -1.0
     theta = math.acos(max(-1.0, min(1.0, float(direction[2]))))
     phi = math.atan2(float(direction[1]), float(direction[0]))
-    best = sign * value
+    best_screen = sign * screen(*direction.tolist())
+    best = sign * value  # explicit value at the current point; None once unknown
     evaluations = 0
     step = _REFINE_INITIAL_STEP
     sweeps = 0
     while step >= _REFINE_FINAL_STEP and sweeps < max_sweeps:
         improved = False
         for d_theta, d_phi in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            candidate = _angles_to_direction(theta + d_theta, phi + d_phi)
-            trial = sign * _disturbance(rho, candidate)
+            t, p = theta + d_theta, phi + d_phi
+            x, y, z = math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)
+            trial_screen = sign * screen(x, y, z)
             evaluations += 1
-            if trial > best:
-                best = trial
-                theta += d_theta
-                phi += d_phi
+            if abs(trial_screen - best_screen) > _TIE_MARGIN:
+                trial = None
+                better = trial_screen > best_screen
+            else:
+                if best is None:
+                    here = _angles_to_direction(theta, phi)
+                    best = sign * _arbiter(rho, here, sign * best_screen)
+                trial = sign * _arbiter(rho, np.array([x, y, z]), sign * trial_screen)
+                better = trial > best
+            if better:
+                theta, phi = t, p
+                best_screen, best = trial_screen, trial
                 improved = True
         if not improved:
             step /= 2.0
         sweeps += 1
-    return sign * best, _angles_to_direction(theta, phi), evaluations
+    direction = _angles_to_direction(theta, phi)
+    if best is None:
+        best = sign * _disturbance(rho, direction)
+    return sign * best, direction, evaluations
 
 
 def _extremize(rho: np.ndarray, grid: SphereGrid, maximize: bool) -> OracleResult:
-    values = _batch_disturbance(rho, grid.directions)
-    index = int(np.argmax(values) if maximize else np.argmin(values))
+    gram = _gram(rho)
+    norm2 = float(np.vdot(rho, rho).real)
+    dirs = grid.directions
+    grid_screen = 0.5 * (norm2 - np.einsum("na,ab,nb->n", dirs, gram, dirs))
+    if maximize:
+        near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
+    else:
+        near = np.flatnonzero(grid_screen <= grid_screen.min() + _TIE_MARGIN)
+    values = _batch_disturbance(rho, dirs[near])
+    if np.max(np.abs(values - grid_screen[near])) > _TIE_MARGIN / 2.0:
+        raise OracleMismatch("Gram screen deviates from the explicit grid disturbance")
+    pick = int(np.argmax(values) if maximize else np.argmin(values))
+    screen = _plain_screen(gram, norm2)
+    start, start_value = dirs[near[pick]], float(values[pick])
     value, direction, extra = _refine(
-        rho, grid.directions[index], float(values[index]), maximize, grid.refinement_iters
+        rho, screen, start, start_value, maximize, grid.refinement_iters
     )
+    final_screen = screen(*direction.tolist())
+    if abs(value - final_screen) > _FINAL_TOL:
+        raise OracleMismatch(
+            f"Gram screen {final_screen!r} deviates from the explicit "
+            f"disturbance {value!r} at the final direction {direction!r}"
+        )
     return OracleResult(
         value=value, direction=direction, evaluations=grid.n_points + extra
     )

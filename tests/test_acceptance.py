@@ -140,6 +140,18 @@ def test_criterion_07_verification_suite(capsys):
     verdict(capsys, 7, ok, f"verify --seed 42 --count 500 exited {code}")
 
 
+def test_criterion_12_large_count_verification(capsys):
+    code = cli.main(["verify", "--seed", "7", "--count", "2000"])
+    lines = capsys.readouterr().out.splitlines()
+    ok = (
+        code == 0
+        and lines[-1] == "result: PASS"
+        and "ppt/concurrence disagreements    = 0" in lines
+    )
+    detail = f"verify --seed 7 --count 2000 exited {code}, ended {lines[-1]!r}"
+    verdict(capsys, 12, ok, detail)
+
+
 def test_criterion_08_lower_bound_proportionality(capsys):
     worst = 0.0
     for j in J_GRID:

@@ -90,6 +90,25 @@ def test_measures_xxz_zero_field_positive_anisotropy(capsys):
     ]
 
 
+def test_measures_xxz_at_the_marginal_cutoff(capsys):
+    # The entries put |x_z| just above 1e-9 while the Bloch decomposition
+    # puts |x| at or below it; the closed form follows the pipeline's branch.
+    code, out, err = run_cli(
+        capsys,
+        "measures", "--model", "xxz", "--j", "2", "--delta", "3",
+        "--b", "2.243189458650676e-05",
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "C = 0.963852469804",
+        "N = 0.482206715007",
+        "Q = 0.232295865822",
+        "Q_paper = 0.241103357503",
+        "D_exact = 0.232295865822",
+        "branch = XZero",
+    ]
+
+
 def test_measures_state_file(tmp_path, capsys):
     path = tmp_path / "bell.txt"
     path.write_text(BELL_STATE_TEXT, encoding="utf-8")

@@ -272,6 +272,54 @@ def test_critical_xxz_switches_concurrence_below_threshold():
     assert measures_xxz(XXZParams(j=j_c + 0.01, delta=-2.0, b=0.0)).c_closed == 0.0
 
 
+@pytest.mark.parametrize(
+    "value, accepted",
+    [
+        (np.int64(1), True),
+        (np.float32(1.0), True),
+        (True, False),
+        (math.nan, False),
+        (math.inf, False),
+    ],
+)
+def test_parameters_must_be_finite_reals(value, accepted):
+    if accepted:
+        p = XXZParams(j=value, delta=value, b=value)
+        assert (p.j, p.delta, p.b) == (1.0, 1.0, 1.0)
+        assert all(type(v) is float for v in (p.j, p.delta, p.b))
+        assert IsoDMParams(j=1.0, d=value).d == 1.0
+        assert critical_coupling_isodm(value) == critical_coupling_isodm(1.0)
+        assert critical_coupling_xxz(value, value) == critical_coupling_xxz(1.0, 1.0)
+        return
+    with pytest.raises(NonFiniteParameter):
+        IsoDMParams(j=value)
+    with pytest.raises(NonFiniteParameter):
+        XXZParams(j=1.0, b=value)
+    with pytest.raises(NonFiniteParameter):
+        critical_coupling_isodm(value)
+    with pytest.raises(NonFiniteParameter):
+        critical_coupling_xxz(value, 0.0)
+
+
+def test_xxz_branch_follows_the_pipeline_at_the_marginal_cutoff():
+    """Near |x| = 1e-9 the marginal from the entries and the one from the
+    Bloch decomposition round differently; the cross-check must use the
+    pipeline's branch on both sides, so no valid point raises."""
+    b = 2.243189458650676e-05
+    for _ in range(400):
+        b = math.nextafter(b, -math.inf)
+    split = 0
+    for _ in range(800):
+        p = XXZParams(j=2.0, delta=3.0, b=b)
+        rep = measures_xxz(p)
+        assert rep.n_deviation <= 1e-12
+        e = thermal_xxz(p).entries
+        x_z = (e["delta_plus"] - e["delta_minus"]) / (2.0 * e["Z"])
+        split += (abs(x_z) > 1e-9) != (rep.pipeline.branch == "XNonzero")
+        b = math.nextafter(b, math.inf)
+    assert split > 0
+
+
 def test_parameters_must_be_finite():
     with pytest.raises(NonFiniteParameter):
         IsoDMParams(j=math.nan)
@@ -286,12 +334,16 @@ def test_parameters_must_be_finite():
 def test_cross_check_guard_trips_on_wrong_closed_form():
     state = thermal_isodm(IsoDMParams(j=1.0, d=0.0))
     true_rep = measures_isodm(IsoDMParams(j=1.0, d=0.0))
+    n = true_rep.n_closed
     with pytest.raises(ClosedFormMismatch):
-        _cross_checked_report(0.5, true_rep.n_closed, state.matrix, "test")
+        _cross_checked_report(0.5, n, n, state.matrix, "test")
     # A wrong nonlocality raises as well: no closed form is exempt.
     with pytest.raises(ClosedFormMismatch):
-        _cross_checked_report(true_rep.c_closed, 0.9, state.matrix, "test")
-    rep = _cross_checked_report(
-        true_rep.c_closed, true_rep.n_closed, state.matrix, "test"
-    )
+        _cross_checked_report(true_rep.c_closed, 0.9, 0.9, state.matrix, "test")
+    # isodm marginals are maximally mixed, so the XZero value is the one checked.
+    with pytest.raises(ClosedFormMismatch):
+        _cross_checked_report(true_rep.c_closed, n, 0.9, state.matrix, "test")
+    rep = _cross_checked_report(true_rep.c_closed, 0.9, n, state.matrix, "test")
+    assert rep.n_closed == n
+    rep = _cross_checked_report(true_rep.c_closed, n, n, state.matrix, "test")
     assert rep.q_paper == pytest.approx(true_rep.n_closed / 2.0, abs=1e-15)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from spincorr import qmat
+from spincorr import cli, oracle, qmat
 from spincorr.bloch import decompose
-from spincorr.errors import NonUnitDirection
+from spincorr.errors import NonUnitDirection, OracleMismatch
 from spincorr.measures import concurrence, gmod_exact, min_closed
 from spincorr.models import (
     IsoDMParams,
@@ -31,6 +31,124 @@ from helpers import bell_psi_plus, ground_product_state, x_zeroed_states
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# Bit-exact oracle results on the 2000-point grid, recorded with the
+# explicit projector algebra alone (before the Gram screen existed):
+# name -> (gmod_oracle pin, min_oracle pin or None when min_oracle takes
+# the single-evaluation pinned-axis path). A pin is
+# (value.hex(), direction hex()s, evaluations).
+ORACLE_PINS = {
+    "random1": (
+        (
+            "0x1.698ae150c9354p-4",
+            ("-0x1.5d41d7cb26ce3p-2", "-0x1.89121c91a8d57p-1", "0x1.15bf9ed7962c6p-1"),
+            2156,
+        ),
+        None,
+    ),
+    "random2": (
+        (
+            "0x1.7745dde95aa92p-5",
+            ("-0x1.05698079bebc4p-3", "-0x1.4a2116df89aa1p-3", "-0x1.f50f6e278b137p-1"),
+            2144,
+        ),
+        None,
+    ),
+    "random3": (
+        (
+            "0x1.37e0ef8547bcdp-4",
+            ("0x1.a5448cfc8d420p-1", "-0x1.606c3b910623bp-2", "0x1.cf266d957bd57p-2"),
+            2132,
+        ),
+        None,
+    ),
+    "random4": (
+        (
+            "0x1.04ae585265689p-6",
+            ("0x1.869f584a1e489p-1", "-0x1.3cd6daf718570p-2", "-0x1.229f4fa523639p-1"),
+            2152,
+        ),
+        None,
+    ),
+    "random5": (
+        (
+            "0x1.5b9002850d970p-6",
+            ("0x1.6ba28b142a86dp-2", "0x1.5f62c376d2220p-2", "0x1.bd379ec5e586dp-1"),
+            2140,
+        ),
+        None,
+    ),
+    "random6": (
+        (
+            "0x1.891a92e2a937bp-5",
+            ("-0x1.518039b5fb5fbp-1", "0x1.8103fb8ea93e4p-1", "0x1.adf60521ad67ap-11"),
+            2136,
+        ),
+        None,
+    ),
+    "random7": (
+        (
+            "0x1.20129dcc48f47p-4",
+            ("0x1.b9709c6cef74cp-1", "0x1.d181776fd4401p-2", "-0x1.c9d651aa92e05p-3"),
+            2160,
+        ),
+        None,
+    ),
+    "random8": (
+        (
+            "0x1.2e326baa4bc6ep-5",
+            ("-0x1.57c7c0eb17b63p-1", "0x1.133de1f544537p-3", "-0x1.7520ad3f2e04bp-1"),
+            2128,
+        ),
+        None,
+    ),
+    "mixed": (
+        (
+            "0x0.0p+0",
+            ("0x1.94e2c547ce137p-8", "-0x1.20577120b320fp-4", "0x1.feb851eb851ecp-1"),
+            2080,
+        ),
+        (
+            "0x1.4020000000000p-105",
+            ("0x1.680b44b11142ep-4", "0x1.728807463ffb2p-1", "-0x1.5e76c8b439584p-1"),
+            2080,
+        ),
+    ),
+    "bell": (
+        (
+            "0x1.ffffffffffffcp-2",
+            ("-0x1.629b77f63dee9p-3", "0x1.ed73fac40d4dbp-4", "0x1.f47ae147ae148p-1"),
+            2080,
+        ),
+        (
+            "0x1.0000000000003p-1",
+            ("-0x1.49b87fceb796fp-3", "0x1.4214820c9143ap-1", "0x1.85604189374bdp-1"),
+            2080,
+        ),
+    ),
+    "isodm_j1": (
+        (
+            "0x1.8346ca93f41ecp-3",
+            ("-0x1.032c579d57423p-4", "-0x1.ed3db0ef9b1cbp-3", "-0x1.efdf3b645a1cap-1"),
+            2080,
+        ),
+        (
+            "0x1.8346ca93f41f5p-3",
+            ("-0x1.c873c6babbbddp-1", "-0x1.52bae1405c486p-2", "0x1.3ced916872b04p-2"),
+            2080,
+        ),
+    ),
+}
+
+
+def _pinned_state(name: str) -> np.ndarray:
+    if name.startswith("random"):
+        return random_state(Lcg(int(name[len("random"):])))
+    if name == "mixed":
+        return MIXED
+    if name == "bell":
+        return bell_psi_plus()
+    return thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix
 
 
 def test_fibonacci_grid_shape_and_norms():
@@ -196,3 +314,46 @@ def test_ppt_agrees_with_concurrence_on_thermal_grids():
                 rep = measures_xxz(XXZParams(j=float(j), delta=delta, b=b))
                 state = thermal_xxz(XXZParams(j=float(j), delta=delta, b=b)).matrix
                 assert ppt_entangled(state) == (rep.c_closed > 1e-8)
+
+
+def _pin(result):
+    return (
+        result.value.hex(),
+        tuple(float(c).hex() for c in result.direction),
+        result.evaluations,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PINS))
+def test_oracle_results_are_bit_pinned(name, grid2000):
+    """The Gram screen changes no bit of any oracle result: the degenerate
+    all-ties states (mixed, Bell) and the grid path of min_oracle too."""
+    gmod_pin, min_pin = ORACLE_PINS[name]
+    rho = _pinned_state(name)
+    assert _pin(gmod_oracle(rho, grid2000)) == gmod_pin
+    result = min_oracle(rho, grid2000)
+    if min_pin is None:
+        assert result.evaluations == 1
+    else:
+        assert _pin(result) == min_pin
+
+
+def test_gram_matches_explicit_disturbance(grid2000):
+    rng = Lcg(47)
+    for rho in [random_state(rng) for _ in range(5)] + [bell_psi_plus(), MIXED]:
+        gram = oracle._gram(rho)
+        norm2 = qmat.hs_norm2(rho)
+        for n in grid2000.directions[::97]:
+            screen = 0.5 * (norm2 - n @ gram @ n)
+            assert abs(screen - qmat.hs_norm2(rho - post_measurement(rho, n))) <= 1e-15
+
+
+def test_corrupted_gram_trips_the_oracle(monkeypatch, grid2000, capsys):
+    true_gram = oracle._gram
+    monkeypatch.setattr(oracle, "_gram", lambda rho: true_gram(rho) + 1e-9)
+    with pytest.raises(OracleMismatch):
+        gmod_oracle(random_state(Lcg(49)), grid2000)
+    assert cli.main(["verify", "--count", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ")
+    assert "Traceback" not in err
