@@ -23,6 +23,7 @@ error. An optional ``--config`` file supplies ``key=value`` defaults
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -133,7 +134,11 @@ class _Options:
         return float(value)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first call and reused by every later
+    ``main`` call in the process. Parsing keeps no state in the parser: each
+    call gets a fresh namespace."""
     parser = _Parser(
         prog="spincorr",
         description="Two-qubit correlation measures for thermal spin models "
@@ -262,12 +267,16 @@ def _parse_series(model: str, text: str, parser: _Parser):
         try:
             if model == "isodm":
                 d = float(part)
+                if not math.isfinite(d):
+                    parser.error(f"series member must be finite, got {part!r}")
                 members.append((f"d={d:.12g}", lambda j, d=d: models.IsoDMParams(j, d)))
             else:
                 delta_text, _, b_text = part.partition(":")
                 if not _:
                     parser.error(f"xxz series member must be delta:b, got {part!r}")
                 delta, b = float(delta_text), float(b_text)
+                if not (math.isfinite(delta) and math.isfinite(b)):
+                    parser.error(f"series member must be finite, got {part!r}")
                 members.append(
                     (
                         f"delta={delta:.12g};b={b:.12g}",

@@ -95,6 +95,24 @@ class OracleResult:
     evaluations: int
 
 
+def _dephase(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """P+ rho P+ + P- rho P- for the first-qubit projectors P = (I +/- n.sigma)/2.
+
+    P (x) I is built by placing the 2x2 block P on the diagonal of a
+    (2, 2, 2, 2) zero array, so no np.kron: a Kronecker product with I2 only
+    multiplies by exact ones and zeros, and the 4x4 projector carries the
+    same bits either way.
+    """
+    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
+    out = np.zeros_like(rho)
+    for sign in (1.0, -1.0):
+        proj = np.zeros((2, 2, 2, 2), dtype=complex)
+        proj[:, 0, :, 0] = proj[:, 1, :, 1] = (I2 + sign * n_sigma) / 2.0
+        proj = proj.reshape(4, 4)
+        out += proj @ rho @ proj
+    return out
+
+
 def post_measurement(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Apply the local projective measurement along ``n`` to the first qubit.
 
@@ -107,22 +125,13 @@ def post_measurement(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > _DIRECTION_TOL:
         raise NonUnitDirection(f"direction {n!r} is not a unit 3-vector")
-    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-    out = np.zeros_like(rho)
-    for sign in (1.0, -1.0):
-        proj = qmat.kron((I2 + sign * n_sigma) / 2.0, I2)
-        out += proj @ rho @ proj
+    out = _dephase(rho, n)
     return (out + out.conj().T) / 2.0
 
 
 def _disturbance(rho: np.ndarray, n: np.ndarray) -> float:
     """Squared Hilbert-Schmidt distance between rho and its measured image."""
-    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-    out = np.zeros_like(rho)
-    for sign in (1.0, -1.0):
-        proj = np.kron((I2 + sign * n_sigma) / 2.0, I2)
-        out += proj @ rho @ proj
-    return qmat.hs_norm2(rho - out)
+    return qmat.hs_norm2(rho - _dephase(rho, n))
 
 
 def _batch_disturbance(rho: np.ndarray, directions: np.ndarray) -> np.ndarray:

@@ -217,6 +217,12 @@ def test_sweep_bad_arguments(tmp_path, capsys):
     assert run_cli(capsys, "sweep", "--model", "isodm")[0] == 3  # no --out
     assert run_cli(capsys, "sweep", "--out", out)[0] == 3  # no --model
     assert run_cli(capsys, *base, "--series", "abc")[0] == 3
+    code, _, err = run_cli(capsys, *base, "--series", "nan")
+    assert code == 3 and "must be finite" in err
+    code, _, err = run_cli(
+        capsys, "sweep", "--model", "xxz", "--out", out, "--series", "0:inf"
+    )
+    assert code == 3 and "must be finite" in err
     assert run_cli(capsys, "sweep", "--model", "xxz", "--out", out, "--series", "1")[0] == 3
 
 
@@ -300,6 +306,44 @@ def test_config_with_dashed_keys_and_verify(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert len(out_path.read_text().splitlines()) == 4
+
+
+def test_cached_parser_leaks_no_state(tmp_path, capsys):
+    """``main`` reuses one parser per process: a call made after another one
+    prints, writes and returns exactly what it does on a freshly built
+    parser."""
+    csv = tmp_path / "s.csv"
+    config = tmp_path / "sweep.cfg"
+    config.write_text("model=xxz\nj-steps=3\nseries=0:0,1:2\n", encoding="utf-8")
+    sequences = [  # ((argv, exit code), (argv, exit code))
+        (
+            (["measures", "--model", "isodm", "--j", "1", "--frob"], 3),
+            (["measures", "--model", "isodm", "--j", "1"], 0),
+        ),
+        (
+            (["sweep", "--config", str(config), "--out", str(csv)], 0),
+            (["sweep", "--model", "isodm", "--j-steps", "3", "--out", str(csv)], 0),
+        ),
+        (
+            (["verify", "--seed", "2", "--count", "2"], 0),
+            (["critical", "--model", "isodm", "--d", "0"], 0),
+        ),
+    ]
+
+    def call(argv):
+        if csv.exists():
+            csv.unlink()
+        code, out, err = run_cli(capsys, *argv)
+        return code, out, err, csv.read_bytes() if csv.exists() else None
+
+    assert cli._build_parser() is cli._build_parser()
+    for sequence in sequences:
+        cli._build_parser.cache_clear()
+        shared = [call(argv) for argv, _ in sequence]
+        for (argv, code), result in zip(sequence, shared):
+            assert result[0] == code
+            cli._build_parser.cache_clear()
+            assert call(argv) == result
 
 
 def test_module_entrypoint_subprocess():

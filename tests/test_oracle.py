@@ -338,6 +338,36 @@ def test_oracle_results_are_bit_pinned(name, grid2000):
         assert _pin(result) == min_pin
 
 
+def _kron_dephase(rho, n):
+    """The projector algebra spelled out with np.kron: sum over the two signs
+    of (P (x) I) rho (P (x) I), P = (I +/- n.sigma)/2."""
+    n_sigma = n[0] * qmat.PAULIS[0] + n[1] * qmat.PAULIS[1] + n[2] * qmat.PAULIS[2]
+    out = np.zeros_like(rho)
+    for sign in (1.0, -1.0):
+        proj = np.kron((qmat.I2 + sign * n_sigma) / 2.0, qmat.I2)
+        out += proj @ rho @ proj
+    return out
+
+
+def test_blockwise_projectors_match_kron_bit_for_bit():
+    """The arbiter builds P (x) I without np.kron; its disturbance and the
+    measured state keep every bit (signed zeros included) of the np.kron
+    algebra."""
+    axes = np.vstack((np.eye(3), -np.eye(3)))
+    rng = Lcg(51)
+    states = [random_state(rng) for _ in range(300)]
+    states += [MIXED, bell_psi_plus(), thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix]
+    for rho in states:
+        dirs = np.array([[rng.normal() for _ in range(3)] for _ in range(40)])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for n in np.vstack((dirs, axes)):
+            reference = _kron_dephase(rho, n)
+            disturbance = qmat.hs_norm2(rho - reference)
+            assert oracle._disturbance(rho, n).hex() == disturbance.hex()
+            measured = (reference + reference.conj().T) / 2.0
+            assert post_measurement(rho, n).tobytes() == measured.tobytes()
+
+
 def test_gram_matches_explicit_disturbance(grid2000):
     rng = Lcg(47)
     for rho in [random_state(rng) for _ in range(5)] + [bell_psi_plus(), MIXED]:
