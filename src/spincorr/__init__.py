@@ -13,7 +13,6 @@ from .errors import (
     ClosedFormMismatch,
     DimensionMismatch,
     InvalidState,
-    NegativeRadicand,
     NoSignChange,
     NonFiniteParameter,
     NonHermitianInput,
@@ -48,7 +47,6 @@ __all__ = [
     "Lcg",
     "MeasureReport",
     "ModelReport",
-    "NegativeRadicand",
     "NoSignChange",
     "NonFiniteParameter",
     "NonHermitianInput",

@@ -22,9 +22,9 @@ import numpy as np
 from . import qmat
 from .qmat import I2, PAULIS
 
-_PRODUCT_BASIS_A = [qmat.kron(s, I2) for s in PAULIS]
-_PRODUCT_BASIS_B = [qmat.kron(I2, s) for s in PAULIS]
-_PRODUCT_BASIS_AB = [[qmat.kron(si, sj) for sj in PAULIS] for si in PAULIS]
+_PRODUCT_BASIS_A = [np.kron(s, I2) for s in PAULIS]
+_PRODUCT_BASIS_B = [np.kron(I2, s) for s in PAULIS]
+_PRODUCT_BASIS_AB = [[np.kron(si, sj) for sj in PAULIS] for si in PAULIS]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ Numbers are printed with 12 significant digits (scientific notation below
 1e-4) so output is byte-deterministic and diffable. CSV files are written
 to a temporary file and renamed into place, so no partial file survives an
 error. An optional ``--config`` file supplies ``key=value`` defaults
-(keys match the long flag names); explicit flags win on conflict.
+(keys are the subcommand's long flag names, values pass the flags' checks);
+explicit flags win on conflict.
 """
 
 from __future__ import annotations
@@ -69,19 +70,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_ARGS)
 
 
-_FLOAT_KEYS = ("j", "d", "delta", "b", "j_start", "j_end")
-_INT_KEYS = ("j_steps", "seed", "count")
-_STR_KEYS = ("model", "series", "out", "state")
-
-
-def _load_config(path: str, parser: _Parser) -> dict:
-    """Read a key=value config file; '#' comments and blank lines allowed."""
+def _finite(text: str) -> float:
+    """argparse type of the float flags: a finite number."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer in [0, 2**64 - 1], the state
+    space of the generator, so no two seeds give the same stream."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64 - 1], got {text}")
+    return value
+
+
+def _config_tokens(args: argparse.Namespace, parser: _Parser) -> list[str]:
+    """Read the ``--config`` file of ``args`` as ``--key=value`` tokens.
+
+    '#' comments and blank lines are allowed. Each key must be the full
+    name of a long flag of the chosen subcommand, with '-' or '_': argparse
+    would take a prefix such as ``ser`` for ``--series``, so keys are
+    matched against the namespace the subcommand's flags fill.
+    """
+    try:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    mapping = {}
+    flags = set(vars(args)) - {"command", "config"}
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,49 +115,11 @@ def _load_config(path: str, parser: _Parser) -> dict:
         if "=" not in line:
             parser.error(f"config line {lineno} is not key=value: {raw!r}")
         key, value = line.split("=", 1)
-        mapping[key.strip().replace("-", "_")] = value.strip()
-    return mapping
-
-
-class _Options:
-    """Merged view of flags and config values; flags win on conflict."""
-
-    def __init__(self, args: argparse.Namespace, parser: _Parser):
-        self._args = args
-        self._parser = parser
-        self._config = (
-            _load_config(args.config, parser) if getattr(args, "config", None) else {}
-        )
-        known = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
-        for key in self._config:
-            if key not in known:
-                parser.error(f"unknown config key {key!r}")
-
-    def get(self, key: str, default=None):
-        flag = getattr(self._args, key, None)
-        if flag is not None:
-            return flag
-        if key in self._config:
-            raw = self._config[key]
-            try:
-                if key in _FLOAT_KEYS:
-                    return float(raw)
-                if key in _INT_KEYS:
-                    return int(raw)
-            except ValueError:
-                self._parser.error(f"config value for {key} is not numeric: {raw!r}")
-            if key == "model" and raw not in ("isodm", "xxz"):
-                self._parser.error(f"config model must be isodm or xxz, got {raw!r}")
-            return raw
-        return default
-
-    def require_finite(self, key: str, default=None) -> float:
-        value = self.get(key, default)
-        if value is None:
-            self._parser.error(f"--{key.replace('_', '-')} is required")
-        if not math.isfinite(value):
-            self._parser.error(f"--{key.replace('_', '-')} must be finite, got {value}")
-        return float(value)
+        dest = key.strip().replace("-", "_")
+        if dest not in flags:
+            parser.error(f"unknown config key {key.strip()!r} for {args.command}")
+        tokens.append(f"--{dest.replace('_', '-')}={value.strip()}")
+    return tokens
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,10 +136,10 @@ def _build_parser() -> _Parser:
 
     def add_common_model_flags(p):
         p.add_argument("--model", choices=("isodm", "xxz"), help="spin model")
-        p.add_argument("--j", type=float, help="exchange coupling J/kT")
-        p.add_argument("--d", type=float, help="DM coupling D/kT (isodm)")
-        p.add_argument("--delta", type=float, help="anisotropy (xxz)")
-        p.add_argument("--b", type=float, help="field B/kT (xxz)")
+        p.add_argument("--j", type=_finite, help="exchange coupling J/kT")
+        p.add_argument("--d", type=_finite, default=0.0, help="DM coupling D/kT (isodm)")
+        p.add_argument("--delta", type=_finite, default=0.0, help="anisotropy (xxz)")
+        p.add_argument("--b", type=_finite, default=0.0, help="field B/kT (xxz)")
         p.add_argument("--config", help="key=value defaults file; flags win")
 
     p_measures = sub.add_parser(
@@ -162,9 +150,9 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over an exchange grid")
     add_common_model_flags(p_sweep)
-    p_sweep.add_argument("--j-start", type=float, help="grid start (default -5)")
-    p_sweep.add_argument("--j-end", type=float, help="grid end (default 5)")
-    p_sweep.add_argument("--j-steps", type=int, help="grid points (default 201)")
+    p_sweep.add_argument("--j-start", type=_finite, default=-5.0, help="grid start (default -5)")
+    p_sweep.add_argument("--j-end", type=_finite, default=5.0, help="grid end (default 5)")
+    p_sweep.add_argument("--j-steps", type=int, default=201, help="grid points (default 201)")
     p_sweep.add_argument(
         "--series",
         help="secondary-parameter series: comma-separated d values (isodm) "
@@ -176,8 +164,8 @@ def _build_parser() -> _Parser:
     add_common_model_flags(p_critical)
 
     p_verify = sub.add_parser("verify", help="oracle suite on seeded random states")
-    p_verify.add_argument("--seed", type=int, help="generator seed (default 1)")
-    p_verify.add_argument("--count", type=int, help="number of states (default 100)")
+    p_verify.add_argument("--seed", type=_seed, default=1, help="generator seed (default 1)")
+    p_verify.add_argument("--count", type=int, default=100, help="number of states (default 100)")
     p_verify.add_argument("--config", help="key=value defaults file; flags win")
 
     return parser
@@ -221,38 +209,28 @@ def _print_measures(rep: measures.MeasureReport, q_paper: float | None) -> None:
     print(f"branch = {rep.branch}")
 
 
-def _model_report(opts: _Options, parser: _Parser) -> models.ModelReport:
-    model = opts.get("model")
-    if model is None:
+def _model_report(args: argparse.Namespace, parser: _Parser) -> models.ModelReport:
+    if args.model is None:
         parser.error("--model is required (or give --state)")
-    j = opts.require_finite("j")
-    if model == "isodm":
-        return models.measures_isodm(
-            models.IsoDMParams(j=j, d=opts.require_finite("d", 0.0))
-        )
-    return models.measures_xxz(
-        models.XXZParams(
-            j=j,
-            delta=opts.require_finite("delta", 0.0),
-            b=opts.require_finite("b", 0.0),
-        )
-    )
+    if args.j is None:
+        parser.error("--j is required")
+    if args.model == "isodm":
+        return models.measures_isodm(models.IsoDMParams(j=args.j, d=args.d))
+    return models.measures_xxz(models.XXZParams(j=args.j, delta=args.delta, b=args.b))
 
 
 def _cmd_measures(args: argparse.Namespace, parser: _Parser) -> int:
-    opts = _Options(args, parser)
-    state_path = opts.get("state")
-    if state_path is not None and opts.get("model") is not None:
+    if args.state is not None and args.model is not None:
         parser.error("give either --state or --model, not both")
-    if state_path is not None:
+    if args.state is not None:
         try:
-            rho = _load_state_file(state_path)
+            rho = _load_state_file(args.state)
         except InvalidState as exc:
             print(f"invalid state: {exc}", file=sys.stderr)
             return EXIT_INVALID_STATE
         _print_measures(measures.report(rho), q_paper=None)
         return EXIT_OK
-    report = _model_report(opts, parser)
+    report = _model_report(args, parser)
     _print_measures(report.pipeline, q_paper=report.q_paper)
     return EXIT_OK
 
@@ -289,34 +267,26 @@ def _parse_series(model: str, text: str, parser: _Parser):
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
-    opts = _Options(args, parser)
-    model = opts.get("model")
+    model = args.model
     if model is None:
         parser.error("--model is required")
-    out_path = opts.get("out")
-    if out_path is None:
+    if args.out is None:
         parser.error("--out is required")
-    j_start = opts.require_finite("j_start", -5.0)
-    j_end = opts.require_finite("j_end", 5.0)
-    j_steps = int(opts.get("j_steps", 201))
-    if j_steps < 2:
-        parser.error(f"--j-steps must be at least 2, got {j_steps}")
-    if not j_start < j_end:
-        parser.error(f"--j-start must be below --j-end, got {j_start} >= {j_end}")
-    series_text = opts.get("series")
+    if args.j_steps < 2:
+        parser.error(f"--j-steps must be at least 2, got {args.j_steps}")
+    if not args.j_start < args.j_end:
+        parser.error(f"--j-start must be below --j-end, got {args.j_start} >= {args.j_end}")
+    series_text = args.series
     if series_text is None:
         if model == "isodm":
-            series_text = f"{opts.require_finite('d', 0.0):.12g}"
+            series_text = f"{args.d:.12g}"
         else:
-            series_text = (
-                f"{opts.require_finite('delta', 0.0):.12g}"
-                f":{opts.require_finite('b', 0.0):.12g}"
-            )
+            series_text = f"{args.delta:.12g}:{args.b:.12g}"
     members = _parse_series(model, series_text, parser)
 
     measure_fn = models.measures_isodm if model == "isodm" else models.measures_xxz
     lines = [CSV_HEADER]
-    for j in np.linspace(j_start, j_end, j_steps):
+    for j in np.linspace(args.j_start, args.j_end, args.j_steps):
         for label, make_params in members:
             rep = measure_fn(make_params(float(j)))
             pipe = rep.pipeline
@@ -333,6 +303,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
                 )
             )
 
+    out_path = args.out
     tmp_path = out_path + ".tmp"
     try:
         with open(tmp_path, "w", encoding="ascii", newline="") as fh:
@@ -349,17 +320,13 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_critical(args: argparse.Namespace, parser: _Parser) -> int:
-    opts = _Options(args, parser)
-    model = opts.get("model")
-    if model is None:
+    if args.model is None:
         parser.error("--model is required")
     try:
-        if model == "isodm":
-            j_c = models.critical_coupling_isodm(opts.require_finite("d", 0.0))
+        if args.model == "isodm":
+            j_c = models.critical_coupling_isodm(args.d)
         else:
-            j_c = models.critical_coupling_xxz(
-                opts.require_finite("delta", 0.0), opts.require_finite("b", 0.0)
-            )
+            j_c = models.critical_coupling_xxz(args.delta, args.b)
     except NoSignChange as exc:
         print(f"no bracket: {exc}", file=sys.stderr)
         return EXIT_NO_BRACKET
@@ -368,12 +335,9 @@ def _cmd_critical(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
-    opts = _Options(args, parser)
-    seed = int(opts.get("seed", 1))
-    count = opts.get("count", 100)
-    if count is None or int(count) < 1:
+    seed, count = args.seed, args.count
+    if count < 1:
         parser.error(f"--count must be a positive integer, got {count}")
-    count = int(count)
 
     grid = oracle.SphereGrid.fibonacci(VERIFY_GRID_POINTS)
     rng = Lcg(seed)
@@ -443,8 +407,14 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 def main(argv=None) -> int:
     """Run the CLI; returns the process exit code."""
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # Config values go in right after the subcommand, so one parse
+            # checks them like flags and a flag given on the command line wins.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args, parser) + argv[at:])
         handler = {
             "measures": _cmd_measures,
             "sweep": _cmd_sweep,

@@ -36,11 +36,6 @@ class NonUnitDirection(SpincorrError):
     """A measurement direction vector is not unit-norm within tolerance."""
 
 
-class NegativeRadicand(SpincorrError):
-    """The radicand of the discord lower bound came out negative beyond
-    roundoff, signalling a broken moment computation upstream."""
-
-
 class ClosedFormMismatch(SpincorrError):
     """A model's closed-form measure disagrees with the generic pipeline
     on a point where the closed form is provably exact."""

@@ -22,8 +22,8 @@ Four measures are computed from a density matrix or its Bloch form:
   oracle equals exactly twice this value (verified, not assumed).
 - Discord lower bound ``Q``: the tight spectral bound
   Q = (2/3) [2 tr S - sqrt(6 tr S^2 - 2 (tr S)^2)], which never exceeds
-  D_exact. Its radicand is analytically nonnegative; tiny negatives are
-  clamped and anything beyond roundoff raises an error.
+  D_exact. Its radicand is evaluated as a sum of squared eigenvalue gaps
+  of S, so it is never negative.
 """
 
 from __future__ import annotations
@@ -35,15 +35,13 @@ import numpy as np
 
 from . import qmat
 from .bloch import BlochForm, decompose
-from .errors import NegativeRadicand
 from .qmat import SIGMA_Y
 
 X_DEGENERACY_CUTOFF = 1e-9
 BRANCH_X_ZERO = "XZero"
 BRANCH_X_NONZERO = "XNonzero"
-_RADICAND_CLAMP = 1e-12
 
-_SPIN_FLIP = qmat.kron(SIGMA_Y, SIGMA_Y)
+_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 @dataclass(frozen=True)
@@ -111,23 +109,6 @@ def gmod_exact(form: BlochForm) -> float:
     s = _s_matrix(form)
     k_max = float(np.linalg.eigvalsh(s).max())
     return 2.0 * (float(np.trace(s)) - k_max)
-
-
-def _q_from_moments(tr_s: float, tr_s2: float) -> float:
-    """Discord lower bound from the first two moments of S.
-
-    The radicand 6 tr(S^2) - 2 (tr S)^2 is analytically nonnegative for a
-    real symmetric S; values in [-1e-12, 0) are clamped to zero and
-    anything lower raises :class:`NegativeRadicand`.
-    """
-    radicand = 6.0 * tr_s2 - 2.0 * tr_s * tr_s
-    if radicand < -_RADICAND_CLAMP:
-        raise NegativeRadicand(
-            f"moment radicand {radicand:.3e} is negative beyond roundoff"
-        )
-    if radicand < 0.0:
-        radicand = 0.0
-    return (2.0 / 3.0) * (2.0 * tr_s - math.sqrt(radicand))
 
 
 def gmod_lower(form: BlochForm) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 from . import measures, qmat
 from .errors import ClosedFormMismatch, NonFiniteParameter, NoSignChange
 from .measures import BRANCH_X_ZERO, MeasureReport
-from .qmat import PAULIS, kron
+from .qmat import PAULIS
 
 CROSS_CHECK_TOL = 1e-10
 SCAN_RANGE = (-50.0, 50.0)
@@ -106,8 +106,8 @@ class ClosedFormState:
 def hamiltonian_isodm(p: IsoDMParams) -> np.ndarray:
     """Hamiltonian (in units of kT) of the isotropic + DM model."""
     sx, sy, sz = PAULIS
-    exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
-    antisym = kron(sx, sy) - kron(sy, sx)
+    exchange = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
+    antisym = np.kron(sx, sy) - np.kron(sy, sx)
     return 0.5 * (p.j * exchange + p.d * antisym)
 
 
@@ -115,8 +115,8 @@ def hamiltonian_xxz(p: XXZParams) -> np.ndarray:
     """Hamiltonian (in units of kT) of the XXZ model in a z field."""
     sx, sy, sz = PAULIS
     i2 = qmat.I2
-    exchange = kron(sx, sx) + kron(sy, sy) + (1.0 + p.delta) * kron(sz, sz)
-    field = kron(sz, i2) + kron(i2, sz)
+    exchange = np.kron(sx, sx) + np.kron(sy, sy) + (1.0 + p.delta) * np.kron(sz, sz)
+    field = np.kron(sz, i2) + np.kron(i2, sz)
     return 0.5 * (p.j * exchange + p.b * field)
 
 

@@ -328,7 +328,7 @@ def nested_gmod_spotcheck(rho: np.ndarray, n: np.ndarray, k: int, seed: int = 1)
         p = rng.uniform()
         rho_1 = random_state(rng, dim=2)
         rho_2 = random_state(rng, dim=2)
-        candidate = p * qmat.kron(proj_plus, rho_1) + (1.0 - p) * qmat.kron(
+        candidate = p * np.kron(proj_plus, rho_1) + (1.0 - p) * np.kron(
             proj_minus, rho_2
         )
         best = min(best, qmat.hs_norm2(rho - candidate))

@@ -1,15 +1,14 @@
 """Dense complex linear algebra for 2x2 and 4x4 operators.
 
-Hermitian eigendecomposition, Gibbs (thermal) states, tensor products,
-partial traces, Hilbert-Schmidt geometry, and the principal matrix square
-root -- everything downstream modules need to manipulate two-qubit density
-matrices. All operations are pure functions over immutable inputs.
+State validation, Gibbs (thermal) states, partial traces, Hilbert-Schmidt
+geometry, and the principal matrix square root -- everything downstream
+modules need to manipulate two-qubit density matrices. All operations are
+pure functions over immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +37,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return math.sqrt(hs_norm2(m - m.conj().T)) <= tol
 
 
-def is_unit_trace(m: np.ndarray, tol: float = STATE_TOL) -> bool:
-    """Return True iff tr(m) is 1 within ``tol``."""
-    return abs(np.trace(m) - 1.0) <= tol
-
-
 def is_psd(m: np.ndarray, tol: float = STATE_TOL) -> bool:
     """Return True iff the Hermitian part of ``m`` has no eigenvalue
     below ``-tol``."""
@@ -63,39 +57,11 @@ def validate_state(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
         raise InvalidState("matrix has non-finite entries")
     if not is_hermitian(m, tol):
         raise InvalidState("matrix is not Hermitian within tolerance")
-    if not is_unit_trace(m, tol):
+    if abs(np.trace(m) - 1.0) > tol:
         raise InvalidState(f"trace is {np.trace(m).real:.6g}, expected 1")
     if not is_psd(m, tol):
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
     return m
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``values`` are real and sorted ascending; column k of ``vectors`` is the
-    unit eigenvector of ``values[k]``. Within a degenerate cluster the
-    eigenvector order is unspecified; consumers must use only spectral
-    projectors or symmetric functions of the eigenvalues.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix.
-
-    The input must be Hermitian within 1e-10 (Hilbert-Schmidt norm),
-    otherwise :class:`NonHermitianInput` is raised. The decomposition is
-    deterministic for identical input bits.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise NonHermitianInput("matrix is not Hermitian within 1e-10")
-    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return EigenSystem(values=values, vectors=vectors)
 
 
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
@@ -103,21 +69,20 @@ def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
 
     The minimum of beta*values is subtracted from every exponent before
     exponentiation, so the result stays finite for arbitrarily large
-    couplings. ``beta`` must be finite and positive.
+    couplings. ``beta`` must be finite and positive; ``h`` must be Hermitian
+    within 1e-10, otherwise :class:`NonHermitianInput` is raised.
     """
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
         raise NonFiniteParameter(f"beta must be finite and positive, got {beta!r}")
-    eig = hermitian_eig(h)
-    exponents = -beta * eig.values
+    h = np.asarray(h, dtype=complex)
+    if not is_hermitian(h):
+        raise NonHermitianInput("matrix is not Hermitian within 1e-10")
+    values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+    exponents = -beta * values
     weights = np.exp(exponents - exponents.max())
-    rho = (eig.vectors * weights) @ eig.vectors.conj().T
+    rho = (vectors * weights) @ vectors.conj().T
     rho /= weights.sum()
     return (rho + rho.conj().T) / 2.0
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product of two matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
@@ -149,15 +114,18 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-10, 0) are clamped to zero (roundoff from analytic
     PSD constructions); an eigenvalue below -1e-10 raises
-    :class:`NotPositiveSemidefinite`. The result is PSD Hermitian and
+    :class:`NotPositiveSemidefinite`, and input that is not Hermitian within
+    1e-10 raises :class:`NonHermitianInput`. The result is PSD Hermitian and
     squares back to the input within 1e-9.
     """
-    eig = hermitian_eig(m)
-    values = eig.values.copy()
+    m = np.asarray(m, dtype=complex)
+    if not is_hermitian(m):
+        raise NonHermitianInput("matrix is not Hermitian within 1e-10")
+    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
     if values.min() < -PSD_CLAMP_TOL:
         raise NotPositiveSemidefinite(
             f"eigenvalue {values.min():.3e} is below the -1e-10 clamp window"
         )
     values[values < 0.0] = 0.0
-    root = (eig.vectors * np.sqrt(values)) @ eig.vectors.conj().T
+    root = (vectors * np.sqrt(values)) @ vectors.conj().T
     return (root + root.conj().T) / 2.0

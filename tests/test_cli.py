@@ -19,6 +19,86 @@ BELL_STATE_TEXT = """\
 """
 
 
+# ``-h`` text at 80 columns, pinned so that moving types and defaults into
+# the parser cannot change what users read.
+HELP_TEXT = {
+    "": """\
+usage: spincorr [-h] {measures,sweep,critical,verify} ...
+
+Two-qubit correlation measures for thermal spin models and arbitrary states,
+with brute-force verification.
+
+positional arguments:
+  {measures,sweep,critical,verify}
+    measures            measures of one model point or state file
+    sweep               CSV sweep over an exchange grid
+    critical            exchange threshold of concurrence
+    verify              oracle suite on seeded random states
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "measures": """\
+usage: spincorr measures [-h] [--model {isodm,xxz}] [--j J] [--d D]
+                         [--delta DELTA] [--b B] [--config CONFIG]
+                         [--state STATE]
+
+options:
+  -h, --help           show this help message and exit
+  --model {isodm,xxz}  spin model
+  --j J                exchange coupling J/kT
+  --d D                DM coupling D/kT (isodm)
+  --delta DELTA        anisotropy (xxz)
+  --b B                field B/kT (xxz)
+  --config CONFIG      key=value defaults file; flags win
+  --state STATE        density-matrix text file (16 're im' lines)
+""",
+    "sweep": """\
+usage: spincorr sweep [-h] [--model {isodm,xxz}] [--j J] [--d D]
+                      [--delta DELTA] [--b B] [--config CONFIG]
+                      [--j-start J_START] [--j-end J_END] [--j-steps J_STEPS]
+                      [--series SERIES] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --model {isodm,xxz}  spin model
+  --j J                exchange coupling J/kT
+  --d D                DM coupling D/kT (isodm)
+  --delta DELTA        anisotropy (xxz)
+  --b B                field B/kT (xxz)
+  --config CONFIG      key=value defaults file; flags win
+  --j-start J_START    grid start (default -5)
+  --j-end J_END        grid end (default 5)
+  --j-steps J_STEPS    grid points (default 201)
+  --series SERIES      secondary-parameter series: comma-separated d values
+                       (isodm) or delta:b pairs (xxz), e.g. '0,2' or '0:0,0:1'
+  --out OUT            output CSV path
+""",
+    "critical": """\
+usage: spincorr critical [-h] [--model {isodm,xxz}] [--j J] [--d D]
+                         [--delta DELTA] [--b B] [--config CONFIG]
+
+options:
+  -h, --help           show this help message and exit
+  --model {isodm,xxz}  spin model
+  --j J                exchange coupling J/kT
+  --d D                DM coupling D/kT (isodm)
+  --delta DELTA        anisotropy (xxz)
+  --b B                field B/kT (xxz)
+  --config CONFIG      key=value defaults file; flags win
+""",
+    "verify": """\
+usage: spincorr verify [-h] [--seed SEED] [--count COUNT] [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --seed SEED      generator seed (default 1)
+  --count COUNT    number of states (default 100)
+  --config CONFIG  key=value defaults file; flags win
+""",
+}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -146,6 +226,8 @@ def test_measures_state_file_errors(tmp_path, capsys):
 def test_measures_bad_arguments(tmp_path, capsys):
     assert run_cli(capsys, "measures", "--model", "isodm")[0] == 3  # no --j
     assert run_cli(capsys, "measures", "--model", "isodm", "--j", "nan")[0] == 3
+    # Every flag given is checked, also one the chosen model does not use.
+    assert run_cli(capsys, "measures", "--model", "isodm", "--j", "1", "--b", "nan")[0] == 3
     assert run_cli(capsys, "measures")[0] == 3  # neither model nor state
     state = tmp_path / "bell.txt"
     state.write_text(BELL_STATE_TEXT, encoding="utf-8")
@@ -275,6 +357,12 @@ def test_config_flags_win_on_conflict(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "C = 0.000000000000"
 
+    verify_cfg = tmp_path / "verify.cfg"
+    verify_cfg.write_text("count=5\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--count", "2", "--config", str(verify_cfg))
+    assert code == 0
+    assert out.splitlines()[0] == "verify: seed=1 count=2 grid=2000"
+
 
 def test_config_rejects_bad_content(tmp_path, capsys):
     unknown = tmp_path / "unknown.cfg"
@@ -364,3 +452,84 @@ def test_internal_error_maps_to_verification_exit(monkeypatch, capsys):
     monkeypatch.setattr(models, "critical_coupling_isodm", broken)
     code, _, err = run_cli(capsys, "critical", "--model", "isodm", "--d", "0")
     assert code == 1 and "verification failure" in err
+
+
+@pytest.mark.parametrize("command", sorted(HELP_TEXT), ids=lambda c: c or "spincorr")
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *([command] if command else []), "-h")
+    assert (code, out, err) == (0, HELP_TEXT[command], "")
+
+
+def test_seed_must_fit_the_generator_state(capsys):
+    for seed in ("-1", "18446744073709551616", "18446744073709551617", "1.5"):
+        code, out, err = run_cli(capsys, "verify", "--seed", seed, "--count", "1")
+        assert code == 3 and out == ""
+        assert err.splitlines()[-1].startswith("spincorr verify: error: argument --seed")
+    code, out, _ = run_cli(
+        capsys, "verify", "--seed", "18446744073709551615", "--count", "1"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "verify: seed=18446744073709551615 count=1 grid=2000"
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("verify", "model=isodm\n"),  # a key of another subcommand
+        ("sweep", "model=isodm\nser=0\n"),  # a prefix of --series
+        ("measures", "model=isodm\nj=1\nconfig=other.cfg\n"),
+        ("measures", "model=isodm\nj=1\nhelp=1\n"),
+        ("measures", "model=isodm\nj=nan\n"),
+        ("measures", "model=isodm\nj=1\nb=inf\n"),
+        ("verify", "seed=-1\n"),
+        ("verify", "count=2\nseed=18446744073709551616\n"),
+    ],
+)
+def test_config_values_pass_the_flag_checks(tmp_path, capsys, command, content):
+    config = tmp_path / "bad.cfg"
+    config.write_text(content, encoding="utf-8")
+    out_path = tmp_path / "s.csv"
+    extra = ["--out", str(out_path)] if command == "sweep" else []
+    code, out, err = run_cli(capsys, command, "--config", str(config), *extra)
+    assert code == 3 and out == "" and not out_path.exists()
+    assert ": error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "config_text, flags",
+    [
+        (
+            "model=isodm\nj=-1.5\nd=2\n",
+            ("measures", "--model", "isodm", "--j", "-1.5", "--d", "2"),
+        ),
+        (
+            "model=xxz\nseries=0:0, 1:-2\nj_start=-1\nj-end=1\nj-steps=4\n",
+            ("sweep", "--model", "xxz", "--series", "0:0, 1:-2", "--j-start", "-1",
+             "--j-end", "1", "--j-steps", "4"),
+        ),
+        (
+            "model=xxz\ndelta=-0.5\nb=3\n",
+            ("critical", "--model", "xxz", "--delta", "-0.5", "--b", "3"),
+        ),
+        ("seed=5\ncount=2\n", ("verify", "--seed", "5", "--count", "2")),
+    ],
+)
+def test_config_call_matches_flag_call(tmp_path, capsys, config_text, flags):
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    command = flags[0]
+    out_path = tmp_path / "s.csv"
+    extra = ["--out", str(out_path)] if command == "sweep" else []
+
+    def call(*argv):
+        result = run_cli(capsys, *argv, *extra)
+        csv = out_path.read_bytes() if out_path.exists() else None
+        if csv is not None:
+            out_path.unlink()
+        return result, csv
+
+    from_config = call(command, "--config", str(config))
+    assert from_config == call(*flags)
+    assert from_config[0][0] == 0
+    assert (from_config[1] is not None) == (command == "sweep")

@@ -3,15 +3,12 @@
 import math
 
 import numpy as np
-import pytest
 
 from spincorr import qmat
 from spincorr.bloch import decompose
-from spincorr.errors import NegativeRadicand
 from spincorr.measures import (
     BRANCH_X_NONZERO,
     BRANCH_X_ZERO,
-    _q_from_moments,
     _s_matrix,
     concurrence,
     gmod_exact,
@@ -132,17 +129,11 @@ def test_gmod_lower_agrees_with_moment_route_when_stable():
         s = _s_matrix(form)
         tr_s = float(np.trace(s))
         tr_s2 = float(np.trace(s @ s))
-        if 6.0 * tr_s2 - 2.0 * tr_s * tr_s < 1e-6:
+        radicand = 6.0 * tr_s2 - 2.0 * tr_s * tr_s
+        if radicand < 1e-6:
             continue
-        assert abs(gmod_lower(form) - _q_from_moments(tr_s, tr_s2)) <= 1e-12
-
-
-def test_q_from_moments_clamps_and_raises():
-    tr_s = 0.1
-    clamped = _q_from_moments(tr_s, (2.0 * tr_s * tr_s - 5e-13) / 6.0)
-    assert clamped == pytest.approx((2.0 / 3.0) * 2.0 * tr_s, abs=1e-13)
-    with pytest.raises(NegativeRadicand):
-        _q_from_moments(tr_s, (2.0 * tr_s * tr_s - 1e-6) / 6.0)
+        moment_q = (2.0 / 3.0) * (2.0 * tr_s - math.sqrt(radicand))
+        assert abs(gmod_lower(form) - moment_q) <= 1e-12
 
 
 def test_report_reference_states():
@@ -173,7 +164,7 @@ def test_measures_are_local_unitary_invariant():
     rng = Lcg(31)
     for _ in range(30):
         rho = random_state(rng)
-        u = qmat.kron(random_unitary(rng), random_unitary(rng))
+        u = np.kron(random_unitary(rng), random_unitary(rng))
         rotated = u @ rho @ u.conj().T
         rotated = (rotated + rotated.conj().T) / 2.0
         before = report(rho)

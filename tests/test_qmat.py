@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spincorr import qmat
+from spincorr import bloch, measures, qmat
 from spincorr.errors import (
     DimensionMismatch,
     InvalidState,
@@ -21,8 +21,8 @@ from helpers import bell_psi_plus, ground_product_state
 def _exchange_with_antisymmetric_term() -> np.ndarray:
     """0.5 (XX + YY + ZZ + XY - YX): reference matrix with known spectrum."""
     sx, sy, sz = qmat.PAULIS
-    h = qmat.kron(sx, sx) + qmat.kron(sy, sy) + qmat.kron(sz, sz)
-    h = h + qmat.kron(sx, sy) - qmat.kron(sy, sx)
+    h = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
+    h = h + np.kron(sx, sy) - np.kron(sy, sx)
     return 0.5 * h
 
 
@@ -32,45 +32,6 @@ def test_pauli_constants():
         assert np.allclose(sigma @ sigma, np.eye(2), atol=1e-15)
         assert abs(np.trace(sigma)) == 0.0
     assert np.allclose(qmat.SIGMA_X @ qmat.SIGMA_Y, 1j * qmat.SIGMA_Z, atol=1e-15)
-
-
-def test_hermitian_eig_pauli_z():
-    eig = qmat.hermitian_eig(qmat.SIGMA_Z)
-    assert np.allclose(eig.values, [-1.0, 1.0], atol=1e-15)
-    assert np.allclose(eig.vectors.conj().T @ eig.vectors, np.eye(2), atol=1e-14)
-
-
-def test_hermitian_eig_identity():
-    eig = qmat.hermitian_eig(np.eye(4, dtype=complex))
-    assert np.allclose(eig.values, np.ones(4), atol=1e-15)
-
-
-def test_hermitian_eig_known_coupling_spectrum():
-    eig = qmat.hermitian_eig(_exchange_with_antisymmetric_term())
-    expected = [-0.5 - math.sqrt(2.0), 0.5, 0.5, -0.5 + math.sqrt(2.0)]
-    assert np.allclose(eig.values, expected, atol=1e-10)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.zeros((2, 2), dtype=complex)
-    m[0, 1] = 1.0  # no conjugate partner
-    with pytest.raises(NonHermitianInput):
-        qmat.hermitian_eig(m)
-
-
-def test_hermitian_eig_random_invariants():
-    rng = Lcg(3)
-    for _ in range(50):
-        g = gaussian_matrix(rng)
-        h = (g + g.conj().T) / 2.0
-        eig = qmat.hermitian_eig(h)
-        assert np.all(np.diff(eig.values) >= 0.0)
-        assert (
-            math.sqrt(qmat.hs_norm2(eig.vectors.conj().T @ eig.vectors - np.eye(4)))
-            <= 1e-12
-        )
-        rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
-        assert math.sqrt(qmat.hs_norm2(rebuilt - h)) <= 1e-10
 
 
 def test_gibbs_zero_hamiltonian_is_maximally_mixed():
@@ -101,12 +62,15 @@ def test_gibbs_rejects_bad_beta():
 
 
 def test_kron_reference_matrices():
-    yy = qmat.kron(qmat.SIGMA_Y, qmat.SIGMA_Y)
+    # The spin flip of the concurrence and the Bloch basis operator
+    # sigma_z (x) I, both built with np.kron from the complex Paulis.
+    yy = measures._SPIN_FLIP
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
-    assert np.array_equal(yy, expected)
-    zi = qmat.kron(qmat.SIGMA_Z, qmat.I2)
+    assert np.array_equal(yy, expected) and yy.dtype == complex
+    zi = bloch._PRODUCT_BASIS_A[2]
     assert np.array_equal(zi, np.diag([1, 1, -1, -1]).astype(complex))
+    assert zi.dtype == complex
 
 
 def test_partial_trace_product_state_roundtrip():
@@ -114,7 +78,7 @@ def test_partial_trace_product_state_roundtrip():
     for _ in range(20):
         rho_a = random_state(rng, dim=2)
         rho_b = random_state(rng, dim=2)
-        joint = qmat.kron(rho_a, rho_b)
+        joint = np.kron(rho_a, rho_b)
         assert np.max(np.abs(qmat.partial_trace(joint, "B") - rho_a)) <= 1e-12
         assert np.max(np.abs(qmat.partial_trace(joint, "A") - rho_b)) <= 1e-12
 
@@ -179,6 +143,15 @@ def test_mat_sqrt_clamps_roundoff_negatives():
 def test_mat_sqrt_rejects_genuinely_negative():
     with pytest.raises(NotPositiveSemidefinite):
         qmat.mat_sqrt(np.diag([0.7, 0.3, 0.0, -5e-10]).astype(complex))
+
+
+def test_mat_sqrt_and_gibbs_reject_non_hermitian():
+    m = np.zeros((2, 2), dtype=complex)
+    m[0, 1] = 1.0  # no conjugate partner
+    with pytest.raises(NonHermitianInput):
+        qmat.mat_sqrt(m)
+    with pytest.raises(NonHermitianInput):
+        qmat.gibbs(m, beta=1.0)
 
 
 def test_validate_state_accepts_random_states():
