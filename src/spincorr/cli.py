@@ -10,6 +10,10 @@ Four subcommands cover the workflows:
 - ``critical``: the exchange threshold where concurrence turns on.
 - ``verify``: the brute-force oracle suite on seeded random states.
 
+Both spin models share one path: the fields of a model's params dataclass
+name its flags, defaults, ``--series`` members and CSV labels, and a model
+flag that a call would ignore is refused (exit 3).
+
 Exit codes: 0 success, 1 verification failure, 2 invalid state file,
 3 bad arguments, 4 output I/O failure, 5 no root bracket.
 
@@ -24,6 +28,7 @@ explicit flags win on conflict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -47,6 +52,13 @@ ORACLE_TOL = 1e-4
 WITNESS_CUTOFF = 1e-8
 LOWER_BOUND_TOL = 1e-12
 VERIFY_GRID_POINTS = 2000
+
+# ``models.measures_<model>`` and ``critical_coupling_<model>`` are looked up at call
+# time, so a wrapped or replaced function is the one that runs.
+_PARAMS = {"isodm": models.IsoDMParams, "xxz": models.XXZParams}
+_MODEL_FLAGS = tuple(  # every params field, j first
+    dict.fromkeys(f.name for params in _PARAMS.values() for f in dataclasses.fields(params))
+)
 
 
 def fmt12(value: float) -> str:
@@ -134,22 +146,23 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_model_flags(p):
-        p.add_argument("--model", choices=("isodm", "xxz"), help="spin model")
-        p.add_argument("--j", type=_finite, help="exchange coupling J/kT")
-        p.add_argument("--d", type=_finite, default=0.0, help="DM coupling D/kT (isodm)")
-        p.add_argument("--delta", type=_finite, default=0.0, help="anisotropy (xxz)")
-        p.add_argument("--b", type=_finite, default=0.0, help="field B/kT (xxz)")
+    def add_model_flags(p, exchange=True):
+        p.add_argument("--model", choices=tuple(_PARAMS), help="spin model")
+        if exchange:
+            p.add_argument("--j", type=_finite, help="exchange coupling J/kT")
+        p.add_argument("--d", type=_finite, help="DM coupling D/kT (isodm)")
+        p.add_argument("--delta", type=_finite, help="anisotropy (xxz)")
+        p.add_argument("--b", type=_finite, help="field B/kT (xxz)")
         p.add_argument("--config", help="key=value defaults file; flags win")
 
     p_measures = sub.add_parser(
         "measures", help="measures of one model point or state file"
     )
-    add_common_model_flags(p_measures)
+    add_model_flags(p_measures)
     p_measures.add_argument("--state", help="density-matrix text file (16 're im' lines)")
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over an exchange grid")
-    add_common_model_flags(p_sweep)
+    add_model_flags(p_sweep)
     p_sweep.add_argument("--j-start", type=_finite, default=-5.0, help="grid start (default -5)")
     p_sweep.add_argument("--j-end", type=_finite, default=5.0, help="grid end (default 5)")
     p_sweep.add_argument("--j-steps", type=int, default=201, help="grid points (default 201)")
@@ -161,7 +174,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--out", help="output CSV path")
 
     p_critical = sub.add_parser("critical", help="exchange threshold of concurrence")
-    add_common_model_flags(p_critical)
+    add_model_flags(p_critical, exchange=False)
 
     p_verify = sub.add_parser("verify", help="oracle suite on seeded random states")
     p_verify.add_argument("--seed", type=_seed, default=1, help="generator seed (default 1)")
@@ -209,20 +222,29 @@ def _print_measures(rep: measures.MeasureReport, q_paper: float | None) -> None:
     print(f"branch = {rep.branch}")
 
 
-def _model_report(args: argparse.Namespace, parser: _Parser) -> models.ModelReport:
+def _refuse(args: argparse.Namespace, parser: _Parser, flags, why: str) -> None:
+    """Exit 3 when one of ``flags`` is given (also from a config file)."""
+    for flag in flags:
+        if getattr(args, flag, None) is not None:
+            parser.error(f"--{flag} {why}")
+
+
+def _secondary_params(args: argparse.Namespace, parser: _Parser) -> dict:
+    """The secondary parameters of ``--model`` by params field, from the
+    flags or the dataclass defaults. Another model's flag exits 3."""
     if args.model is None:
-        parser.error("--model is required (or give --state)")
-    if args.j is None:
-        parser.error("--j is required")
-    if args.model == "isodm":
-        return models.measures_isodm(models.IsoDMParams(j=args.j, d=args.d))
-    return models.measures_xxz(models.XXZParams(j=args.j, delta=args.delta, b=args.b))
+        parser.error("--model is required")
+    fields = dataclasses.fields(_PARAMS[args.model])
+    names = {f.name for f in fields}
+    others = [flag for flag in _MODEL_FLAGS if flag not in names]
+    _refuse(args, parser, others, f"is not a parameter of {args.model}")
+    values = {f.name: getattr(args, f.name) for f in fields[1:]}
+    return {f.name: f.default if values[f.name] is None else values[f.name] for f in fields[1:]}
 
 
 def _cmd_measures(args: argparse.Namespace, parser: _Parser) -> int:
-    if args.state is not None and args.model is not None:
-        parser.error("give either --state or --model, not both")
     if args.state is not None:
+        _refuse(args, parser, ("model", *_MODEL_FLAGS), "and --state: give one, not both")
         try:
             rho = _load_state_file(args.state)
         except InvalidState as exc:
@@ -230,78 +252,62 @@ def _cmd_measures(args: argparse.Namespace, parser: _Parser) -> int:
             return EXIT_INVALID_STATE
         _print_measures(measures.report(rho), q_paper=None)
         return EXIT_OK
-    report = _model_report(args, parser)
+    if args.model is None:
+        parser.error("--model is required (or give --state)")
+    if args.j is None:
+        parser.error("--j is required")
+    params = _PARAMS[args.model](args.j, **_secondary_params(args, parser))
+    report = getattr(models, f"measures_{args.model}")(params)
     _print_measures(report.pipeline, q_paper=report.q_paper)
     return EXIT_OK
 
 
-def _parse_series(model: str, text: str, parser: _Parser):
-    """Parse the --series flag into (label, params-factory) members."""
+def _parse_series(model: str, text: str, parser: _Parser) -> list[tuple[str, dict]]:
+    """Parse the --series flag into (label, secondary parameters) members:
+    the params fields after j, joined by ':' in a member and as name=value
+    by ';' in its label."""
+    names = [f.name for f in dataclasses.fields(_PARAMS[model])[1:]]
     members = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             parser.error("empty series member")
+        texts = part.split(":")
+        if len(texts) != len(names):
+            parser.error(f"{model} series member must be {':'.join(names)}, got {part!r}")
         try:
-            if model == "isodm":
-                d = float(part)
-                if not math.isfinite(d):
-                    parser.error(f"series member must be finite, got {part!r}")
-                members.append((f"d={d:.12g}", lambda j, d=d: models.IsoDMParams(j, d)))
-            else:
-                delta_text, _, b_text = part.partition(":")
-                if not _:
-                    parser.error(f"xxz series member must be delta:b, got {part!r}")
-                delta, b = float(delta_text), float(b_text)
-                if not (math.isfinite(delta) and math.isfinite(b)):
-                    parser.error(f"series member must be finite, got {part!r}")
-                members.append(
-                    (
-                        f"delta={delta:.12g};b={b:.12g}",
-                        lambda j, delta=delta, b=b: models.XXZParams(j, delta, b),
-                    )
-                )
-        except ValueError:
-            parser.error(f"series member is not numeric: {part!r}")
+            values = [_finite(value) for value in texts]
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"series member {part!r}: {exc}")
+        label = ";".join(f"{name}={value:.12g}" for name, value in zip(names, values))
+        members.append((label, dict(zip(names, values))))
     return members
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
-    model = args.model
-    if model is None:
-        parser.error("--model is required")
+    secondary = _secondary_params(args, parser)
     if args.out is None:
         parser.error("--out is required")
     if args.j_steps < 2:
         parser.error(f"--j-steps must be at least 2, got {args.j_steps}")
     if not args.j_start < args.j_end:
         parser.error(f"--j-start must be below --j-end, got {args.j_start} >= {args.j_end}")
+    _refuse(args, parser, ("j",), "is not used by sweep: the grid sets j")
     series_text = args.series
     if series_text is None:
-        if model == "isodm":
-            series_text = f"{args.d:.12g}"
-        else:
-            series_text = f"{args.delta:.12g}:{args.b:.12g}"
-    members = _parse_series(model, series_text, parser)
+        series_text = ":".join(f"{value:.12g}" for value in secondary.values())
+    else:
+        _refuse(args, parser, secondary, "is not used with --series: each member sets it")
+    members = _parse_series(args.model, series_text, parser)
 
-    measure_fn = models.measures_isodm if model == "isodm" else models.measures_xxz
+    make_params = _PARAMS[args.model]
+    measure = getattr(models, f"measures_{args.model}")
     lines = [CSV_HEADER]
     for j in np.linspace(args.j_start, args.j_end, args.j_steps):
-        for label, make_params in members:
-            rep = measure_fn(make_params(float(j)))
-            pipe = rep.pipeline
-            lines.append(
-                ",".join(
-                    (
-                        fmt12(float(j)),
-                        label,
-                        fmt12(pipe.concurrence),
-                        fmt12(pipe.min_value),
-                        fmt12(pipe.gmod_lower),
-                        fmt12(pipe.gmod_exact),
-                    )
-                )
-            )
+        for label, values in members:
+            pipe = measure(make_params(float(j), **values)).pipeline
+            row = (pipe.concurrence, pipe.min_value, pipe.gmod_lower, pipe.gmod_exact)
+            lines.append(",".join((fmt12(float(j)), label, *map(fmt12, row))))
 
     out_path = args.out
     tmp_path = out_path + ".tmp"
@@ -320,13 +326,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_critical(args: argparse.Namespace, parser: _Parser) -> int:
-    if args.model is None:
-        parser.error("--model is required")
+    secondary = _secondary_params(args, parser)
     try:
-        if args.model == "isodm":
-            j_c = models.critical_coupling_isodm(args.d)
-        else:
-            j_c = models.critical_coupling_xxz(args.delta, args.b)
+        j_c = getattr(models, f"critical_coupling_{args.model}")(**secondary)
     except NoSignChange as exc:
         print(f"no bracket: {exc}", file=sys.stderr)
         return EXIT_NO_BRACKET

@@ -10,16 +10,17 @@ by dimensionless ratios (every coupling is divided by kT):
   magnetic field ``b`` along z,
   H = (1/2) [ j (XX + YY + (1+delta) ZZ) + b (ZI + IZ) ].
 
-Both thermal states are X-states with zero corners off the anti-diagonal
-block; their entries have elementary closed forms, as do concurrence and
-the measurement-induced nonlocality. Every closed-form value is recomputed
-through the generic pipeline (thermal state -> Bloch form -> measures) and
-cross-checked, and a deviation above 1e-10 raises. For the ``xxz`` model
-the nonlocality takes two closed forms, and the one checked is the one for
-the branch the pipeline took: N = 2 kappa^2/Z^2 when the field polarizes
-the marginal, and tr(T T^t) - lambda_min(T T^t) of the diagonal
-correlation matrix T = diag(kappa/Z, kappa/Z, t3) when it is maximally
-mixed.
+Both thermal states are X-states: a diagonal (rho00, rho11 = rho22, rho33)
+and one coherence rho12 = conj(rho21), all else exactly zero. A family
+supplies only its entries (rho00, rho11, rho33, rho12, Z), Z the trace; one
+path builds the matrix, and one gap |rho12| - sqrt(rho00 rho33) gives the
+concurrence (2/Z) max{0, gap} and the threshold condition gap = 0. Every
+closed-form value is recomputed through the generic pipeline (thermal
+state -> Bloch form -> measures) and cross-checked; a deviation above 1e-10
+raises. The ``xxz`` nonlocality has two closed forms, and the one checked
+is the one for the branch the pipeline took: N = 2 kappa^2/Z^2 when the
+field polarizes the marginal, else tr(T T^t) - lambda_min(T T^t) of the
+correlation matrix T = diag(kappa/Z, kappa/Z, t3).
 
 Critical couplings (where concurrence first becomes nonzero) are found by
 a uniform sign scan over j in [-50, 50] followed by bisection.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,48 +45,39 @@ SCAN_POINTS = 2001
 BISECT_WIDTH = 1e-9
 
 
-def _require_finite(**params: float) -> tuple[float, ...]:
-    """Check that every parameter is a finite real number (``bool`` is not
-    one) and return them as Python floats, in order. The conversion keeps
-    numpy scalars such as ``np.float32`` from carrying single precision
-    into the closed forms."""
-    values = []
-    for name, value in params.items():
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and math.isfinite(value)):
-            raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
-        values.append(float(value))
-    return tuple(values)
+class _ModelParams:
+    """Base of the params dataclasses: the exchange ``j`` comes first and
+    the model's secondary parameters follow it. Every field must be a
+    finite real number (``bool`` is not one) and is stored as a Python
+    float, which keeps numpy scalars such as ``np.float32`` from carrying
+    single precision into the closed forms."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise NonFiniteParameter(f"{f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
 
 
 @dataclass(frozen=True)
-class IsoDMParams:
+class IsoDMParams(_ModelParams):
     """Dimensionless couplings of the isotropic + Dzyaloshinskii-Moriya
     model: exchange ``j`` = J/kT and antisymmetric coupling ``d`` = D/kT."""
 
     j: float
     d: float = 0.0
 
-    def __post_init__(self):
-        j, d = _require_finite(j=self.j, d=self.d)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "d", d)
-
 
 @dataclass(frozen=True)
-class XXZParams:
+class XXZParams(_ModelParams):
     """Dimensionless couplings of the XXZ model in a field: exchange
     ``j`` = J/kT, anisotropy ``delta``, and field ``b`` = B/kT."""
 
     j: float
     delta: float = 0.0
     b: float = 0.0
-
-    def __post_init__(self):
-        j, delta, b = _require_finite(j=self.j, delta=self.delta, b=self.b)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -128,70 +120,68 @@ def _sinhc(x: float) -> float:
     return math.sinh(x) / x
 
 
-def _isodm_entries(j: float, d: float) -> tuple[float, float, complex, float]:
-    """Closed-form entries (mu, omega, nu, Z) of the isodm thermal state."""
+# Entry names in X-state order (rho00, rho11, rho33, rho12, Z); isodm has
+# rho00 = rho33 = mu, so its entries dict holds mu once.
+_ISODM_NAMES = ("mu", "omega", "mu", "nu", "Z")
+_XXZ_NAMES = ("delta_plus", "epsilon", "delta_minus", "kappa", "Z")
+
+
+def _isodm_entries(j: float, p: IsoDMParams) -> tuple[float, float, float, complex, float]:
+    """Closed-form entries (mu, omega, mu, nu, Z) of the isodm thermal state
+    at exchange ``j`` (not ``p.j``: the critical scan varies it) and ``p.d``."""
+    d = p.d
     eta = math.hypot(j, d)
     mu = math.exp(-j / 2.0)
     omega = math.exp(j / 2.0) * math.cosh(eta)
     nu = -(j + 1j * d) * math.exp(j / 2.0) * _sinhc(eta)
-    z = 2.0 * (mu + omega)
-    return mu, omega, nu, z
+    return mu, omega, mu, nu, 2.0 * (mu + omega)
 
 
-def _xxz_entries(
-    j: float, delta: float, b: float
-) -> tuple[float, float, float, float, float]:
-    """Closed-form entries (delta_plus, delta_minus, epsilon, kappa, Z) of
-    the xxz thermal state. Z is the matrix trace delta_plus + delta_minus
-    + 2 epsilon."""
+def _xxz_entries(j: float, p: XXZParams) -> tuple[float, float, float, float, float]:
+    """Closed-form entries (delta_plus, epsilon, delta_minus, kappa, Z) of
+    the xxz thermal state at exchange ``j`` and ``p.delta``, ``p.b``. All are
+    real."""
+    delta, b = p.delta, p.b
     alpha = j * (1.0 + delta) / 2.0
     delta_plus = math.exp(-(alpha + b))
     delta_minus = math.exp(-(alpha - b))
     epsilon = math.exp(alpha) * math.cosh(j)
     kappa = -math.exp(alpha) * math.sinh(j)
-    z = delta_plus + delta_minus + 2.0 * epsilon
-    return delta_plus, delta_minus, epsilon, kappa, z
+    return delta_plus, epsilon, delta_minus, kappa, delta_plus + delta_minus + 2.0 * epsilon
+
+
+def _x_matrix(e: tuple) -> np.ndarray:
+    """The unit-trace X-state of entries e = (rho00, rho11, rho33, rho12, Z),
+    with its structural zeros exactly zero."""
+    r00, r11, r33, r12, z = e
+    matrix = np.zeros((4, 4), dtype=complex)
+    matrix[0, 0] = r00
+    matrix[3, 3] = r33
+    matrix[1, 1] = matrix[2, 2] = r11
+    matrix[1, 2] = r12
+    matrix[2, 1] = np.conj(r12)
+    matrix /= z
+    return matrix
+
+
+def _x_gap(e: tuple) -> float:
+    """|rho12| - sqrt(rho00 rho33) of X-state entries e: the state is
+    entangled exactly where it is positive."""
+    return abs(e[3]) - math.sqrt(e[0] * e[2])
 
 
 def thermal_isodm(p: IsoDMParams) -> ClosedFormState:
     """Closed-form thermal state of the isodm model (equals the Gibbs state
     of its Hamiltonian at beta = 1 within 1e-10)."""
-    mu, omega, nu, z = _isodm_entries(p.j, p.d)
-    matrix = np.zeros((4, 4), dtype=complex)
-    matrix[0, 0] = mu
-    matrix[3, 3] = mu
-    matrix[1, 1] = omega
-    matrix[2, 2] = omega
-    matrix[1, 2] = nu
-    matrix[2, 1] = np.conj(nu)
-    matrix /= z
-    return ClosedFormState(
-        entries={"mu": mu, "omega": omega, "nu": nu, "Z": z}, matrix=matrix
-    )
+    e = _isodm_entries(p.j, p)
+    return ClosedFormState(entries=dict(zip(_ISODM_NAMES, e)), matrix=_x_matrix(e))
 
 
 def thermal_xxz(p: XXZParams) -> ClosedFormState:
     """Closed-form thermal state of the xxz model (equals the Gibbs state
     of its Hamiltonian at beta = 1 within 1e-10). All entries are real."""
-    delta_plus, delta_minus, epsilon, kappa, z = _xxz_entries(p.j, p.delta, p.b)
-    matrix = np.zeros((4, 4), dtype=complex)
-    matrix[0, 0] = delta_plus
-    matrix[3, 3] = delta_minus
-    matrix[1, 1] = epsilon
-    matrix[2, 2] = epsilon
-    matrix[1, 2] = kappa
-    matrix[2, 1] = kappa
-    matrix /= z
-    return ClosedFormState(
-        entries={
-            "delta_plus": delta_plus,
-            "delta_minus": delta_minus,
-            "epsilon": epsilon,
-            "kappa": kappa,
-            "Z": z,
-        },
-        matrix=matrix,
-    )
+    e = _xxz_entries(p.j, p)
+    return ClosedFormState(entries=dict(zip(_XXZ_NAMES, e)), matrix=_x_matrix(e))
 
 
 @dataclass(frozen=True)
@@ -236,16 +226,12 @@ def _cross_checked_report(
     n_closed = n_x_zero if pipeline.branch == BRANCH_X_ZERO else n_x_nonzero
     c_dev = abs(c_closed - pipeline.concurrence)
     n_dev = abs(n_closed - pipeline.min_value)
-    if c_dev > CROSS_CHECK_TOL:
-        raise ClosedFormMismatch(
-            f"{label}: closed concurrence {c_closed!r} deviates from the "
-            f"pipeline by {c_dev:.3e}"
-        )
-    if n_dev > CROSS_CHECK_TOL:
-        raise ClosedFormMismatch(
-            f"{label}: closed nonlocality {n_closed!r} deviates from the "
-            f"pipeline by {n_dev:.3e}"
-        )
+    checks = (("concurrence", c_closed, c_dev), ("nonlocality", n_closed, n_dev))
+    for what, closed, dev in checks:
+        if dev > CROSS_CHECK_TOL:
+            raise ClosedFormMismatch(
+                f"{label}: closed {what} {closed!r} deviates from the pipeline by {dev:.3e}"
+            )
     return ModelReport(
         c_closed=c_closed,
         n_closed=n_closed,
@@ -257,15 +243,20 @@ def _cross_checked_report(
     )
 
 
+def _x_report(e: tuple, n_x_nonzero: float, n_x_zero: float, label: str) -> ModelReport:
+    """Cross-checked report of the X-state with entries e, whose closed
+    concurrence is C = (2/Z) max{0, |rho12| - sqrt(rho00 rho33)}."""
+    c_closed = (2.0 / e[4]) * max(0.0, _x_gap(e))
+    return _cross_checked_report(c_closed, n_x_nonzero, n_x_zero, _x_matrix(e), label)
+
+
 def measures_isodm(p: IsoDMParams) -> ModelReport:
     """Closed-form measures of the isodm model at ``p``:
     C = (2/Z) max{0, |nu| - mu}, N = 2 |nu|^2 / Z^2 (exact for every j, d,
     since |mu - omega| <= |nu| always holds for this family)."""
-    state = thermal_isodm(p)
-    mu, nu, z = state.entries["mu"], state.entries["nu"], state.entries["Z"]
-    c_closed = (2.0 / z) * max(0.0, abs(nu) - mu)
-    n_closed = 2.0 * abs(nu) ** 2 / z**2
-    return _cross_checked_report(c_closed, n_closed, n_closed, state.matrix, "isodm")
+    e = _isodm_entries(p.j, p)
+    n_closed = 2.0 * abs(e[3]) ** 2 / e[4] ** 2
+    return _x_report(e, n_closed, n_closed, "isodm")
 
 
 def measures_xxz(p: XXZParams) -> ModelReport:
@@ -281,27 +272,17 @@ def measures_xxz(p: XXZParams) -> ModelReport:
     x_z from the entries: the two round differently within a few hundred
     ulps of the cutoff.
     """
-    state = thermal_xxz(p)
-    e = state.entries
-    dp, dm, eps, kappa, z = (
-        e["delta_plus"],
-        e["delta_minus"],
-        e["epsilon"],
-        e["kappa"],
-        e["Z"],
-    )
-    c_closed = (2.0 / z) * max(0.0, abs(kappa) - math.sqrt(dp * dm))
+    e = _xxz_entries(p.j, p)
+    dp, eps, dm, kappa, z = e
     t12_sq = kappa**2 / z**2
     t3 = (dp + dm - 2.0 * eps) / (2.0 * z)
-    n_polarized = 2.0 * t12_sq
-    n_mixed = t12_sq + max(t12_sq, t3 * t3)
-    return _cross_checked_report(c_closed, n_polarized, n_mixed, state.matrix, "xxz")
+    return _x_report(e, 2.0 * t12_sq, t12_sq + max(t12_sq, t3 * t3), "xxz")
 
 
-def _bisect_root(f, lo: float, hi: float, f_lo: float) -> float:
+def _bisect_root(entries, p: _ModelParams, lo: float, hi: float, f_lo: float) -> float:
     while hi - lo > BISECT_WIDTH:
         mid = (lo + hi) / 2.0
-        f_mid = f(mid)
+        f_mid = _x_gap(entries(mid, p))
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) == (f_mid < 0.0):
@@ -311,21 +292,24 @@ def _bisect_root(f, lo: float, hi: float, f_lo: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _first_root(f, scan_points: int, what: str) -> float:
-    """First sign change of ``f`` over an ascending uniform scan of
-    [-50, 50], refined by bisection to an interval of 1e-9. Raises
-    :class:`NoSignChange` when the scan finds no bracket."""
+def _first_root(label: str, entries, p: _ModelParams, scan_points: int) -> float:
+    """First sign change of the X-state gap of ``entries(j, p)`` over an
+    ascending uniform scan of j in [-50, 50], refined by bisection to an
+    interval of 1e-9. Raises :class:`NoSignChange` when the scan finds no
+    bracket."""
     xs = np.linspace(SCAN_RANGE[0], SCAN_RANGE[1], scan_points)
-    values = [f(float(x)) for x in xs]
+    values = [_x_gap(entries(float(x), p)) for x in xs]
     for i in range(scan_points - 1):
         if values[i] == 0.0:
             return float(xs[i])
         if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            return _bisect_root(f, float(xs[i]), float(xs[i + 1]), values[i])
+            return _bisect_root(entries, p, float(xs[i]), float(xs[i + 1]), values[i])
     if values[-1] == 0.0:
         return float(xs[-1])
+    at = ", ".join(f"{f.name}={getattr(p, f.name):g}" for f in fields(p)[1:])
     raise NoSignChange(
-        f"{what}: no sign change over j in [{SCAN_RANGE[0]:g}, {SCAN_RANGE[1]:g}]"
+        f"{label} threshold at {at}: no sign change over j in "
+        f"[{SCAN_RANGE[0]:g}, {SCAN_RANGE[1]:g}]"
     )
 
 
@@ -333,13 +317,7 @@ def critical_coupling_isodm(d: float, scan_points: int = SCAN_POINTS) -> float:
     """Exchange threshold j_c where the isodm concurrence first turns on:
     the root of |nu(j, d)| = mu(j, d). Concurrence is positive for j > j_c
     and zero for j <= j_c in a neighborhood of the root."""
-    (d,) = _require_finite(d=d)
-
-    def gap(j: float) -> float:
-        mu, _, nu, _ = _isodm_entries(j, d)
-        return abs(nu) - mu
-
-    return _first_root(gap, scan_points, f"isodm threshold at d={d:g}")
+    return _first_root("isodm", _isodm_entries, IsoDMParams(0.0, d), scan_points)
 
 
 def critical_coupling_xxz(
@@ -350,10 +328,4 @@ def critical_coupling_xxz(
     The field b cancels from the condition, so the threshold is
     b-independent (the field suppresses the magnitude of the concurrence
     above threshold but does not move the threshold)."""
-    delta, b = _require_finite(delta=delta, b=b)
-
-    def gap(j: float) -> float:
-        dp, dm, _, kappa, _ = _xxz_entries(j, delta, b)
-        return abs(kappa) - math.sqrt(dp * dm)
-
-    return _first_root(gap, scan_points, f"xxz threshold at delta={delta:g}, b={b:g}")
+    return _first_root("xxz", _xxz_entries, XXZParams(0.0, delta, b), scan_points)

@@ -8,6 +8,7 @@ as stated: closed forms agree with the pipeline everywhere on the grid
 over its true extent, -0.6 < j < 0 (criterion 11).
 """
 
+import hashlib
 import math
 from itertools import product
 
@@ -29,6 +30,9 @@ LN3_HALF = math.log(3.0) / 2.0
 D2_ROOT = -2.5314736976713
 WITNESS_GAP = 0.0090812568928532
 J_GRID = np.linspace(-5.0, 5.0, 201)
+# sha256 of the verify reports: any change to a printed byte must be deliberate.
+VERIFY_42_500_SHA256 = "acf275a68eadd37038921e93481897baf0669671cf46652e2451ba0c709dc375"
+VERIFY_7_2000_SHA256 = "4c2042b6fed79ac91c066be23c429ea6ce0c6c33ade3fbcb2cdfd9b859bd5ff3"
 
 
 def verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -136,19 +140,26 @@ def test_criterion_07_verification_suite(capsys):
     report_text = capsys.readouterr().out
     with capsys.disabled():
         print(report_text, end="")
-    ok = code == 0
-    verdict(capsys, 7, ok, f"verify --seed 42 --count 500 exited {code}")
+    digest = hashlib.sha256(report_text.encode()).hexdigest()
+    ok = code == 0 and digest == VERIFY_42_500_SHA256
+    verdict(capsys, 7, ok, f"verify --seed 42 --count 500 exited {code}, stdout sha256 {digest}")
 
 
 def test_criterion_12_large_count_verification(capsys):
     code = cli.main(["verify", "--seed", "7", "--count", "2000"])
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    digest = hashlib.sha256(out.encode()).hexdigest()
     ok = (
         code == 0
         and lines[-1] == "result: PASS"
         and "ppt/concurrence disagreements    = 0" in lines
+        and digest == VERIFY_7_2000_SHA256
     )
-    detail = f"verify --seed 7 --count 2000 exited {code}, ended {lines[-1]!r}"
+    detail = (
+        f"verify --seed 7 --count 2000 exited {code}, ended {lines[-1]!r}, "
+        f"stdout sha256 {digest}"
+    )
     verdict(capsys, 12, ok, detail)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -20,7 +21,8 @@ BELL_STATE_TEXT = """\
 
 
 # ``-h`` text at 80 columns, pinned so that moving types and defaults into
-# the parser cannot change what users read.
+# the parser cannot change what users read. ``critical`` has no ``--j``: the
+# scan sets j.
 HELP_TEXT = {
     "": """\
 usage: spincorr [-h] {measures,sweep,critical,verify} ...
@@ -75,13 +77,12 @@ options:
   --out OUT            output CSV path
 """,
     "critical": """\
-usage: spincorr critical [-h] [--model {isodm,xxz}] [--j J] [--d D]
-                         [--delta DELTA] [--b B] [--config CONFIG]
+usage: spincorr critical [-h] [--model {isodm,xxz}] [--d D] [--delta DELTA]
+                         [--b B] [--config CONFIG]
 
 options:
   -h, --help           show this help message and exit
   --model {isodm,xxz}  spin model
-  --j J                exchange coupling J/kT
   --d D                DM coupling D/kT (isodm)
   --delta DELTA        anisotropy (xxz)
   --b B                field B/kT (xxz)
@@ -306,6 +307,15 @@ def test_sweep_bad_arguments(tmp_path, capsys):
     )
     assert code == 3 and "must be finite" in err
     assert run_cli(capsys, "sweep", "--model", "xxz", "--out", out, "--series", "1")[0] == 3
+    # The member shape comes from the params fields after j.
+    for model, series, wording in (
+        ("xxz", "0:1:2", "xxz series member must be delta:b, got '0:1:2'"),
+        ("isodm", "1:2", "isodm series member must be d, got '1:2'"),
+    ):
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--model", model, "--out", out, "--series", series
+        )
+        assert (code, stdout, err.splitlines()[-1]) == (3, "", f"spincorr: error: {wording}")
 
 
 def test_sweep_io_failure(tmp_path, capsys):
@@ -533,3 +543,80 @@ def test_config_call_matches_flag_call(tmp_path, capsys, config_text, flags):
     assert from_config == call(*flags)
     assert from_config[0][0] == 0
     assert (from_config[1] is not None) == (command == "sweep")
+
+
+# sha256 of the stdout and of the CSV of the byte-contract commands (each
+# exits 0 with empty stderr); the verify reports are pinned by criteria 07
+# and 12 of the acceptance suite.
+CONTRACT_DIGESTS = [
+    (
+        ("sweep", "--model", "xxz", "--series", "0:0,0:1,0:2"),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f911d598ab94ea0a7ab742ee16dcf742a6128bcc4065bb8a4996369671e585bf",
+    ),
+    (
+        ("critical", "--model", "isodm", "--d", "2"),
+        "37d7d8f153b99017b7438c3778c5afb5966d4c5c1a6b64a92ebe82ebbc3daa25",
+        None,
+    ),
+    (
+        ("measures", "--model", "xxz", "--j", "-5", "--delta", "1", "--b", "0"),
+        "a1ee0e546ce8a7d994bdd3f0c8ac26d09bc08e7485c40f78cabb9e311d095c27",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout_sha256, csv_sha256",
+    CONTRACT_DIGESTS,
+    ids=[argv[0] for argv, _, _ in CONTRACT_DIGESTS],
+)
+def test_contract_outputs_are_byte_pinned(tmp_path, capsys, argv, stdout_sha256, csv_sha256):
+    out_path = tmp_path / "f.csv"
+    extra = ["--out", str(out_path)] if argv[0] == "sweep" else []
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+    csv = hashlib.sha256(out_path.read_bytes()).hexdigest() if out_path.exists() else None
+    assert csv == csv_sha256
+
+
+# Model flags that a call would ignore, each as a flag and as a config key.
+REFUSED_MODEL_FLAGS = [
+    ("critical", "--model", "isodm", "--d", "0", "--j", "3"),
+    ("measures", "--state", "STATE", "--model", "isodm"),
+    ("measures", "--state", "STATE", "--j", "3"),
+    ("measures", "--state", "STATE", "--d", "7"),
+    ("measures", "--state", "STATE", "--delta", "1"),
+    ("measures", "--state", "STATE", "--b", "1"),
+    ("measures", "--model", "isodm", "--j", "1", "--delta", "0"),
+    ("measures", "--model", "isodm", "--j", "1", "--b", "2"),
+    ("measures", "--model", "xxz", "--j", "1", "--d", "0"),
+    ("sweep", "--model", "isodm", "--b", "1"),
+    ("sweep", "--model", "xxz", "--d", "1"),
+    ("sweep", "--model", "isodm", "--j", "1"),
+    ("sweep", "--model", "isodm", "--series", "0,2", "--d", "1"),
+    ("sweep", "--model", "xxz", "--series", "0:0", "--delta", "1"),
+    ("sweep", "--model", "xxz", "--series", "0:0", "--b", "1"),
+    ("critical", "--model", "isodm", "--delta", "1"),
+    ("critical", "--model", "xxz", "--d", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_MODEL_FLAGS, ids=" ".join)
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_ignored_model_flags_are_refused(tmp_path, capsys, argv, via_config):
+    state = tmp_path / "bell.txt"
+    state.write_text(BELL_STATE_TEXT, encoding="utf-8")
+    out_path = tmp_path / "s.csv"
+    argv = [str(state) if arg == "STATE" else arg for arg in argv]
+    if via_config:  # the last flag moves into a config file
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{argv[-2][2:]}={argv[-1]}\n", encoding="utf-8")
+        argv = argv[:-2] + ["--config", str(config)]
+    extra = ["--out", str(out_path)] if argv[0] == "sweep" else []
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert (code, out) == (3, "") and not out_path.exists()
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("spincorr: error: ")

@@ -1,11 +1,12 @@
 """Unit tests for the thermal spin models and their closed-form measures."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from spincorr import qmat
+from spincorr import models, qmat
 from spincorr.bloch import decompose
 from spincorr.errors import ClosedFormMismatch, NoSignChange, NonFiniteParameter
 from spincorr.models import (
@@ -347,3 +348,243 @@ def test_cross_check_guard_trips_on_wrong_closed_form():
     assert rep.n_closed == n
     rep = _cross_checked_report(true_rep.c_closed, n, n, state.matrix, "test")
     assert rep.q_paper == pytest.approx(true_rep.n_closed / 2.0, abs=1e-15)
+
+
+# float.hex of every ModelReport field (c_closed, n_closed, q_paper, the
+# three deviations, then the pipeline's concurrence, min_value, gmod_exact
+# and gmod_lower) and its branch, of every closed-form entry, and the sha256
+# of the assembled matrix's bytes. Points: isodm at d = 0 where |mu - omega|
+# and |nu| are equal floats (j = 0.7, 2.5), zero coupling, the series branch
+# of sinh(x)/x, xxz at zero field on both sides of delta = 0, and the
+# marginal-cutoff field of the test above.
+MODEL_PINS = {
+    ("isodm", 1.0, 0.0): (
+        (
+            "0x1.b09bc34fee46cp-2", "0x1.8346ca93f41efp-3", "0x1.8346ca93f41efp-4",
+            "0x1.0000000000000p-53", "0x1.0000000000000p-55", "0x1.0000000000000p-56",
+            "0x1.b09bc34fee46ep-2", "0x1.8346ca93f41f0p-3", "0x1.8346ca93f41efp-4",
+            "0x1.8346ca93f41f0p-4", "XZero",
+        ),
+        {
+            "Z": "0x1.9348304f99d86p+2",
+            "mu": "0x1.368b2fc6f960ap-1",
+            "nu": ("-0x1.f00530d83a500p+0", "-0x0.0p+0"),
+            "omega": "0x1.45a5645ddb803p+1",
+        },
+        "e39876f3daaf876bfb3f484d593ab05cf538b1e66defa55fe907b5a36e7a9adb",
+    ),
+    ("isodm", 0.7, 0.0): (
+        (
+            "0x1.324e50eab48a8p-3", "0x1.800d6f98acb25p-4", "0x1.800d6f98acb25p-5",
+            "0x1.0000000000000p-54", "0x1.0000000000000p-56", "0x1.8000000000000p-56",
+            "0x1.324e50eab48a6p-3", "0x1.800d6f98acb26p-4", "0x1.800d6f98acb24p-5",
+            "0x1.800d6f98acb22p-5", "XZero",
+        ),
+        {
+            "Z": "0x1.3e3095bc481eep+2",
+            "mu": "0x1.68cce09671f71p-1",
+            "nu": ("-0x1.13944ae21e46cp+0", "-0x0.0p+0"),
+            "omega": "0x1.c7fabb2d57424p+0",
+        },
+        "2f3b68c2d4e76abc119c33e114be2aaf01ae5f2894c66f6a99756a13798a1921",
+    ),
+    ("isodm", 2.5, 0.0): (
+        (
+            "0x1.ebb60d7049dc0p-1", "0x1.e54e3632c288dp-2", "0x1.e54e3632c288dp-3",
+            "0x1.8000000000000p-52", "0x1.0000000000000p-54", "0x0.0p+0",
+            "0x1.ebb60d7049dbdp-1", "0x1.e54e3632c288ep-2", "0x1.e54e3632c288ep-3",
+            "0x1.e54e3632c288dp-3", "XZero",
+        ),
+        {
+            "Z": "0x1.5b0b761ed64f8p+5",
+            "mu": "0x1.25618372a584fp-2",
+            "nu": ("-0x1.51e06a0341236p+4", "-0x0.0p+0"),
+            "omega": "0x1.5675f0110bb97p+4",
+        },
+        "cecce04d44fa3319054b7f05e3c9906f8cb766bc139bf90996decae612f0da8d",
+    ),
+    ("isodm", 0.0, 0.0): (
+        (
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "XZero",
+        ),
+        {
+            "Z": "0x1.0000000000000p+2",
+            "mu": "0x1.0000000000000p+0",
+            "nu": ("0x0.0p+0", "0x0.0p+0"),
+            "omega": "0x1.0000000000000p+0",
+        },
+        "6304437c75ddd80d1ffa4f80c236ed263f8f54164d8c029d76bfeaa7693ef01d",
+    ),
+    ("isodm", -1.5, 2.0): (
+        (
+            "0x1.2ea65fef5f3d3p-3", "0x1.4cb9401a3f192p-3", "0x1.4cb9401a3f192p-4",
+            "0x1.8000000000000p-53", "0x1.0000000000000p-55", "0x1.9a9cc2585c031p-5",
+            "0x1.2ea65fef5f3d9p-3", "0x1.4cb9401a3f191p-3", "0x1.657cee72392ffp-5",
+            "0x1.fdab7bb8445e6p-6", "XZero",
+        ),
+        {
+            "Z": "0x1.40e0458e6e66bp+3",
+            "mu": "0x1.0ef9db467dcf8p+1",
+            "nu": ("0x1.b6f9c2a61b1f0p+0", "-0x1.24a681c41214bp+1"),
+            "omega": "0x1.72c6afd65efdep+1",
+        },
+        "79f44a5f33b7986d14073d0ceab67c7e91bdeaa9038a9992a8edabf8f62739da",
+    ),
+    ("isodm", 1e-07, 1e-07): (
+        (
+            "0x0.0p+0", "0x1.6849bac6893aap-49", "0x1.6849bac6893aap-50",
+            "0x0.0p+0", "0x1.0000000000000p-101", "0x1.e0624b41dec0ep-52",
+            "0x0.0p+0", "0x1.6849bac6893a9p-49", "0x1.0e374caa2f768p-50",
+            "0x1.e0624fec2314dp-51", "XZero",
+        ),
+        {
+            "Z": "0x1.000000000001cp+2",
+            "mu": "0x1.fffffe5280d71p-1",
+            "nu": ("-0x1.ad7f2b1414af1p-24", "-0x1.ad7f2b1414af1p-24"),
+            "omega": "0x1.000000d6bf980p+0",
+        },
+        "3d3b0505ffa5433410d94fe024f4f4c72bd22505dcbe09868f296fdd75c70882",
+    ),
+    ("xxz", 0.0, 1.0, 3.0): (
+        (
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "XNonzero",
+        ),
+        {
+            "Z": "0x1.622a497d6185ep+4",
+            "delta_minus": "0x1.415e5bf6fb106p+4",
+            "delta_plus": "0x1.97db0ccceb0afp-5",
+            "epsilon": "0x1.0000000000000p+0",
+            "kappa": "-0x0.0p+0",
+        },
+        "98363c9f6975a6308ff17f5d7b156f5957cd27080dd6a24f971bfd00bdc88a38",
+    ),
+    ("xxz", -5.0, 1.0, 0.0): (
+        (
+            "0x0.0p+0", "0x1.f926ed710be48p-3", "0x1.f926ed710be48p-4",
+            "0x0.0p+0", "0x0.0p+0", "0x1.f923f8eeb56f4p-4",
+            "0x0.0p+0", "0x1.f926ed710be48p-3", "0x1.7a412b3aa0000p-19",
+            "0x1.7a412b3aa0000p-19", "XZero",
+        ),
+        {
+            "Z": "0x1.29d38c90b26fap+8",
+            "delta_minus": "0x1.28d389970338fp+7",
+            "delta_plus": "0x1.28d389970338fp+7",
+            "epsilon": "0x1.0002f9af36ac9p-1",
+            "kappa": "0x1.fffa0ca192a6dp-2",
+        },
+        "6eaf223c1b6bfef28241f2753644bd1bd52d84dfa1b7e7e20e6b5c9852964292",
+    ),
+    ("xxz", 2.0, -1.0, 0.0): (
+        (
+            "0x1.1a6c3b12eb084p-1", "0x1.28f91f83379dep-2", "0x1.28f91f83379dep-3",
+            "0x1.4000000000000p-51", "0x1.0000000000000p-54", "0x1.4c96efa0e74f4p-5",
+            "0x1.1a6c3b12eb07fp-1", "0x1.28f91f83379dfp-2", "0x1.d539a52a187e1p-4",
+            "0x1.aba6c735fb942p-4", "XZero",
+        ),
+        {
+            "Z": "0x1.30c7d06f96cdep+3",
+            "delta_minus": "0x1.0000000000000p+0",
+            "delta_plus": "0x1.0000000000000p+0",
+            "epsilon": "0x1.e18fa0df2d9bcp+1",
+            "kappa": "-0x1.d03cf63b6e1a0p+1",
+        },
+        "67c8f7361656cb75676864111528079d8ccfcc67a58ed405753bd70b39736419",
+    ),
+    ("xxz", 2.0, 3.0, 2.243189458650676e-05): (
+        (
+            "0x1.ed7e1227f40a7p-1", "0x1.edc798db7627ap-2", "0x1.edc798db7627ap-3",
+            "0x1.0000000000000p-52", "0x1.0000000000000p-53", "0x1.209a985dcb6c0p-7",
+            "0x1.ed7e1227f40a5p-1", "0x1.edc798db76278p-2", "0x1.dbbdef559970ep-3",
+            "0x1.dbbdef559970ep-3", "XZero",
+        ),
+        {
+            "Z": "0x1.9adabf421d5b1p+8",
+            "delta_minus": "0x1.2c1714aa29efcp-6",
+            "delta_plus": "0x1.2c13a25c86381p-6",
+            "epsilon": "0x1.9ad15e9741405p+7",
+            "kappa": "-0x1.8c0a2c3ad6d19p+7",
+        },
+        "088b38041ab6d868b6355fb9ff4f27a7361843aafe0efeefedce86436738615e",
+    ),
+    ("xxz", 1.0, 0.0, 1.0): (
+        (
+            "0x1.87a92dca3c9dfp-2", "0x1.3d6ebe774b305p-3", "0x1.3d6ebe774b305p-4",
+            "0x1.0000000000000p-53", "0x0.0p+0", "0x1.29931aae41ac0p-7",
+            "0x1.87a92dca3c9ddp-2", "0x1.3d6ebe774b305p-3", "0x1.2188f3f6f5084p-4",
+            "0x1.183c5b2182fadp-4", "XNonzero",
+        ),
+        {
+            "Z": "0x1.bd71ce4f7948bp+2",
+            "delta_minus": "0x1.a61298e1e069cp+0",
+            "delta_plus": "0x1.c8f87724b5c1dp-3",
+            "epsilon": "0x1.45a5645ddb803p+1",
+            "kappa": "-0x1.f00530d83a500p+0",
+        },
+        "81aa74f0f5e1f7cc6d655926056941e88f52ecbb5e8f916e6ccdca222b89724f",
+    ),
+    ("xxz", -3.0, 0.5, -2.0): (
+        (
+            "0x0.0p+0", "0x1.b0a80dbdcddadp-12", "0x1.b0a80dbdcddadp-13",
+            "0x0.0p+0", "0x1.ad00000000000p-56", "0x1.6000000000000p-59",
+            "0x0.0p+0", "0x1.b0a80dbdcdc00p-12", "0x1.b0a80dbdcdc00p-13",
+            "0x1.b0a80dbdcdd55p-13", "XNonzero",
+        ),
+        {
+            "Z": "0x1.260bf73b19ac2p+6",
+            "delta_minus": "0x1.48b5e3c3e8186p+0",
+            "delta_plus": "0x1.186bf136d679dp+6",
+            "epsilon": "0x1.0fa5cea6723eap+0",
+            "kappa": "0x1.0e4de7e689605p+0",
+        },
+        "625311225d4a8a6e6ba6cc7660e281e601536b1ca43efd9af97f9c55ef19250a",
+    ),
+}
+
+# float.hex of critical couplings.
+ROOT_PINS = {
+    ("isodm", 0.0): "0x1.193ea7a9999c0p-1",
+    ("isodm", 2.0): "-0x1.4407548266662p+1",
+    ("xxz", -1.0, 0.0): "-0x1.c34366166664bp-1",
+    ("xxz", 0.5, -3.0): "0x1.e4ef646cccce8p-2",
+}
+
+
+def _hex(value):
+    if isinstance(value, complex):
+        return (value.real.hex(), value.imag.hex())
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("point", [*MODEL_PINS, *ROOT_PINS], ids=str)
+def test_model_results_are_bit_pinned(point):
+    """The closed forms and their cross-checked reports keep every bit."""
+    model, *args = point
+    if point in ROOT_PINS:
+        assert getattr(models, f"critical_coupling_{model}")(*args).hex() == ROOT_PINS[point]
+        if model == "isodm":
+            # sqrt(fl(mu^2)) == mu on the scan grid, so the X-state gap
+            # |rho12| - sqrt(rho00 rho33) is the isodm gap |nu| - mu exactly.
+            for j in np.linspace(*models.SCAN_RANGE, models.SCAN_POINTS):
+                e = thermal_isodm(IsoDMParams(j=float(j), d=args[0])).entries
+                mu, nu = e["mu"], e["nu"]
+                assert (abs(nu) - math.sqrt(mu * mu)).hex() == (abs(nu) - mu).hex()
+        return
+    params = {"isodm": IsoDMParams, "xxz": XXZParams}[model](*args)
+    rep = getattr(models, f"measures_{model}")(params)
+    state = getattr(models, f"thermal_{model}")(params)
+    pipe = rep.pipeline
+    values = (
+        rep.c_closed, rep.n_closed, rep.q_paper,
+        rep.c_deviation, rep.n_deviation, rep.q_deviation,
+        pipe.concurrence, pipe.min_value, pipe.gmod_exact, pipe.gmod_lower,
+    )
+    report_pin, entries_pin, matrix_pin = MODEL_PINS[point]
+    assert tuple(_hex(v) for v in values) + (pipe.branch,) == report_pin
+    assert {name: _hex(v) for name, v in state.entries.items()} == entries_pin
+    assert hashlib.sha256(state.matrix.tobytes()).hexdigest() == matrix_pin
