@@ -8,16 +8,14 @@ exchange couplings where entanglement turns on, and verifies every closed
 form against brute-force oracles on a deterministic random-state stream.
 """
 
-from .bloch import BlochForm, decompose, reconstruct
+from .bloch import BlochForm, decompose
 from .errors import (
     ClosedFormMismatch,
-    DimensionMismatch,
     InvalidState,
     NoSignChange,
     NonFiniteParameter,
     NonHermitianInput,
     NotPositiveSemidefinite,
-    NonUnitDirection,
     OracleMismatch,
     SpincorrError,
 )
@@ -33,7 +31,7 @@ from .models import (
     thermal_isodm,
     thermal_xxz,
 )
-from .oracle import OracleResult, SphereGrid, gmod_oracle, min_oracle, ppt_entangled
+from .oracle import OracleResult, gmod_oracle, min_oracle, ppt_entangled
 from .rng import Lcg, random_state
 
 __version__ = "0.1.0"
@@ -41,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochForm",
     "ClosedFormMismatch",
-    "DimensionMismatch",
     "InvalidState",
     "IsoDMParams",
     "Lcg",
@@ -50,11 +47,9 @@ __all__ = [
     "NoSignChange",
     "NonFiniteParameter",
     "NonHermitianInput",
-    "NonUnitDirection",
     "NotPositiveSemidefinite",
     "OracleMismatch",
     "OracleResult",
-    "SphereGrid",
     "SpincorrError",
     "XXZParams",
     "concurrence",
@@ -70,7 +65,6 @@ __all__ = [
     "min_oracle",
     "ppt_entangled",
     "random_state",
-    "reconstruct",
     "report",
     "thermal_isodm",
     "thermal_xxz",

@@ -58,23 +58,3 @@ def decompose(rho: np.ndarray) -> BlochForm:
         ]
     )
     return BlochForm(x=x, y=y, T=t)
-
-
-def reconstruct(form: BlochForm) -> tuple[np.ndarray, bool]:
-    """Assemble the density matrix of a Bloch form.
-
-    Returns ``(matrix, is_valid)``. The matrix is always Hermitian with
-    unit trace; ``is_valid`` reports whether it is also positive
-    semidefinite (within 1e-10), since arbitrary Bloch components need not
-    describe a physical state. For valid output, ``decompose`` recovers the
-    input components within 1e-12.
-    """
-    rho = np.eye(4, dtype=complex) / 4.0
-    for i in range(3):
-        rho += 0.5 * form.x[i] * _PRODUCT_BASIS_A[i]
-        rho += 0.5 * form.y[i] * _PRODUCT_BASIS_B[i]
-        for j in range(3):
-            rho += 0.5 * form.T[i, j] * _PRODUCT_BASIS_AB[i][j]
-    rho = (rho + rho.conj().T) / 2.0
-    is_valid = qmat.is_psd(rho, tol=1e-10)
-    return rho, is_valid

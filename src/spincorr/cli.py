@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -51,7 +52,6 @@ CSV_HEADER = "j,series,C,N,Q,D_exact"
 ORACLE_TOL = 1e-4
 WITNESS_CUTOFF = 1e-8
 LOWER_BOUND_TOL = 1e-12
-VERIFY_GRID_POINTS = 2000
 
 # ``models.measures_<model>`` and ``critical_coupling_<model>`` are looked up at call
 # time, so a wrapped or replaced function is the one that runs.
@@ -74,7 +74,17 @@ def fmt12(value: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit with the documented code 3."""
+    """ArgumentParser whose usage errors exit with the documented code 3.
+
+    A token that starts with '-' and then a digit, or '-.' and a digit, is
+    a value such as ``-1e-3`` or ``-1:0``, never an option: argparse alone
+    takes only plain negative numbers like ``-5`` and ``-0.5`` as values.
+    Subcommand parsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -341,7 +351,6 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     if count < 1:
         parser.error(f"--count must be a positive integer, got {count}")
 
-    grid = oracle.SphereGrid.fibonacci(VERIFY_GRID_POINTS)
     rng = Lcg(seed)
     max_min_dev = (0.0, 0)
     max_gmod_dev = (0.0, 0)
@@ -350,8 +359,8 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     for index in range(count):
         rho = random_state(rng)
         rep = measures.report(rho)
-        min_orc = oracle.min_oracle(rho, grid)
-        gmod_orc = oracle.gmod_oracle(rho, grid)
+        min_orc = oracle.min_oracle(rho)
+        gmod_orc = oracle.gmod_oracle(rho)
         min_dev = abs(rep.min_value - min_orc.value)
         gmod_dev = abs(2.0 * rep.gmod_exact - gmod_orc.value)
         lower_excess = rep.gmod_lower - rep.gmod_exact
@@ -364,7 +373,7 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         if oracle.ppt_entangled(rho) != (rep.concurrence > WITNESS_CUTOFF):
             disagreements.append(index)
 
-    print(f"verify: seed={seed} count={count} grid={grid.n_points}")
+    print(f"verify: seed={seed} count={count} grid={len(oracle.GRID_DIRECTIONS)}")
     print(
         f"max |min_closed - min_oracle|    = {fmt12(max_min_dev[0])}"
         f" (state {max_min_dev[1]})"

@@ -18,10 +18,6 @@ class NonFiniteParameter(SpincorrError):
     """A numeric parameter is NaN, infinite, or outside its valid range."""
 
 
-class DimensionMismatch(SpincorrError):
-    """A matrix does not have the dimensions the operation requires."""
-
-
 class NotPositiveSemidefinite(SpincorrError):
     """A matrix required to be positive semidefinite has a genuinely
     negative eigenvalue (below the clamping tolerance)."""
@@ -30,10 +26,6 @@ class NotPositiveSemidefinite(SpincorrError):
 class InvalidState(SpincorrError):
     """A matrix failed density-matrix validation (hermiticity, unit trace,
     or positive semidefiniteness)."""
-
-
-class NonUnitDirection(SpincorrError):
-    """A measurement direction vector is not unit-norm within tolerance."""
 
 
 class ClosedFormMismatch(SpincorrError):

@@ -23,7 +23,8 @@ field polarizes the marginal, else tr(T T^t) - lambda_min(T T^t) of the
 correlation matrix T = diag(kappa/Z, kappa/Z, t3).
 
 Critical couplings (where concurrence first becomes nonzero) are found by
-a uniform sign scan over j in [-50, 50] followed by bisection.
+a uniform sign scan over j in [-50, 50] that stops at the first bracket,
+followed by bisection.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import measures, qmat
+from . import measures
 from .errors import ClosedFormMismatch, NonFiniteParameter, NoSignChange
 from .measures import BRANCH_X_ZERO, MeasureReport
-from .qmat import PAULIS
 
 CROSS_CHECK_TOL = 1e-10
 SCAN_RANGE = (-50.0, 50.0)
@@ -93,23 +93,6 @@ class ClosedFormState:
 
     entries: dict
     matrix: np.ndarray
-
-
-def hamiltonian_isodm(p: IsoDMParams) -> np.ndarray:
-    """Hamiltonian (in units of kT) of the isotropic + DM model."""
-    sx, sy, sz = PAULIS
-    exchange = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
-    antisym = np.kron(sx, sy) - np.kron(sy, sx)
-    return 0.5 * (p.j * exchange + p.d * antisym)
-
-
-def hamiltonian_xxz(p: XXZParams) -> np.ndarray:
-    """Hamiltonian (in units of kT) of the XXZ model in a z field."""
-    sx, sy, sz = PAULIS
-    i2 = qmat.I2
-    exchange = np.kron(sx, sx) + np.kron(sy, sy) + (1.0 + p.delta) * np.kron(sz, sz)
-    field = np.kron(sz, i2) + np.kron(i2, sz)
-    return 0.5 * (p.j * exchange + p.b * field)
 
 
 def _sinhc(x: float) -> float:
@@ -295,17 +278,20 @@ def _bisect_root(entries, p: _ModelParams, lo: float, hi: float, f_lo: float) ->
 def _first_root(label: str, entries, p: _ModelParams, scan_points: int) -> float:
     """First sign change of the X-state gap of ``entries(j, p)`` over an
     ascending uniform scan of j in [-50, 50], refined by bisection to an
-    interval of 1e-9. Raises :class:`NoSignChange` when the scan finds no
-    bracket."""
-    xs = np.linspace(SCAN_RANGE[0], SCAN_RANGE[1], scan_points)
-    values = [_x_gap(entries(float(x), p)) for x in xs]
-    for i in range(scan_points - 1):
-        if values[i] == 0.0:
-            return float(xs[i])
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            return _bisect_root(entries, p, float(xs[i]), float(xs[i + 1]), values[i])
-    if values[-1] == 0.0:
-        return float(xs[-1])
+    interval of 1e-9. The gap is evaluated as the scan goes, so no point
+    past the first bracket is computed. Raises :class:`NoSignChange` when
+    the scan finds no bracket."""
+    xs = np.linspace(SCAN_RANGE[0], SCAN_RANGE[1], scan_points).tolist()
+    prev = _x_gap(entries(xs[0], p))
+    if prev == 0.0:
+        return xs[0]
+    for lo, hi in zip(xs, xs[1:]):
+        value = _x_gap(entries(hi, p))
+        if (prev < 0.0) != (value < 0.0):
+            return _bisect_root(entries, p, lo, hi, prev)
+        if value == 0.0:
+            return hi
+        prev = value
     at = ", ".join(f"{f.name}={getattr(p, f.name):g}" for f in fields(p)[1:])
     raise NoSignChange(
         f"{label} threshold at {at}: no sign change over j in "

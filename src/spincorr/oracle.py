@@ -3,11 +3,10 @@
 Everything here works directly on density matrices with no normalization
 convention: local projective measurements are applied as explicit projector
 conjugations, and the squared Hilbert-Schmidt disturbance is extremized
-over measurement directions by a Fibonacci sphere scan followed by
-derivative-free coordinate-descent refinement. The module also provides an
-independent entanglement witness (negative partial transpose) and a
-spot check that the nearest fixed-basis zero-discord state is the dephased
-state, which is the reduction the discord oracle relies on.
+over measurement directions by a scan of one fixed grid, 2000 Fibonacci
+sphere directions, followed by derivative-free coordinate-descent
+refinement. The module also provides an independent entanglement witness
+(negative partial transpose).
 
 Measuring the first qubit along n dephases rho to (rho + U rho U)/2 with
 U = n.sigma (x) I, so the disturbance is the quadratic form
@@ -38,13 +37,13 @@ import numpy as np
 
 from . import qmat
 from .bloch import decompose
-from .errors import NonUnitDirection, OracleMismatch
+from .errors import OracleMismatch
 from .measures import X_DEGENERACY_CUTOFF
 from .qmat import I2, PAULIS
 
-_DIRECTION_TOL = 1e-9
 _REFINE_INITIAL_STEP = 0.1
 _REFINE_FINAL_STEP = 1e-7
+_REFINE_MAX_SWEEPS = 500
 _PAULI_STACK = np.stack(PAULIS)
 _FIRST_QUBIT_PAULIS = np.stack([np.kron(s, I2) for s in PAULIS])
 # Gram-screen values closer than this are re-decided by the explicit
@@ -54,41 +53,28 @@ _TIE_MARGIN = 1e-14
 _FINAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SphereGrid:
-    """Search grid over measurement directions on the unit sphere.
+def _fibonacci_sphere(n_points: int) -> np.ndarray:
+    """Fibonacci sphere lattice: z_i = 1 - (2i+1)/n, golden-angle
+    azimuths phi_i = i * pi * (3 - sqrt(5))."""
+    i = np.arange(n_points)
+    z = 1.0 - (2.0 * i + 1.0) / n_points
+    radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    dirs = np.column_stack((radius * np.cos(phi), radius * np.sin(phi), z))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs.flags.writeable = False
+    return dirs
 
-    ``directions`` holds ``n_points`` unit vectors from the Fibonacci
-    lattice; ``refinement_iters`` caps the coordinate-descent sweeps run
-    after the grid scan.
-    """
 
-    n_points: int
-    refinement_iters: int
-    directions: np.ndarray
-
-    @classmethod
-    def fibonacci(cls, n_points: int = 2000, refinement_iters: int = 500) -> "SphereGrid":
-        """Fibonacci sphere lattice: z_i = 1 - (2i+1)/n, golden-angle
-        azimuths phi_i = i * pi * (3 - sqrt(5))."""
-        if n_points <= 0:
-            raise ValueError("n_points must be positive")
-        if refinement_iters < 0:
-            raise ValueError("refinement_iters must be nonnegative")
-        i = np.arange(n_points)
-        z = 1.0 - (2.0 * i + 1.0) / n_points
-        radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        phi = i * math.pi * (3.0 - math.sqrt(5.0))
-        dirs = np.column_stack((radius * np.cos(phi), radius * np.sin(phi), z))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        return cls(n_points=n_points, refinement_iters=refinement_iters, directions=dirs)
+# The scan grid, built once and shared by every oracle call (so read-only).
+GRID_DIRECTIONS = _fibonacci_sphere(2000)
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Extremized disturbance: the value, the direction attaining it, and
     how many objective evaluations were spent. Reproducible bit-for-bit for
-    identical grid and state."""
+    identical states."""
 
     value: float
     direction: np.ndarray
@@ -111,22 +97,6 @@ def _dephase(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
         proj = proj.reshape(4, 4)
         out += proj @ rho @ proj
     return out
-
-
-def post_measurement(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Apply the local projective measurement along ``n`` to the first qubit.
-
-    The projectors are (I +/- n.sigma)/2; the state is conjugated by each
-    (tensored with identity on the second qubit) and summed. Idempotent:
-    applying twice equals applying once within 1e-12. Raises
-    :class:`NonUnitDirection` unless |n| = 1 within 1e-9.
-    """
-    rho = qmat.validate_state(rho)
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > _DIRECTION_TOL:
-        raise NonUnitDirection(f"direction {n!r} is not a unit 3-vector")
-    out = _dephase(rho, n)
-    return (out + out.conj().T) / 2.0
 
 
 def _disturbance(rho: np.ndarray, n: np.ndarray) -> float:
@@ -195,13 +165,12 @@ def _refine(
     direction: np.ndarray,
     value: float,
     maximize: bool,
-    max_sweeps: int,
 ) -> tuple[float, np.ndarray, int]:
     """Coordinate descent on the spherical angles of ``direction``.
 
     Each sweep tries +/-step on the polar and azimuthal angles, keeping
     strict improvements; the step halves when a sweep yields none, from
-    0.1 rad down to 1e-7. Trials are scored by ``screen``; a trial
+    0.1 rad down to 1e-7, for at most 500 sweeps. Trials are scored by ``screen``; a trial
     within the tie margin of the current best is decided by the explicit
     disturbance at both points instead, so every move is the one explicit
     scoring alone would make. ``value`` is the explicit disturbance at
@@ -215,7 +184,7 @@ def _refine(
     evaluations = 0
     step = _REFINE_INITIAL_STEP
     sweeps = 0
-    while step >= _REFINE_FINAL_STEP and sweeps < max_sweeps:
+    while step >= _REFINE_FINAL_STEP and sweeps < _REFINE_MAX_SWEEPS:
         improved = False
         for d_theta, d_phi in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
             t, p = theta + d_theta, phi + d_phi
@@ -244,10 +213,10 @@ def _refine(
     return sign * best, direction, evaluations
 
 
-def _extremize(rho: np.ndarray, grid: SphereGrid, maximize: bool) -> OracleResult:
+def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
     gram = _gram(rho)
     norm2 = float(np.vdot(rho, rho).real)
-    dirs = grid.directions
+    dirs = GRID_DIRECTIONS
     grid_screen = 0.5 * (norm2 - np.einsum("na,ab,nb->n", dirs, gram, dirs))
     if maximize:
         near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
@@ -259,21 +228,17 @@ def _extremize(rho: np.ndarray, grid: SphereGrid, maximize: bool) -> OracleResul
     pick = int(np.argmax(values) if maximize else np.argmin(values))
     screen = _plain_screen(gram, norm2)
     start, start_value = dirs[near[pick]], float(values[pick])
-    value, direction, extra = _refine(
-        rho, screen, start, start_value, maximize, grid.refinement_iters
-    )
+    value, direction, extra = _refine(rho, screen, start, start_value, maximize)
     final_screen = screen(*direction.tolist())
     if abs(value - final_screen) > _FINAL_TOL:
         raise OracleMismatch(
             f"Gram screen {final_screen!r} deviates from the explicit "
             f"disturbance {value!r} at the final direction {direction!r}"
         )
-    return OracleResult(
-        value=value, direction=direction, evaluations=grid.n_points + extra
-    )
+    return OracleResult(value=value, direction=direction, evaluations=len(dirs) + extra)
 
 
-def min_oracle(rho: np.ndarray, grid: SphereGrid) -> OracleResult:
+def min_oracle(rho: np.ndarray) -> OracleResult:
     """Maximal marginal-preserving measurement disturbance, by brute force.
 
     With a maximally mixed first-qubit marginal (|x| <= 1e-9, the same
@@ -285,54 +250,20 @@ def min_oracle(rho: np.ndarray, grid: SphereGrid) -> OracleResult:
     x = decompose(rho).x
     x_norm = float(np.linalg.norm(x))
     if x_norm <= X_DEGENERACY_CUTOFF:
-        return _extremize(rho, grid, maximize=True)
+        return _extremize(rho, maximize=True)
     axis = x / x_norm
     return OracleResult(value=_disturbance(rho, axis), direction=axis, evaluations=1)
 
 
-def gmod_oracle(rho: np.ndarray, grid: SphereGrid) -> OracleResult:
+def gmod_oracle(rho: np.ndarray) -> OracleResult:
     """Minimal measurement disturbance over all axes, by brute force.
 
     The nearest zero-discord state in a fixed measurement basis is the
-    dephased state (see :func:`nested_gmod_spotcheck`), so minimizing the
-    disturbance over the measurement direction yields the convention-free
-    geometric discord.
+    dephased state, so minimizing the disturbance over the measurement
+    direction yields the convention-free geometric discord.
     """
     rho = qmat.validate_state(rho)
-    return _extremize(rho, grid, maximize=False)
-
-
-def nested_gmod_spotcheck(rho: np.ndarray, n: np.ndarray, k: int, seed: int = 1) -> float:
-    """Randomized check that dephasing is optimal within a fixed basis.
-
-    Draws ``k`` random zero-discord candidates p |+n><+n| (x) rho_1 +
-    (1-p) |-n><-n| (x) rho_2 in the basis fixed by ``n`` and returns the
-    smallest squared Hilbert-Schmidt distance to ``rho``. That minimum can
-    never undercut the dephased distance by more than roundoff
-    (dephasing uses the optimal weights and conditional states).
-    """
-    from .rng import Lcg, random_state
-
-    rho = qmat.validate_state(rho)
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > _DIRECTION_TOL:
-        raise NonUnitDirection(f"direction {n!r} is not a unit 3-vector")
-    if k <= 0:
-        raise ValueError("k must be positive")
-    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-    proj_plus = (I2 + n_sigma) / 2.0
-    proj_minus = (I2 - n_sigma) / 2.0
-    rng = Lcg(seed)
-    best = math.inf
-    for _ in range(k):
-        p = rng.uniform()
-        rho_1 = random_state(rng, dim=2)
-        rho_2 = random_state(rng, dim=2)
-        candidate = p * np.kron(proj_plus, rho_1) + (1.0 - p) * np.kron(
-            proj_minus, rho_2
-        )
-        best = min(best, qmat.hs_norm2(rho - candidate))
-    return best
+    return _extremize(rho, maximize=False)
 
 
 def ppt_entangled(rho: np.ndarray) -> bool:

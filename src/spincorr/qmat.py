@@ -1,9 +1,8 @@
 """Dense complex linear algebra for 2x2 and 4x4 operators.
 
-State validation, Gibbs (thermal) states, partial traces, Hilbert-Schmidt
-geometry, and the principal matrix square root -- everything downstream
-modules need to manipulate two-qubit density matrices. All operations are
-pure functions over immutable inputs.
+State validation, Hilbert-Schmidt geometry, and the principal matrix
+square root -- everything downstream modules need to manipulate two-qubit
+density matrices. All operations are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
@@ -12,13 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidState,
-    NonFiniteParameter,
-    NonHermitianInput,
-    NotPositiveSemidefinite,
-)
+from .errors import InvalidState, NonHermitianInput, NotPositiveSemidefinite
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -62,45 +55,6 @@ def validate_state(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     if not is_psd(m, tol):
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
     return m
-
-
-def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta*H) / tr exp(-beta*H) of a Hermitian H.
-
-    The minimum of beta*values is subtracted from every exponent before
-    exponentiation, so the result stays finite for arbitrarily large
-    couplings. ``beta`` must be finite and positive; ``h`` must be Hermitian
-    within 1e-10, otherwise :class:`NonHermitianInput` is raised.
-    """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise NonFiniteParameter(f"beta must be finite and positive, got {beta!r}")
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise NonHermitianInput("matrix is not Hermitian within 1e-10")
-    values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
-    exponents = -beta * values
-    weights = np.exp(exponents - exponents.max())
-    rho = (vectors * weights) @ vectors.conj().T
-    rho /= weights.sum()
-    return (rho + rho.conj().T) / 2.0
-
-
-def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    """Trace a 4x4 two-qubit operator down to one qubit.
-
-    ``subsystem`` names the qubit to trace *out*: ``"B"`` returns the
-    first qubit's 2x2 marginal, ``"A"`` the second's. Trace and hermiticity
-    are preserved. Raises :class:`DimensionMismatch` for non-4x4 input.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionMismatch(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    r = rho.reshape(2, 2, 2, 2)
-    if subsystem == "B":
-        return np.trace(r, axis1=1, axis2=3)
-    return np.trace(r, axis1=0, axis2=2)
 
 
 def hs_norm2(a: np.ndarray) -> float:

@@ -80,13 +80,3 @@ def random_state(rng: Lcg, dim: int = 4) -> np.ndarray:
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return (rho + rho.conj().T) / 2.0
-
-
-def random_unitary(rng: Lcg, dim: int = 2) -> np.ndarray:
-    """Haar-distributed unitary from the QR decomposition of a Gaussian
-    matrix, with the R diagonal's phases absorbed so the factorization is
-    unique."""
-    q, r = np.linalg.qr(gaussian_matrix(rng, dim))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases

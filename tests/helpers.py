@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from spincorr.bloch import BlochForm, decompose, reconstruct
+from spincorr.bloch import BlochForm, decompose
 from spincorr.rng import Lcg, random_state
+
+from reference import reconstruct
 
 
 def bell_psi_plus() -> np.ndarray:

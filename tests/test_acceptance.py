@@ -41,9 +41,9 @@ def verdict(capsys, num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def test_criterion_01_bell_state_measures(capsys, grid2000):
+def test_criterion_01_bell_state_measures(capsys):
     rep = measures.report(bell_psi_plus())
-    oracle_value = min_oracle(bell_psi_plus(), grid2000).value
+    oracle_value = min_oracle(bell_psi_plus()).value
     n_dev = abs(rep.min_value - 0.5)
     o_dev = abs(oracle_value - 0.5)
     c_dev = abs(rep.concurrence - 1.0)

@@ -620,3 +620,37 @@ def test_ignored_model_flags_are_refused(tmp_path, capsys, argv, via_config):
     assert (code, out) == (3, "") and not out_path.exists()
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("spincorr: error: ")
+
+
+# A negative value in scientific notation, or one that is not a plain
+# number, right after its flag: the last two tokens are the flag and value.
+NEGATIVE_VALUE_CALLS = [
+    ("measures", "--model", "isodm", "--j", "-1e-3"),
+    ("measures", "--model", "xxz", "--j", "1", "--b", "-.5E1"),
+    ("critical", "--model", "xxz", "--delta", "-2e0"),
+    ("sweep", "--model", "xxz", "--series", "-1:0"),
+    ("sweep", "--model", "isodm", "--j-start", "-1e-1"),
+    ("measures", "--model", "isodm", "--j", "-1x"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUE_CALLS, ids=" ".join)
+def test_negative_values_parse_like_the_equals_form(tmp_path, capsys, argv):
+    out_path = tmp_path / "f.csv"
+    extra = ["--out", str(out_path)] if argv[0] == "sweep" else []
+
+    def call(*args):
+        result = run_cli(capsys, *args, *extra)
+        csv = out_path.read_bytes() if out_path.exists() else None
+        if csv is not None:
+            out_path.unlink()
+        return result, csv
+
+    spaced = call(*argv)
+    assert spaced == call(*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    (code, out, err), csv = spaced
+    if argv[-1] == "-1x":
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1].endswith("argument --j: not a number: '-1x'")
+    else:
+        assert (code, err) == (0, "") and (csv is not None) == (argv[0] == "sweep")

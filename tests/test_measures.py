@@ -17,8 +17,8 @@ from spincorr.measures import (
     report,
 )
 from spincorr.models import IsoDMParams, thermal_isodm
-from spincorr.oracle import min_oracle, post_measurement
-from spincorr.rng import Lcg, random_state, random_unitary
+from spincorr.oracle import min_oracle
+from spincorr.rng import Lcg, random_state
 
 from helpers import (
     bell_psi_plus,
@@ -26,6 +26,7 @@ from helpers import (
     random_product_state,
     x_zeroed_states,
 )
+from reference import post_measurement, random_unitary
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 
@@ -80,13 +81,13 @@ def test_min_closed_equals_disturbance_along_local_axis():
         assert abs(value - disturbance) <= 1e-10
 
 
-def test_min_closed_degenerate_branch_matches_oracle(grid2000):
+def test_min_closed_degenerate_branch_matches_oracle():
     states = x_zeroed_states(seed=7, want=12)
     assert len(states) >= 10
     for rho in states:
         value, branch = min_closed(decompose(rho))
         assert branch == BRANCH_X_ZERO
-        assert abs(value - min_oracle(rho, grid2000).value) <= 1e-4
+        assert abs(value - min_oracle(rho).value) <= 1e-4
 
 
 def test_gmod_exact_reference_states():

@@ -15,13 +15,13 @@ from spincorr.models import (
     _cross_checked_report,
     critical_coupling_isodm,
     critical_coupling_xxz,
-    hamiltonian_isodm,
-    hamiltonian_xxz,
     measures_isodm,
     measures_xxz,
     thermal_isodm,
     thermal_xxz,
 )
+
+from reference import gibbs, hamiltonian_isodm, hamiltonian_xxz
 
 LN3_HALF = math.log(3.0) / 2.0
 
@@ -92,20 +92,20 @@ def test_thermal_states_match_gibbs_over_grid():
         j = float(j)
         for d in (0.0, 1.0, 2.0):
             closed = thermal_isodm(IsoDMParams(j=j, d=d)).matrix
-            reference = qmat.gibbs(hamiltonian_isodm(IsoDMParams(j=j, d=d)), 1.0)
+            reference = gibbs(hamiltonian_isodm(IsoDMParams(j=j, d=d)), 1.0)
             assert math.sqrt(qmat.hs_norm2(closed - reference)) <= 1e-10
         for delta in (-2.0, -1.0, 0.0, 1.0):
             for b in (0.0, 1.0, 2.0):
                 p = XXZParams(j=j, delta=delta, b=b)
                 closed = thermal_xxz(p).matrix
-                reference = qmat.gibbs(hamiltonian_xxz(p), 1.0)
+                reference = gibbs(hamiltonian_xxz(p), 1.0)
                 assert math.sqrt(qmat.hs_norm2(closed - reference)) <= 1e-10
 
 
 def test_thermal_isodm_series_branch_near_zero_coupling():
     p = IsoDMParams(j=1e-7, d=1e-7)
     closed = thermal_isodm(p).matrix
-    reference = qmat.gibbs(hamiltonian_isodm(p), 1.0)
+    reference = gibbs(hamiltonian_isodm(p), 1.0)
     assert math.sqrt(qmat.hs_norm2(closed - reference)) <= 1e-10
 
 
@@ -265,6 +265,21 @@ def test_critical_xxz_threshold_is_field_independent():
     reference = critical_coupling_xxz(0.0, 0.0)
     for b in (0.5, 2.0, 5.0):
         assert abs(critical_coupling_xxz(0.0, b) - reference) <= 1e-9
+
+
+def test_critical_scan_stops_at_the_first_bracket(monkeypatch):
+    # At delta = -3 a field of |b| = 700 overflows exp only for j near 10,
+    # far above the root near -0.42; a scan that stops at the first bracket
+    # never gets there and finds the field-free root bit for bit.
+    reference = critical_coupling_xxz(-3.0, 0.0)
+    for b in (700.0, 705.0, -700.0):
+        assert critical_coupling_xxz(-3.0, b).hex() == reference.hex()
+    seen = []
+    entries = models._xxz_entries
+    monkeypatch.setattr(models, "_xxz_entries", lambda j, p: seen.append(j) or entries(j, p))
+    assert critical_coupling_xxz(-3.0, 0.0) == reference
+    step = (models.SCAN_RANGE[1] - models.SCAN_RANGE[0]) / (models.SCAN_POINTS - 1)
+    assert max(seen) < reference + step
 
 
 def test_critical_xxz_switches_concurrence_below_threshold():

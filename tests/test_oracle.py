@@ -7,7 +7,7 @@ import pytest
 
 from spincorr import cli, oracle, qmat
 from spincorr.bloch import decompose
-from spincorr.errors import NonUnitDirection, OracleMismatch
+from spincorr.errors import OracleMismatch
 from spincorr.measures import concurrence, gmod_exact, min_closed
 from spincorr.models import (
     IsoDMParams,
@@ -17,17 +17,11 @@ from spincorr.models import (
     thermal_isodm,
     thermal_xxz,
 )
-from spincorr.oracle import (
-    SphereGrid,
-    gmod_oracle,
-    min_oracle,
-    nested_gmod_spotcheck,
-    post_measurement,
-    ppt_entangled,
-)
+from spincorr.oracle import GRID_DIRECTIONS, gmod_oracle, min_oracle, ppt_entangled
 from spincorr.rng import Lcg, random_state
 
 from helpers import bell_psi_plus, ground_product_state, x_zeroed_states
+from reference import nested_gmod_spotcheck, post_measurement
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -152,23 +146,15 @@ def _pinned_state(name: str) -> np.ndarray:
 
 
 def test_fibonacci_grid_shape_and_norms():
-    grid = SphereGrid.fibonacci(2000)
-    assert grid.n_points == 2000
-    assert grid.directions.shape == (2000, 3)
-    norms = np.linalg.norm(grid.directions, axis=1)
+    assert GRID_DIRECTIONS.shape == (2000, 3)
+    norms = np.linalg.norm(GRID_DIRECTIONS, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
-    assert grid.directions[0, 2] == pytest.approx(1.0 - 1.0 / 2000.0, abs=1e-12)
+    assert GRID_DIRECTIONS[0, 2] == pytest.approx(1.0 - 1.0 / 2000.0, abs=1e-12)
+    assert not GRID_DIRECTIONS.flags.writeable
 
 
-def test_fibonacci_grid_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        SphereGrid.fibonacci(0)
-    with pytest.raises(ValueError):
-        SphereGrid.fibonacci(100, refinement_iters=-1)
-
-
-def test_post_measurement_leaves_maximally_mixed_invariant(grid2000):
-    for n in grid2000.directions[:5]:
+def test_post_measurement_leaves_maximally_mixed_invariant():
+    for n in GRID_DIRECTIONS[:5]:
         assert np.max(np.abs(post_measurement(MIXED, n) - MIXED)) <= 1e-15
 
 
@@ -186,11 +172,11 @@ def test_post_measurement_zeroes_coherence_blocks():
     assert np.max(np.abs(out[2:4, 2:4] - rho[2:4, 2:4])) <= 1e-15
 
 
-def test_post_measurement_is_idempotent(grid2000):
+def test_post_measurement_is_idempotent():
     rng = Lcg(35)
     for _ in range(20):
         rho = random_state(rng)
-        for n in grid2000.directions[:3]:
+        for n in GRID_DIRECTIONS[:3]:
             once = post_measurement(rho, n)
             twice = post_measurement(once, n)
             assert np.max(np.abs(twice - once)) <= 1e-12
@@ -198,67 +184,67 @@ def test_post_measurement_is_idempotent(grid2000):
 
 def test_post_measurement_rejects_non_unit_directions():
     unit = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    with pytest.raises(NonUnitDirection):
+    with pytest.raises(ValueError):
         post_measurement(MIXED, np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(NonUnitDirection):
+    with pytest.raises(ValueError):
         post_measurement(MIXED, unit * (1.0 + 2e-9))
     post_measurement(MIXED, unit * (1.0 + 5e-10))  # inside tolerance
 
 
-def test_min_oracle_bell_state(grid2000):
-    result = min_oracle(bell_psi_plus(), grid2000)
+def test_min_oracle_bell_state():
+    result = min_oracle(bell_psi_plus())
     assert abs(result.value - 0.5) <= 1e-9
     assert abs(np.linalg.norm(result.direction) - 1.0) <= 1e-9
-    assert result.evaluations > grid2000.n_points
+    assert result.evaluations > len(GRID_DIRECTIONS)
 
 
-def test_min_oracle_maximally_mixed(grid2000):
-    assert abs(min_oracle(MIXED, grid2000).value) <= 1e-15
+def test_min_oracle_maximally_mixed():
+    assert abs(min_oracle(MIXED).value) <= 1e-15
 
 
-def test_min_oracle_thermal_point(grid2000):
+def test_min_oracle_thermal_point():
     rho = thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix
-    assert abs(min_oracle(rho, grid2000).value - 0.18909986747759386) <= 1e-6
+    assert abs(min_oracle(rho).value - 0.18909986747759386) <= 1e-6
 
 
-def test_min_oracle_pinned_axis_single_evaluation(grid2000):
+def test_min_oracle_pinned_axis_single_evaluation():
     rng = Lcg(37)
     for _ in range(20):
         rho = random_state(rng)
         form = decompose(rho)
-        result = min_oracle(rho, grid2000)
+        result = min_oracle(rho)
         assert result.evaluations == 1
         assert abs(result.value - min_closed(form)[0]) <= 1e-10
         axis = form.x / np.linalg.norm(form.x)
         assert np.max(np.abs(result.direction - axis)) <= 1e-12
 
 
-def test_gmod_oracle_reference_states(grid2000):
-    assert abs(gmod_oracle(bell_psi_plus(), grid2000).value - 0.5) <= 1e-6
-    assert abs(gmod_oracle(ground_product_state(), grid2000).value) <= 1e-9
+def test_gmod_oracle_reference_states():
+    assert abs(gmod_oracle(bell_psi_plus()).value - 0.5) <= 1e-6
+    assert abs(gmod_oracle(ground_product_state()).value) <= 1e-9
 
 
-def test_gmod_oracle_is_twice_the_closed_form(grid2000):
+def test_gmod_oracle_is_twice_the_closed_form():
     rng = Lcg(39)
     for _ in range(30):
         rho = random_state(rng)
-        oracle_value = gmod_oracle(rho, grid2000).value
+        oracle_value = gmod_oracle(rho).value
         assert abs(oracle_value - 2.0 * gmod_exact(decompose(rho))) <= 1e-4
 
 
-def test_min_oracle_dominates_gmod_oracle_at_degeneracy(grid2000):
+def test_min_oracle_dominates_gmod_oracle_at_degeneracy():
     states = [bell_psi_plus(), thermal_isodm(IsoDMParams(j=1.5, d=0.7)).matrix]
     states.extend(x_zeroed_states(seed=11, want=8))
     for rho in states:
-        low = gmod_oracle(rho, grid2000).value
-        high = min_oracle(rho, grid2000).value
+        low = gmod_oracle(rho).value
+        high = min_oracle(rho).value
         assert high >= low - 1e-12
 
 
-def test_oracle_results_are_reproducible(grid2000):
+def test_oracle_results_are_reproducible():
     rho = random_state(Lcg(41))
-    first = gmod_oracle(rho, grid2000)
-    second = gmod_oracle(rho, grid2000)
+    first = gmod_oracle(rho)
+    second = gmod_oracle(rho)
     assert first.value == second.value
     assert np.array_equal(first.direction, second.direction)
     assert first.evaluations == second.evaluations
@@ -279,7 +265,7 @@ def test_nested_spotcheck_never_undercuts_dephasing():
 def test_nested_spotcheck_rejects_bad_input():
     with pytest.raises(ValueError):
         nested_gmod_spotcheck(MIXED, Z_AXIS, k=0)
-    with pytest.raises(NonUnitDirection):
+    with pytest.raises(ValueError):
         nested_gmod_spotcheck(MIXED, np.array([0.0, 0.0, 2.0]), k=1)
 
 
@@ -325,13 +311,13 @@ def _pin(result):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PINS))
-def test_oracle_results_are_bit_pinned(name, grid2000):
+def test_oracle_results_are_bit_pinned(name):
     """The Gram screen changes no bit of any oracle result: the degenerate
     all-ties states (mixed, Bell) and the grid path of min_oracle too."""
     gmod_pin, min_pin = ORACLE_PINS[name]
     rho = _pinned_state(name)
-    assert _pin(gmod_oracle(rho, grid2000)) == gmod_pin
-    result = min_oracle(rho, grid2000)
+    assert _pin(gmod_oracle(rho)) == gmod_pin
+    result = min_oracle(rho)
     if min_pin is None:
         assert result.evaluations == 1
     else:
@@ -368,21 +354,21 @@ def test_blockwise_projectors_match_kron_bit_for_bit():
             assert post_measurement(rho, n).tobytes() == measured.tobytes()
 
 
-def test_gram_matches_explicit_disturbance(grid2000):
+def test_gram_matches_explicit_disturbance():
     rng = Lcg(47)
     for rho in [random_state(rng) for _ in range(5)] + [bell_psi_plus(), MIXED]:
         gram = oracle._gram(rho)
         norm2 = qmat.hs_norm2(rho)
-        for n in grid2000.directions[::97]:
+        for n in GRID_DIRECTIONS[::97]:
             screen = 0.5 * (norm2 - n @ gram @ n)
             assert abs(screen - qmat.hs_norm2(rho - post_measurement(rho, n))) <= 1e-15
 
 
-def test_corrupted_gram_trips_the_oracle(monkeypatch, grid2000, capsys):
+def test_corrupted_gram_trips_the_oracle(monkeypatch, capsys):
     true_gram = oracle._gram
     monkeypatch.setattr(oracle, "_gram", lambda rho: true_gram(rho) + 1e-9)
     with pytest.raises(OracleMismatch):
-        gmod_oracle(random_state(Lcg(49)), grid2000)
+        gmod_oracle(random_state(Lcg(49)))
     assert cli.main(["verify", "--count", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failure: ")
