@@ -10,7 +10,8 @@ with the half-trace normalization x_i = tr[rho (sigma_i (x) I)]/2 (and
 likewise for y and T), so every component lies in [-1/2, 1/2]. The Pauli
 basis order is (sigma_x, sigma_y, sigma_z); the computational basis order
 is |00>, |01>, |10>, |11>. All closed-form measures in this package consume
-exactly this normalization.
+exactly this normalization. All 15 components come from one stacked
+product with ``qmat.PAULI_PRODUCTS``, bit for bit the per-operator traces.
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import I2, PAULIS
-
-_PRODUCT_BASIS_A = [np.kron(s, I2) for s in PAULIS]
-_PRODUCT_BASIS_B = [np.kron(I2, s) for s in PAULIS]
-_PRODUCT_BASIS_AB = [[np.kron(si, sj) for sj in PAULIS] for si in PAULIS]
+from .qmat import PAULI_PRODUCTS
 
 
 @dataclass(frozen=True)
@@ -49,12 +46,5 @@ def decompose(rho: np.ndarray) -> BlochForm:
     hermiticity / unit-trace / PSD checks.
     """
     rho = qmat.validate_state(rho)
-    x = np.array([np.trace(rho @ op).real / 2.0 for op in _PRODUCT_BASIS_A])
-    y = np.array([np.trace(rho @ op).real / 2.0 for op in _PRODUCT_BASIS_B])
-    t = np.array(
-        [
-            [np.trace(rho @ _PRODUCT_BASIS_AB[i][j]).real / 2.0 for j in range(3)]
-            for i in range(3)
-        ]
-    )
-    return BlochForm(x=x, y=y, T=t)
+    c = np.trace(rho @ PAULI_PRODUCTS, axis1=1, axis2=2).real / 2.0
+    return BlochForm(x=c[0:3], y=c[3:6], T=c[6:].reshape(3, 3))

@@ -76,15 +76,15 @@ def fmt12(value: float) -> str:
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors exit with the documented code 3.
 
-    A token that starts with '-' and then a digit, or '-.' and a digit, is
-    a value such as ``-1e-3`` or ``-1:0``, never an option: argparse alone
-    takes only plain negative numbers like ``-5`` and ``-0.5`` as values.
-    Subcommand parsers are built from this class too.
+    A token that starts with '-' and a digit, '-.' and a digit, '-inf' or
+    '-nan' (any case) is a value such as ``-1e-3``, ``-1:0`` or ``-inf``,
+    never an option: argparse alone takes only plain negative numbers like
+    ``-5`` and ``-0.5`` as values. Subcommand parsers use this class too.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

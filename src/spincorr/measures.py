@@ -35,13 +35,13 @@ import numpy as np
 
 from . import qmat
 from .bloch import BlochForm, decompose
-from .qmat import SIGMA_Y
+from .qmat import PAULI_PRODUCTS
 
 X_DEGENERACY_CUTOFF = 1e-9
 BRANCH_X_ZERO = "XZero"
 BRANCH_X_NONZERO = "XNonzero"
 
-_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+_SPIN_FLIP = PAULI_PRODUCTS[10]  # sigma_y (x) sigma_y
 
 
 @dataclass(frozen=True)

@@ -275,13 +275,13 @@ def _bisect_root(entries, p: _ModelParams, lo: float, hi: float, f_lo: float) ->
     return (lo + hi) / 2.0
 
 
-def _first_root(label: str, entries, p: _ModelParams, scan_points: int) -> float:
+def _first_root(label: str, entries, p: _ModelParams) -> float:
     """First sign change of the X-state gap of ``entries(j, p)`` over an
-    ascending uniform scan of j in [-50, 50], refined by bisection to an
-    interval of 1e-9. The gap is evaluated as the scan goes, so no point
-    past the first bracket is computed. Raises :class:`NoSignChange` when
-    the scan finds no bracket."""
-    xs = np.linspace(SCAN_RANGE[0], SCAN_RANGE[1], scan_points).tolist()
+    ascending uniform scan of ``SCAN_POINTS`` values of j in [-50, 50],
+    refined by bisection to an interval of 1e-9. The gap is evaluated as
+    the scan goes, so no point past the first bracket is computed. Raises
+    :class:`NoSignChange` when the scan finds no bracket."""
+    xs = np.linspace(SCAN_RANGE[0], SCAN_RANGE[1], SCAN_POINTS).tolist()
     prev = _x_gap(entries(xs[0], p))
     if prev == 0.0:
         return xs[0]
@@ -299,19 +299,17 @@ def _first_root(label: str, entries, p: _ModelParams, scan_points: int) -> float
     )
 
 
-def critical_coupling_isodm(d: float, scan_points: int = SCAN_POINTS) -> float:
+def critical_coupling_isodm(d: float) -> float:
     """Exchange threshold j_c where the isodm concurrence first turns on:
     the root of |nu(j, d)| = mu(j, d). Concurrence is positive for j > j_c
     and zero for j <= j_c in a neighborhood of the root."""
-    return _first_root("isodm", _isodm_entries, IsoDMParams(0.0, d), scan_points)
+    return _first_root("isodm", _isodm_entries, IsoDMParams(0.0, d))
 
 
-def critical_coupling_xxz(
-    delta: float, b: float, scan_points: int = SCAN_POINTS
-) -> float:
+def critical_coupling_xxz(delta: float, b: float) -> float:
     """Exchange threshold j_c of the xxz concurrence: the root of
     |kappa| = sqrt(delta_plus delta_minus), i.e. sinh|j| = exp(-j(1+delta)).
     The field b cancels from the condition, so the threshold is
     b-independent (the field suppresses the magnitude of the concurrence
     above threshold but does not move the threshold)."""
-    return _first_root("xxz", _xxz_entries, XXZParams(0.0, delta, b), scan_points)
+    return _first_root("xxz", _xxz_entries, XXZParams(0.0, delta, b))

@@ -39,13 +39,11 @@ from . import qmat
 from .bloch import decompose
 from .errors import OracleMismatch
 from .measures import X_DEGENERACY_CUTOFF
-from .qmat import I2, PAULIS
+from .qmat import I2, PAULI_PRODUCTS, PAULIS
 
 _REFINE_INITIAL_STEP = 0.1
 _REFINE_FINAL_STEP = 1e-7
 _REFINE_MAX_SWEEPS = 500
-_PAULI_STACK = np.stack(PAULIS)
-_FIRST_QUBIT_PAULIS = np.stack([np.kron(s, I2) for s in PAULIS])
 # Gram-screen values closer than this are re-decided by the explicit
 # projector algebra; screen and explicit values differ by about 3e-16.
 _TIE_MARGIN = 1e-14
@@ -85,7 +83,7 @@ def _dephase(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     """P+ rho P+ + P- rho P- for the first-qubit projectors P = (I +/- n.sigma)/2.
 
     P (x) I is built by placing the 2x2 block P on the diagonal of a
-    (2, 2, 2, 2) zero array, so no np.kron: a Kronecker product with I2 only
+    (2, 2, 2, 2) zero array, with no Kronecker product: a product with I2 only
     multiplies by exact ones and zeros, and the 4x4 projector carries the
     same bits either way.
     """
@@ -106,7 +104,7 @@ def _disturbance(rho: np.ndarray, n: np.ndarray) -> float:
 
 def _batch_disturbance(rho: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Disturbance at every direction at once (vectorized projector algebra)."""
-    n_sigma = np.einsum("nk,kij->nij", directions, _PAULI_STACK)
+    n_sigma = np.einsum("nk,kij->nij", directions, PAULIS)
     measured = np.zeros((directions.shape[0], 4, 4), dtype=complex)
     for sign in (1.0, -1.0):
         p = (I2[None, :, :] + sign * n_sigma) / 2.0
@@ -130,7 +128,7 @@ def _gram(rho: np.ndarray) -> np.ndarray:
     """Gram matrix G_ab = Re tr(rho A_a rho A_b) with A_a = sigma_a (x) I,
     from explicit operator products: the disturbance along n is
     (||rho||^2 - n^T G n)/2."""
-    a_rho = _FIRST_QUBIT_PAULIS @ rho
+    a_rho = PAULI_PRODUCTS[:3] @ rho  # rows 0-2 are sigma_a (x) I
     gram = np.einsum("aij,bji->ab", a_rho, a_rho).real
     return (gram + gram.T) / 2.0
 

@@ -1,8 +1,10 @@
 """Dense complex linear algebra for 2x2 and 4x4 operators.
 
-State validation, Hilbert-Schmidt geometry, and the principal matrix
-square root -- everything downstream modules need to manipulate two-qubit
-density matrices. All operations are pure functions over immutable inputs.
+State validation, Hilbert-Schmidt geometry, the principal matrix square
+root, and the package's only operator tables, all read-only: ``PAULIS``
+stacks (sigma_x, sigma_y, sigma_z) and ``PAULI_PRODUCTS`` the 15 products
+sigma_i (x) I, then I (x) sigma_j, then sigma_i (x) sigma_j row-major, so
+sigma_y (x) sigma_y is row 10. All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -14,14 +16,16 @@ import numpy as np
 from .errors import InvalidState, NonHermitianInput, NotPositiveSemidefinite
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+PAULI_PRODUCTS = np.stack(
+    [np.kron(s, I2) for s in PAULIS]
+    + [np.kron(I2, s) for s in PAULIS]
+    + [np.kron(si, sj) for si in PAULIS for sj in PAULIS]
+)
+I2.flags.writeable = PAULIS.flags.writeable = PAULI_PRODUCTS.flags.writeable = False
 
 HERMITICITY_TOL = 1e-10
 STATE_TOL = 1e-8
-PSD_CLAMP_TOL = 1e-10
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -30,18 +34,13 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return math.sqrt(hs_norm2(m - m.conj().T)) <= tol
 
 
-def is_psd(m: np.ndarray, tol: float = STATE_TOL) -> bool:
-    """Return True iff the Hermitian part of ``m`` has no eigenvalue
-    below ``-tol``."""
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return bool(evals.min() >= -tol)
-
-
 def validate_state(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
-    """Validate a 4x4 density matrix and return it as a complex array.
+    """Validate a 4x4 density matrix and return its Hermitian part.
 
     Checks hermiticity, unit trace, and positive semidefiniteness, each
     within ``tol``. Raises :class:`InvalidState` with the failed check named.
+    The result (m + m^dagger)/2 is what passed; it is ``m`` bit for bit when
+    ``m`` is exactly Hermitian (a -0.0 imaginary diagonal part becomes 0.0).
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
@@ -52,9 +51,10 @@ def validate_state(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
         raise InvalidState("matrix is not Hermitian within tolerance")
     if abs(np.trace(m) - 1.0) > tol:
         raise InvalidState(f"trace is {np.trace(m).real:.6g}, expected 1")
-    if not is_psd(m, tol):
+    hermitian_part = (m + m.conj().T) / 2.0
+    if np.linalg.eigvalsh(hermitian_part).min() < -tol:
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
-    return m
+    return hermitian_part
 
 
 def hs_norm2(a: np.ndarray) -> float:
@@ -66,19 +66,19 @@ def hs_norm2(a: np.ndarray) -> float:
 def mat_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero (roundoff from analytic
-    PSD constructions); an eigenvalue below -1e-10 raises
+    Eigenvalues in [-1e-8, 0) are clamped to zero, the window
+    :func:`validate_state` accepts; an eigenvalue below -1e-8 raises
     :class:`NotPositiveSemidefinite`, and input that is not Hermitian within
     1e-10 raises :class:`NonHermitianInput`. The result is PSD Hermitian and
-    squares back to the input within 1e-9.
+    squares back to the input within the clamped amount plus 1e-9.
     """
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m):
         raise NonHermitianInput("matrix is not Hermitian within 1e-10")
     values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if values.min() < -PSD_CLAMP_TOL:
+    if values.min() < -STATE_TOL:
         raise NotPositiveSemidefinite(
-            f"eigenvalue {values.min():.3e} is below the -1e-10 clamp window"
+            f"eigenvalue {values.min():.3e} is below the -1e-8 clamp window"
         )
     values[values < 0.0] = 0.0
     root = (vectors * np.sqrt(values)) @ vectors.conj().T

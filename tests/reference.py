@@ -14,13 +14,17 @@ import math
 import numpy as np
 
 from spincorr import oracle, qmat
-from spincorr.bloch import _PRODUCT_BASIS_A, _PRODUCT_BASIS_AB, _PRODUCT_BASIS_B, BlochForm
+from spincorr.bloch import BlochForm
 from spincorr.errors import NonFiniteParameter, NonHermitianInput
 from spincorr.models import IsoDMParams, XXZParams
 from spincorr.qmat import I2, PAULIS
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
 _DIRECTION_TOL = 1e-9
+# The Bloch-form operators, built here rather than taken from the package.
+_BASIS_A = [np.kron(s, I2) for s in PAULIS]
+_BASIS_B = [np.kron(I2, s) for s in PAULIS]
+_BASIS_AB = [[np.kron(si, sj) for sj in PAULIS] for si in PAULIS]
 
 
 def _unit_direction(n) -> np.ndarray:
@@ -106,12 +110,12 @@ def reconstruct(form: BlochForm) -> tuple[np.ndarray, bool]:
     """
     rho = np.eye(4, dtype=complex) / 4.0
     for i in range(3):
-        rho += 0.5 * form.x[i] * _PRODUCT_BASIS_A[i]
-        rho += 0.5 * form.y[i] * _PRODUCT_BASIS_B[i]
+        rho += 0.5 * form.x[i] * _BASIS_A[i]
+        rho += 0.5 * form.y[i] * _BASIS_B[i]
         for j in range(3):
-            rho += 0.5 * form.T[i, j] * _PRODUCT_BASIS_AB[i][j]
+            rho += 0.5 * form.T[i, j] * _BASIS_AB[i][j]
     rho = (rho + rho.conj().T) / 2.0
-    is_valid = qmat.is_psd(rho, tol=1e-10)
+    is_valid = bool(np.linalg.eigvalsh(rho).min() >= -1e-10)
     return rho, is_valid
 
 

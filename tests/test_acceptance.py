@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from spincorr import cli, measures
+from spincorr import cli, measures, models
 from spincorr.models import (
     IsoDMParams,
     XXZParams,
@@ -67,10 +67,13 @@ def test_criterion_02_threshold_cli(capsys):
     )
 
 
-def test_criterion_03_shifted_threshold_cli(capsys):
+def test_criterion_03_shifted_threshold_cli(capsys, monkeypatch):
     code = cli.main(["critical", "--model", "isodm", "--d", "2"])
     value = float(capsys.readouterr().out)
-    roots = [critical_coupling_isodm(2.0, scan_points=n) for n in (2001, 4001, 5003)]
+    roots = []
+    for n in (2001, 4001, 5003):
+        monkeypatch.setattr(models, "SCAN_POINTS", n)
+        roots.append(critical_coupling_isodm(2.0))
     spread = max(roots) - min(roots)
     ok = code == 0 and abs(value - (-2.55)) <= 0.05 and spread <= 1e-6
     verdict(

@@ -6,10 +6,10 @@ import pytest
 from spincorr import qmat
 from spincorr.bloch import BlochForm, decompose
 from spincorr.errors import InvalidState
-from spincorr.models import IsoDMParams, thermal_isodm
+from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
 from spincorr.rng import Lcg, random_state
 
-from helpers import bell_psi_plus, ground_product_state
+from helpers import bell_psi_plus, ground_product_state, random_product_state
 from reference import partial_trace, reconstruct
 
 
@@ -32,6 +32,43 @@ def test_decompose_ground_product_state():
     assert np.allclose(form.x, [0.0, 0.0, 0.5], atol=1e-15)
     assert np.allclose(form.y, [0.0, 0.0, 0.5], atol=1e-15)
     assert np.allclose(form.T, np.diag([0.0, 0.0, 0.5]), atol=1e-15)
+
+
+def _per_operator_bloch(rho):
+    """The Bloch form the long way: one np.trace(rho @ op) per product
+    operator, each built here with np.kron."""
+    eye = np.eye(2, dtype=complex)
+    paulis = [
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    ]
+    x = np.array([np.trace(rho @ np.kron(s, eye)).real / 2.0 for s in paulis])
+    y = np.array([np.trace(rho @ np.kron(eye, s)).real / 2.0 for s in paulis])
+    t = np.array(
+        [[np.trace(rho @ np.kron(si, sj)).real / 2.0 for sj in paulis] for si in paulis]
+    )
+    return x, y, t
+
+
+def test_decompose_matches_per_operator_trace_bit_for_bit():
+    # decompose takes all 15 traces in one stacked product. That keeps every
+    # bit of the per-operator traces only while numpy sums a stacked trace
+    # and multiplies a stacked @ the way it does one matrix; a numpy or BLAS
+    # change that breaks it must fail here, not move output bytes.
+    rng = Lcg(29)
+    states = [random_state(rng) for _ in range(1000)]
+    states += [random_product_state(rng) for _ in range(50)]
+    for j in np.linspace(-20.0, 20.0, 201):
+        states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)).matrix)
+        states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)).matrix)
+    states += [np.eye(4, dtype=complex) / 4.0, bell_psi_plus(), ground_product_state()]
+    for rho in states:
+        form = decompose(rho)
+        x, y, t = _per_operator_bloch(rho)
+        assert form.x.tobytes() == x.tobytes()
+        assert form.y.tobytes() == y.tobytes()
+        assert form.T.tobytes() == t.tobytes()
 
 
 def test_thermal_correlation_singular_values():

@@ -204,6 +204,28 @@ def test_measures_state_file(tmp_path, capsys):
     assert lines[4] == "branch = XZero"
 
 
+def test_state_file_within_tolerance_is_used_through_its_hermitian_part(tmp_path, capsys):
+    # Each file passes validation at 1e-8 without being exactly PSD or
+    # Hermitian; the measures must then run on it, not fail in mat_sqrt.
+    slightly_negative = tmp_path / "negative.txt"
+    write_state_file(slightly_negative, np.diag([0.5, 0.3, 0.2 + 5e-9, -5e-9]))
+    lopsided = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    lopsided[0, 1] = 5e-9
+    skewed = tmp_path / "skewed.txt"
+    write_state_file(skewed, lopsided)
+    hermitian = tmp_path / "hermitian.txt"
+    write_state_file(hermitian, (lopsided + lopsided.conj().T) / 2.0)
+    reports = []
+    for path in (slightly_negative, skewed, hermitian):
+        code, out, err = run_cli(capsys, "measures", "--state", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == ["C", "N", "Q", "D_exact", "branch"]
+        assert all(abs(float(line.split(" = ")[1])) <= 1e-12 for line in lines[:4])
+        reports.append(out)
+    assert reports[1] == reports[2]
+
+
 def test_measures_state_file_errors(tmp_path, capsys):
     trace_two = tmp_path / "trace2.txt"
     write_state_file(trace_two, np.diag([0.5, 0.5, 0.5, 0.5]))
@@ -456,7 +478,7 @@ def test_module_entrypoint_subprocess():
 
 
 def test_internal_error_maps_to_verification_exit(monkeypatch, capsys):
-    def broken(d, scan_points=models.SCAN_POINTS):
+    def broken(d):
         raise ClosedFormMismatch("injected for the error-path test")
 
     monkeypatch.setattr(models, "critical_coupling_isodm", broken)
@@ -631,7 +653,11 @@ NEGATIVE_VALUE_CALLS = [
     ("sweep", "--model", "xxz", "--series", "-1:0"),
     ("sweep", "--model", "isodm", "--j-start", "-1e-1"),
     ("measures", "--model", "isodm", "--j", "-1x"),
+    ("measures", "--model", "isodm", "--j", "-inf"),
+    ("measures", "--model", "isodm", "--j", "-nan"),
+    ("measures", "--model", "isodm", "--j", "-Infinity"),
 ]
+NON_FINITE_VALUES = ("-inf", "-nan", "-Infinity")
 
 
 @pytest.mark.parametrize("argv", NEGATIVE_VALUE_CALLS, ids=" ".join)
@@ -652,5 +678,8 @@ def test_negative_values_parse_like_the_equals_form(tmp_path, capsys, argv):
     if argv[-1] == "-1x":
         assert (code, out) == (3, "")
         assert err.splitlines()[-1].endswith("argument --j: not a number: '-1x'")
+    elif argv[-1] in NON_FINITE_VALUES:
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1].endswith(f"argument --j: must be finite, got '{argv[-1]}'")
     else:
         assert (code, err) == (0, "") and (csv is not None) == (argv[0] == "sweep")

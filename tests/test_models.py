@@ -246,8 +246,11 @@ def test_critical_isodm_no_bracket_at_large_coupling():
         critical_coupling_isodm(10.0)
 
 
-def test_critical_isodm_stable_under_scan_refinement():
-    roots = [critical_coupling_isodm(2.0, scan_points=n) for n in (2001, 4001, 5003)]
+def test_critical_isodm_stable_under_scan_refinement(monkeypatch):
+    roots = []
+    for n in (2001, 4001, 5003):
+        monkeypatch.setattr(models, "SCAN_POINTS", n)
+        roots.append(critical_coupling_isodm(2.0))
     for a in roots:
         for b in roots:
             assert abs(a - b) <= 1e-6

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spincorr import bloch, measures, qmat
+from spincorr import measures, qmat
 from spincorr.errors import (
     InvalidState,
     NonFiniteParameter,
@@ -27,11 +27,13 @@ def _exchange_with_antisymmetric_term() -> np.ndarray:
 
 
 def test_pauli_constants():
+    assert qmat.PAULIS.shape == (3, 2, 2) and qmat.PAULIS.dtype == complex
     for sigma in qmat.PAULIS:
         assert np.array_equal(sigma.conj().T, sigma)
         assert np.allclose(sigma @ sigma, np.eye(2), atol=1e-15)
         assert abs(np.trace(sigma)) == 0.0
-    assert np.allclose(qmat.SIGMA_X @ qmat.SIGMA_Y, 1j * qmat.SIGMA_Z, atol=1e-15)
+    sx, sy, sz = qmat.PAULIS
+    assert np.allclose(sx @ sy, 1j * sz, atol=1e-15)
 
 
 def test_gibbs_zero_hamiltonian_is_maximally_mixed():
@@ -40,7 +42,7 @@ def test_gibbs_zero_hamiltonian_is_maximally_mixed():
 
 
 def test_gibbs_single_qubit_closed_form():
-    rho = gibbs(qmat.SIGMA_Z, beta=1.0)
+    rho = gibbs(qmat.PAULIS[2], beta=1.0)
     p0 = 1.0 / (1.0 + math.exp(2.0))
     assert np.allclose(rho, np.diag([p0, 1.0 - p0]), atol=1e-14)
 
@@ -55,22 +57,39 @@ def test_gibbs_extreme_couplings_stay_finite():
 
 
 def test_gibbs_rejects_bad_beta():
-    h = qmat.SIGMA_Z
+    h = qmat.PAULIS[2]
     for beta in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(NonFiniteParameter):
             gibbs(h, beta)
 
 
 def test_kron_reference_matrices():
-    # The spin flip of the concurrence and the Bloch basis operator
-    # sigma_z (x) I, both built with np.kron from the complex Paulis.
+    # All 15 product operators, bit for bit and in their order, against
+    # np.kron of Paulis written out here: sigma_i (x) I, then I (x) sigma_j,
+    # then sigma_i (x) sigma_j row-major.
+    eye = np.eye(2, dtype=complex)
+    paulis = [
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    ]
+    expected = (
+        [np.kron(s, eye) for s in paulis]
+        + [np.kron(eye, s) for s in paulis]
+        + [np.kron(si, sj) for si in paulis for sj in paulis]
+    )
+    table = qmat.PAULI_PRODUCTS
+    assert table.shape == (15, 4, 4) and table.dtype == complex
+    assert not table.flags.writeable and not qmat.PAULIS.flags.writeable
+    for row, op in enumerate(expected):
+        assert table[row].tobytes() == op.tobytes(), row
+    # The spin flip of the concurrence is row 10, sigma_y (x) sigma_y, and
+    # the Bloch basis operator sigma_z (x) I is row 2.
     yy = measures._SPIN_FLIP
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
-    assert np.array_equal(yy, expected) and yy.dtype == complex
-    zi = bloch._PRODUCT_BASIS_A[2]
-    assert np.array_equal(zi, np.diag([1, 1, -1, -1]).astype(complex))
-    assert zi.dtype == complex
+    flip = np.zeros((4, 4), dtype=complex)
+    flip[0, 3], flip[1, 2], flip[2, 1], flip[3, 0] = -1, 1, 1, -1
+    assert np.array_equal(yy, flip) and yy.dtype == complex
+    assert np.array_equal(table[2], np.diag([1, 1, -1, -1]).astype(complex))
 
 
 def test_partial_trace_product_state_roundtrip():
@@ -103,7 +122,7 @@ def test_partial_trace_rejects_bad_input():
 
 def test_hs_norm2_reference_values():
     assert qmat.hs_norm2(np.eye(4, dtype=complex)) == pytest.approx(4.0, abs=1e-15)
-    assert qmat.hs_norm2(qmat.SIGMA_X) == pytest.approx(2.0, abs=1e-15)
+    assert qmat.hs_norm2(qmat.PAULIS[0]) == pytest.approx(2.0, abs=1e-15)
     assert qmat.hs_norm2(bell_psi_plus() - np.eye(4) / 4.0) == pytest.approx(
         0.75, abs=1e-15
     )
@@ -141,8 +160,9 @@ def test_mat_sqrt_clamps_roundoff_negatives():
 
 
 def test_mat_sqrt_rejects_genuinely_negative():
+    # The clamp window is validate_state's PSD tolerance, 1e-8.
     with pytest.raises(NotPositiveSemidefinite):
-        qmat.mat_sqrt(np.diag([0.7, 0.3, 0.0, -5e-10]).astype(complex))
+        qmat.mat_sqrt(np.diag([0.7, 0.3, 0.0, -5e-8]).astype(complex))
 
 
 def test_mat_sqrt_and_gibbs_reject_non_hermitian():
@@ -160,6 +180,24 @@ def test_validate_state_accepts_random_states():
         rho = random_state(rng)
         out = qmat.validate_state(rho)
         assert out.shape == (4, 4)
+
+
+def test_validate_state_returns_the_hermitian_part():
+    rng = Lcg(23)
+    for _ in range(10):
+        rho = random_state(rng)
+        assert qmat.validate_state(rho).tobytes() == rho.tobytes()
+    # Within tolerance but not exactly Hermitian or PSD: every later step
+    # sees the exactly Hermitian part, and mat_sqrt clamps what passed.
+    m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    m[0, 1] = 5e-9
+    out = qmat.validate_state(m)
+    assert np.array_equal(out, (m + m.conj().T) / 2.0)
+    assert np.array_equal(out, out.conj().T) and out[1, 0] == 2.5e-9
+    qmat.mat_sqrt(out)
+    slightly_negative = np.diag([0.5, 0.3, 0.2 + 5e-9, -5e-9]).astype(complex)
+    root = qmat.mat_sqrt(qmat.validate_state(slightly_negative))
+    assert np.linalg.eigvalsh(root).min() >= 0.0
 
 
 def test_validate_state_rejects_defects():
