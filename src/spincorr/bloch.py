@@ -10,8 +10,9 @@ with the half-trace normalization x_i = tr[rho (sigma_i (x) I)]/2 (and
 likewise for y and T), so every component lies in [-1/2, 1/2]. The Pauli
 basis order is (sigma_x, sigma_y, sigma_z); the computational basis order
 is |00>, |01>, |10>, |11>. All closed-form measures in this package consume
-exactly this normalization. All 15 components come from one stacked
-product with ``qmat.PAULI_PRODUCTS``, bit for bit the per-operator traces.
+exactly this normalization. All 15 components are read from ``rho`` by
+one gather over tables built from ``qmat.PAULI_PRODUCTS``, bit for bit the
+per-operator traces tr(rho P)/2.
 """
 
 from __future__ import annotations
@@ -22,6 +23,27 @@ import numpy as np
 
 from . import qmat
 from .qmat import PAULI_PRODUCTS
+
+
+def _gather_tables(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign tables that read tr(rho P) for each P in ``products``.
+
+    Every product operator has one nonzero per column, P[k, i] in {+-1, +-i},
+    so the i-th diagonal entry of rho @ P is rho[i, k] P[k, i], and its real
+    part is +-Re rho[i, k] (P[k, i] = +-1) or -+Im rho[i, k] (P[k, i] = +-i).
+    Row i of both (4, 15) tables addresses that term of each operator in the
+    float view of a row-major rho. Both tables are read-only.
+    """
+    rows = np.argmax(products != 0, axis=1)  # (15, 4): k of column i
+    coef = np.take_along_axis(products, rows[:, None, :], axis=1)[:, 0, :]
+    imag = coef.real == 0.0
+    index = (8 * np.arange(4) + 2 * rows + imag).T.copy()
+    sign = np.where(imag, -coef.imag, coef.real).T.copy()
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+_TERM_INDEX, _TERM_SIGN = _gather_tables(PAULI_PRODUCTS)
 
 
 @dataclass(frozen=True)
@@ -46,5 +68,8 @@ def decompose(rho: np.ndarray) -> BlochForm:
     hermiticity / unit-trace / PSD checks.
     """
     rho = qmat.validate_state(rho)
-    c = np.trace(rho @ PAULI_PRODUCTS, axis1=1, axis2=2).real / 2.0
+    t = rho.reshape(16).view(float)[_TERM_INDEX] * _TERM_SIGN
+    # Exact terms summed pairwise give every bit of np.trace(rho @ P), and
+    # + 0.0 makes the -0.0 of four -0.0 terms the trace's +0.0.
+    c = ((t[0] + t[1]) + (t[2] + t[3])) / 2.0 + 0.0
     return BlochForm(x=c[0:3], y=c[3:6], T=c[6:].reshape(3, 3))

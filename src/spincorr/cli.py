@@ -49,6 +49,7 @@ EXIT_IO = 4
 EXIT_NO_BRACKET = 5
 
 CSV_HEADER = "j,series,C,N,Q,D_exact"
+MAX_SWEEP_ROWS = 1_000_000  # --j-steps times the number of series members
 ORACLE_TOL = 1e-4
 WITNESS_CUTOFF = 1e-8
 LOWER_BOUND_TOL = 1e-12
@@ -126,7 +127,7 @@ def _config_tokens(args: argparse.Namespace, parser: _Parser) -> list[str]:
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     flags = set(vars(args)) - {"command", "config"}
     tokens = []
@@ -203,7 +204,7 @@ def _load_state_file(path: str) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidState(f"cannot read state file: {exc}")
     tokens: list[str] = []
     for raw in text.splitlines():
@@ -309,6 +310,12 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
     else:
         _refuse(args, parser, secondary, "is not used with --series: each member sets it")
     members = _parse_series(args.model, series_text, parser)
+    rows = args.j_steps * len(members)
+    if rows > MAX_SWEEP_ROWS:
+        parser.error(
+            f"--j-steps {args.j_steps} x {len(members)} series = {rows} rows, "
+            f"above the limit of {MAX_SWEEP_ROWS}"
+        )
 
     make_params = _PARAMS[args.model]
     measure = getattr(models, f"measures_{args.model}")

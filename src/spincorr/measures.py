@@ -89,26 +89,13 @@ def min_closed(form: BlochForm) -> tuple[float, str]:
     x/|x| and the value is tr(T T^t) - x^t T T^t x / |x|^2 (branch
     ``"XNonzero"``).
     """
-    tt = form.T @ form.T.T
-    trace_tt = float(np.trace(tt))
-    x_norm2 = float(form.x @ form.x)
-    if math.sqrt(x_norm2) <= X_DEGENERACY_CUTOFF:
-        lam_min = float(np.linalg.eigvalsh(tt).min())
-        return trace_tt - lam_min, BRANCH_X_ZERO
-    along_x = float(form.x @ tt @ form.x) / x_norm2
-    return trace_tt - along_x, BRANCH_X_NONZERO
-
-
-def _s_matrix(form: BlochForm) -> np.ndarray:
-    """The 3x3 moment matrix S = (x x^t + T T^t) / 4."""
-    return (np.outer(form.x, form.x) + form.T @ form.T.T) / 4.0
+    value, branch, _, _ = _closed_forms(form)
+    return value, branch
 
 
 def gmod_exact(form: BlochForm) -> float:
     """Exact geometric discord 2 (tr S - k_max), k_i the eigenvalues of S."""
-    s = _s_matrix(form)
-    k_max = float(np.linalg.eigvalsh(s).max())
-    return 2.0 * (float(np.trace(s)) - k_max)
+    return _closed_forms(form)[2]
 
 
 def gmod_lower(form: BlochForm) -> float:
@@ -121,22 +108,36 @@ def gmod_lower(form: BlochForm) -> float:
     vanishes); the direct moment route would inject ~1e-9 of noise into Q
     exactly where Q = N/2 must hold to 1e-12.
     """
-    s = _s_matrix(form)
-    k = np.linalg.eigvalsh(s)
+    return _closed_forms(form)[3]
+
+
+def _closed_forms(form: BlochForm) -> tuple[float, str, float, float]:
+    """(N, branch, D_exact, Q) of :func:`min_closed`, :func:`gmod_exact` and
+    :func:`gmod_lower`, from one T T^t and one spectrum of S."""
+    tt = form.T @ form.T.T
+    trace_tt = float(tt.trace())
+    x_norm2 = float(form.x @ form.x)
+    if math.sqrt(x_norm2) <= X_DEGENERACY_CUTOFF:
+        value, branch = trace_tt - float(np.linalg.eigvalsh(tt).min()), BRANCH_X_ZERO
+    else:
+        value, branch = trace_tt - float(form.x @ tt @ form.x) / x_norm2, BRANCH_X_NONZERO
+    s = (np.outer(form.x, form.x) + tt) / 4.0
+    trace_s = float(s.trace())
+    k = np.linalg.eigvalsh(s)  # ascending, so k[2] is k_max
     d01, d12, d20 = k[0] - k[1], k[1] - k[2], k[2] - k[0]
     radicand = 2.0 * (d01 * d01 + d12 * d12 + d20 * d20)
-    return (2.0 / 3.0) * (2.0 * float(np.trace(s)) - math.sqrt(radicand))
+    exact = 2.0 * (trace_s - float(k[2]))
+    return value, branch, exact, (2.0 / 3.0) * (2.0 * trace_s - math.sqrt(radicand))
 
 
 def report(rho: np.ndarray) -> MeasureReport:
     """All four measures of one state, with the nonlocality branch."""
     rho = qmat.validate_state(rho)
-    form = decompose(rho)
-    min_value, branch = min_closed(form)
+    min_value, branch, exact, lower = _closed_forms(decompose(rho))
     return MeasureReport(
         concurrence=concurrence(rho),
         min_value=min_value,
-        gmod_exact=gmod_exact(form),
-        gmod_lower=gmod_lower(form),
+        gmod_exact=exact,
+        gmod_lower=lower,
         branch=branch,
     )

@@ -53,12 +53,14 @@ class _ModelParams:
     single precision into the closed forms."""
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        # The names fields(self) gives, without the tuple it builds per call:
+        # the params classes declare no ClassVar or InitVar pseudo-fields.
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (real and math.isfinite(value)):
-                raise NonFiniteParameter(f"{f.name} must be finite, got {value!r}")
-            object.__setattr__(self, f.name, float(value))
+                raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)

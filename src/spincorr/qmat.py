@@ -31,7 +31,12 @@ STATE_TOL = 1e-8
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     """Return True iff ``m`` equals its conjugate transpose within ``tol``
     (Hilbert-Schmidt norm)."""
-    return math.sqrt(hs_norm2(m - m.conj().T)) <= tol
+    return _hermitian_within(m, m.conj().T, tol)
+
+
+def _hermitian_within(m: np.ndarray, adjoint: np.ndarray, tol: float) -> bool:
+    """:func:`is_hermitian` with the conjugate transpose already taken."""
+    return math.sqrt(hs_norm2(m - adjoint)) <= tol
 
 
 def validate_state(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
@@ -45,13 +50,15 @@ def validate_state(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise InvalidState("matrix has non-finite entries")
-    if not is_hermitian(m, tol):
+    adjoint = m.conj().T
+    if not _hermitian_within(m, adjoint, tol):
         raise InvalidState("matrix is not Hermitian within tolerance")
-    if abs(np.trace(m) - 1.0) > tol:
-        raise InvalidState(f"trace is {np.trace(m).real:.6g}, expected 1")
-    hermitian_part = (m + m.conj().T) / 2.0
+    trace = m.trace()
+    if abs(trace - 1.0) > tol:
+        raise InvalidState(f"trace is {trace.real:.6g}, expected 1")
+    hermitian_part = (m + adjoint) / 2.0
     if np.linalg.eigvalsh(hermitian_part).min() < -tol:
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
     return hermitian_part
@@ -73,9 +80,10 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     squares back to the input within the clamped amount plus 1e-9.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
+    adjoint = m.conj().T
+    if not _hermitian_within(m, adjoint, HERMITICITY_TOL):
         raise NonHermitianInput("matrix is not Hermitian within 1e-10")
-    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
+    values, vectors = np.linalg.eigh((m + adjoint) / 2.0)
     if values.min() < -STATE_TOL:
         raise NotPositiveSemidefinite(
             f"eigenvalue {values.min():.3e} is below the -1e-8 clamp window"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spincorr import qmat
+from spincorr import bloch, qmat
 from spincorr.bloch import BlochForm, decompose
 from spincorr.errors import InvalidState
 from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
@@ -69,6 +69,48 @@ def test_decompose_matches_per_operator_trace_bit_for_bit():
         assert form.x.tobytes() == x.tobytes()
         assert form.y.tobytes() == y.tobytes()
         assert form.T.tobytes() == t.tobytes()
+
+
+def test_gather_tables_follow_the_pauli_products():
+    # The gather reads tr(rho P) as four terms rho[i, k] P[k, i]; that is
+    # exact only while every column of every product has one nonzero, and it
+    # is +-1 or +-i.
+    index, sign = bloch._TERM_INDEX, bloch._TERM_SIGN
+    assert index.shape == sign.shape == (4, 15)
+    assert not index.flags.writeable and not sign.flags.writeable
+    for p, product in enumerate(qmat.PAULI_PRODUCTS):
+        for i in range(4):
+            (k,) = np.flatnonzero(product[:, i])
+            c = product[k, i]
+            assert c in (1, -1, 1j, -1j)
+            part = 0 if c.imag == 0 else 1
+            assert index[i, p] == 8 * i + 2 * k + part
+            assert sign[i, p] == (c.real if part == 0 else -c.imag)
+
+
+def test_decompose_keeps_the_traces_sign_of_zero():
+    # Four -0.0 terms sum to -0.0, where the trace gives +0.0: this state
+    # makes all four terms of I (x) sigma_y -0.0 (Im rho[1, 0] = Im rho[3, 2]
+    # = -0.0 and Im rho[0, 1] = Im rho[2, 3] = +0.0 before validation).
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[1, 0] = rho[3, 2] = complex(0.0, -0.0)
+    form = decompose(rho)
+    x, y, t = _per_operator_bloch(qmat.validate_state(rho))
+    assert not np.signbit(form.y).any()
+    assert (form.x.tobytes(), form.y.tobytes(), form.T.tobytes()) == (
+        x.tobytes(),
+        y.tobytes(),
+        t.tobytes(),
+    )
+
+
+def test_decompose_reads_any_memory_layout():
+    rho = random_state(Lcg(37))
+    expected = decompose(rho)
+    for layout in (np.asfortranarray(rho), rho.T.T, np.ascontiguousarray(rho.T).T):
+        form = decompose(layout)
+        assert form.x.tobytes() == expected.x.tobytes()
+        assert form.T.tobytes() == expected.T.tobytes()
 
 
 def test_thermal_correlation_singular_values():

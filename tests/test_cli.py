@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -104,6 +105,24 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(cwd, *argv):
+    """Run ``python -m spincorr`` in ``cwd``; returns (code, stdout, stderr)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "spincorr", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 def write_state_file(path, matrix):
@@ -329,6 +348,9 @@ def test_sweep_bad_arguments(tmp_path, capsys):
     )
     assert code == 3 and "must be finite" in err
     assert run_cli(capsys, "sweep", "--model", "xxz", "--out", out, "--series", "1")[0] == 3
+    # The row limit counts every series member.
+    code, _, err = run_cli(capsys, *base, "--j-steps", "500001", "--series", "0,1")
+    assert code == 3 and err.endswith("= 1000002 rows, above the limit of 1000000\n")
     # The member shape comes from the params fields after j.
     for model, series, wording in (
         ("xxz", "0:1:2", "xxz series member must be delta:b, got '0:1:2'"),
@@ -338,6 +360,27 @@ def test_sweep_bad_arguments(tmp_path, capsys):
             capsys, "sweep", "--model", model, "--out", out, "--series", series
         )
         assert (code, stdout, err.splitlines()[-1]) == (3, "", f"spincorr: error: {wording}")
+
+
+def test_non_utf8_state_file_is_an_invalid_state(tmp_path):
+    (tmp_path / "state.txt").write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_module(tmp_path, "measures", "--state", "state.txt")
+    assert (code, out) == (2, "")
+    assert err == f"invalid state: cannot read state file: {UTF8_ERROR}\n"
+
+
+def test_sweep_refuses_more_rows_than_the_limit(tmp_path):
+    # Checked before the grid is allocated: numpy cannot allocate this many.
+    code, out, err = run_module(
+        tmp_path, "sweep", "--model", "isodm", "--j-steps", "10000000000000", "--out", "x.csv"
+    )
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "spincorr: error: --j-steps 10000000000000 x 1 series = 10000000000000 rows, "
+        "above the limit of 1000000"
+    )
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_io_failure(tmp_path, capsys):
@@ -410,6 +453,12 @@ def test_config_rejects_bad_content(tmp_path, capsys):
     assert run_cli(capsys, "measures", "--config", str(non_numeric))[0] == 3
 
     assert run_cli(capsys, "measures", "--config", str(tmp_path / "nope.cfg"))[0] == 3
+
+    not_utf8 = tmp_path / "binary.cfg"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "verify", "--config", str(not_utf8))
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == f"spincorr: error: cannot read config file: {UTF8_ERROR}"
 
 
 def test_config_with_dashed_keys_and_verify(tmp_path, capsys):

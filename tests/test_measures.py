@@ -9,14 +9,13 @@ from spincorr.bloch import decompose
 from spincorr.measures import (
     BRANCH_X_NONZERO,
     BRANCH_X_ZERO,
-    _s_matrix,
     concurrence,
     gmod_exact,
     gmod_lower,
     min_closed,
     report,
 )
-from spincorr.models import IsoDMParams, thermal_isodm
+from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
 from spincorr.oracle import min_oracle
 from spincorr.rng import Lcg, random_state
 
@@ -127,7 +126,7 @@ def test_gmod_lower_agrees_with_moment_route_when_stable():
     rng = Lcg(29)
     for _ in range(100):
         form = decompose(random_state(rng))
-        s = _s_matrix(form)
+        s = (np.outer(form.x, form.x) + form.T @ form.T.T) / 4.0
         tr_s = float(np.trace(s))
         tr_s2 = float(np.trace(s @ s))
         radicand = 6.0 * tr_s2 - 2.0 * tr_s * tr_s
@@ -159,6 +158,30 @@ def test_report_thermal_reference_point():
     assert abs(rep.gmod_exact - 0.09454993373879693) <= 1e-12
     assert abs(rep.gmod_lower - 0.09454993373879693) <= 1e-12
     assert rep.branch == BRANCH_X_ZERO
+
+
+def test_report_matches_the_single_measures_bit_for_bit():
+    # report computes T T^t and the spectrum of S once for all three closed
+    # forms; it must give every bit of the functions that compute one each.
+    rng = Lcg(41)
+    states = [random_state(rng) for _ in range(1000)]
+    for j in np.linspace(-20.0, 20.0, 201):
+        states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)).matrix)
+        states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)).matrix)
+        states.append(thermal_xxz(XXZParams(j=float(j), delta=1.0, b=0.0)).matrix)
+    states += [MIXED, bell_psi_plus()]
+    branches = set()
+    for rho in states:
+        rep = report(rho)
+        form = decompose(rho)
+        value, branch = min_closed(form)
+        assert rep.concurrence.hex() == concurrence(rho).hex()
+        assert rep.min_value.hex() == value.hex()
+        assert rep.gmod_exact.hex() == gmod_exact(form).hex()
+        assert rep.gmod_lower.hex() == gmod_lower(form).hex()
+        assert rep.branch == branch
+        branches.add(branch)
+    assert branches == {BRANCH_X_ZERO, BRANCH_X_NONZERO}
 
 
 def test_measures_are_local_unitary_invariant():
