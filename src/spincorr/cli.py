@@ -116,6 +116,17 @@ def _seed(text: str) -> int:
     return value
 
 
+def _content_lines(path: str) -> list[tuple[int, str, str]]:
+    """The lines of the UTF-8 text file ``path`` that hold more than blanks
+    and a '#' comment, as (line number, raw line, text before the comment,
+    stripped). A leading byte-order mark is dropped. Raises ``OSError`` or
+    ``UnicodeDecodeError`` when the file cannot be read."""
+    with open(path, encoding="utf-8-sig") as fh:
+        raws = fh.read().splitlines()
+    lines = [(n, raw, raw.split("#", 1)[0].strip()) for n, raw in enumerate(raws, start=1)]
+    return [line for line in lines if line[2]]
+
+
 def _config_tokens(args: argparse.Namespace, parser: _Parser) -> list[str]:
     """Read the ``--config`` file of ``args`` as ``--key=value`` tokens.
 
@@ -125,16 +136,12 @@ def _config_tokens(args: argparse.Namespace, parser: _Parser) -> list[str]:
     matched against the namespace the subcommand's flags fill.
     """
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
+        lines = _content_lines(args.config)
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     flags = set(vars(args)) - {"command", "config"}
     tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in lines:
         if "=" not in line:
             parser.error(f"config line {lineno} is not key=value: {raw!r}")
         key, value = line.split("=", 1)
@@ -202,15 +209,10 @@ def _load_state_file(path: str) -> np.ndarray:
     '#' comments and blank lines allowed. Validation tolerance 1e-8.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        lines = _content_lines(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidState(f"cannot read state file: {exc}")
-    tokens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = [token for _, _, line in lines for token in line.split()]
     if len(tokens) != 32:
         raise InvalidState(
             f"state file must hold 16 're im' pairs (32 numbers), got {len(tokens)}"
@@ -359,67 +361,52 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         parser.error(f"--count must be a positive integer, got {count}")
 
     rng = Lcg(seed)
-    max_min_dev = (0.0, 0)
-    max_gmod_dev = (0.0, 0)
-    max_lower_excess = (-math.inf, 0)
+    # Running (value, state) maxima of the nonlocality and discord oracle
+    # deviations and of the lower bound's excess; the first state wins ties.
+    maxima = [(0.0, 0), (0.0, 0), (-math.inf, 0)]
     disagreements: list[int] = []
     for index in range(count):
         rho = random_state(rng)
         rep = measures.report(rho)
-        min_orc = oracle.min_oracle(rho)
-        gmod_orc = oracle.gmod_oracle(rho)
-        min_dev = abs(rep.min_value - min_orc.value)
-        gmod_dev = abs(2.0 * rep.gmod_exact - gmod_orc.value)
-        lower_excess = rep.gmod_lower - rep.gmod_exact
-        if min_dev > max_min_dev[0]:
-            max_min_dev = (min_dev, index)
-        if gmod_dev > max_gmod_dev[0]:
-            max_gmod_dev = (gmod_dev, index)
-        if lower_excess > max_lower_excess[0]:
-            max_lower_excess = (lower_excess, index)
+        values = (
+            abs(rep.min_value - oracle.min_oracle(rho).value),
+            abs(2.0 * rep.gmod_exact - oracle.gmod_oracle(rho).value),
+            rep.gmod_lower - rep.gmod_exact,
+        )
+        maxima = [(v, index) if v > top[0] else top for v, top in zip(values, maxima)]
         if oracle.ppt_entangled(rho) != (rep.concurrence > WITNESS_CUTOFF):
             disagreements.append(index)
+    (min_dev, min_at), (gmod_dev, gmod_at), (excess, excess_at) = maxima
 
     print(f"verify: seed={seed} count={count} grid={len(oracle.GRID_DIRECTIONS)}")
-    print(
-        f"max |min_closed - min_oracle|    = {fmt12(max_min_dev[0])}"
-        f" (state {max_min_dev[1]})"
-    )
-    print(
-        f"max |2*gmod_exact - gmod_oracle| = {fmt12(max_gmod_dev[0])}"
-        f" (state {max_gmod_dev[1]})"
-    )
+    print(f"max |min_closed - min_oracle|    = {fmt12(min_dev)} (state {min_at})")
+    print(f"max |2*gmod_exact - gmod_oracle| = {fmt12(gmod_dev)} (state {gmod_at})")
     print(f"ppt/concurrence disagreements    = {len(disagreements)}")
-    print(
-        f"max (gmod_lower - gmod_exact)    = {fmt12(max_lower_excess[0])}"
-        f" (state {max_lower_excess[1]})"
-    )
+    print(f"max (gmod_lower - gmod_exact)    = {fmt12(excess)} (state {excess_at})")
 
-    failed = False
-    if max_min_dev[0] > ORACLE_TOL:
-        failed = True
-        print(
-            f"violation: nonlocality oracle deviation {fmt12(max_min_dev[0])} "
-            f"exceeds {ORACLE_TOL:g} at state {max_min_dev[1]}"
+    violations = []
+    if min_dev > ORACLE_TOL:
+        violations.append(
+            f"nonlocality oracle deviation {fmt12(min_dev)} "
+            f"exceeds {ORACLE_TOL:g} at state {min_at}"
         )
-    if max_gmod_dev[0] > ORACLE_TOL:
-        failed = True
-        print(
-            f"violation: discord oracle deviation {fmt12(max_gmod_dev[0])} "
-            f"exceeds {ORACLE_TOL:g} at state {max_gmod_dev[1]}"
+    if gmod_dev > ORACLE_TOL:
+        violations.append(
+            f"discord oracle deviation {fmt12(gmod_dev)} "
+            f"exceeds {ORACLE_TOL:g} at state {gmod_at}"
         )
     if disagreements:
-        failed = True
-        listed = ", ".join(str(i) for i in disagreements)
-        print(f"violation: witness disagreement at states: {listed}")
-    if max_lower_excess[0] > LOWER_BOUND_TOL:
-        failed = True
-        print(
-            f"violation: lower bound exceeds exact discord by "
-            f"{fmt12(max_lower_excess[0])} at state {max_lower_excess[1]}"
+        violations.append(
+            f"witness disagreement at states: {', '.join(map(str, disagreements))}"
         )
-    print(f"result: {'FAIL' if failed else 'PASS'}")
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    if excess > LOWER_BOUND_TOL:
+        violations.append(
+            f"lower bound exceeds exact discord by {fmt12(excess)} at state {excess_at}"
+        )
+    for violation in violations:
+        print(f"violation: {violation}")
+    print(f"result: {'FAIL' if violations else 'PASS'}")
+    return EXIT_VERIFICATION if violations else EXIT_OK
 
 
 def main(argv=None) -> int:

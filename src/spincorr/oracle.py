@@ -12,16 +12,16 @@ Measuring the first qubit along n dephases rho to (rho + U rho U)/2 with
 U = n.sigma (x) I, so the disturbance is the quadratic form
 D(n) = (||rho||^2 - n^T G n)/2 with G_ab = Re tr(rho A_a rho A_b) and
 A_a = sigma_a (x) I. G is built from explicit operator products, never from
-the Bloch form, so it stays independent of the closed forms it checks. The
-scan and the refinement score directions with this Gram screen; the
-explicit projector algebra stays the arbiter. Grid rows whose screen lies
-within 1e-14 of the best are re-scored explicitly, a refinement trial that
-close to the current best is decided by explicit values at both points, and
-the reported value is always explicit. Every decision and every reported
-bit is therefore the one explicit scoring alone would give. Each arbiter
-call checks that screen and explicit value agree to 5e-15, and every
-result checks it to 1e-12 at the final direction; a disagreement raises
-:class:`OracleMismatch`.
+the Bloch form, so it stays independent of the closed forms it checks. One
+screen function scores both the grid scan (on arrays) and the refinement
+(on plain floats); the explicit projector algebra stays the arbiter. Grid
+rows whose screen lies within 1e-14 of the best are re-scored explicitly,
+a refinement trial that close to the current best is decided by explicit
+values at both points, and the reported value is always explicit. Every
+decision and every reported bit is therefore the one explicit scoring alone
+would give. Each arbiter call checks that screen and explicit value agree
+to 5e-15, and every result checks it to 1e-12 at the final direction; a
+disagreement raises :class:`OracleMismatch`.
 
 Measurements act on the first qubit only. Grid evaluations are independent
 and order-free; reductions compare by value with ties broken by the lowest
@@ -114,16 +114,6 @@ def _batch_disturbance(rho: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nij->n", diff.conj(), diff).real
 
 
-def _angles_to_direction(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        ]
-    )
-
-
 def _gram(rho: np.ndarray) -> np.ndarray:
     """Gram matrix G_ab = Re tr(rho A_a rho A_b) with A_a = sigma_a (x) I,
     from explicit operator products: the disturbance along n is
@@ -133,8 +123,9 @@ def _gram(rho: np.ndarray) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
-def _plain_screen(gram: np.ndarray, norm2: float):
-    """The Gram screen (x, y, z) -> (norm2 - n^T G n)/2 in plain floats."""
+def _screen(gram: np.ndarray, norm2: float):
+    """The Gram screen (x, y, z) -> (norm2 - n^T G n)/2, on plain floats or
+    elementwise on arrays of direction components."""
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram.tolist()
 
     def screen(x: float, y: float, z: float) -> float:
@@ -155,6 +146,11 @@ def _arbiter(rho: np.ndarray, n: np.ndarray, screen: float) -> float:
             f"{value!r} at direction {n!r}"
         )
     return value
+
+
+def _xyz(theta: float, phi: float) -> tuple[float, float, float]:
+    """The unit direction at polar angle ``theta`` and azimuth ``phi``."""
+    return math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
 
 
 def _refine(
@@ -186,17 +182,17 @@ def _refine(
         improved = False
         for d_theta, d_phi in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
             t, p = theta + d_theta, phi + d_phi
-            x, y, z = math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)
-            trial_screen = sign * screen(x, y, z)
+            trial_xyz = _xyz(t, p)
+            trial_screen = sign * screen(*trial_xyz)
             evaluations += 1
             if abs(trial_screen - best_screen) > _TIE_MARGIN:
                 trial = None
                 better = trial_screen > best_screen
             else:
                 if best is None:
-                    here = _angles_to_direction(theta, phi)
+                    here = np.array(_xyz(theta, phi))
                     best = sign * _arbiter(rho, here, sign * best_screen)
-                trial = sign * _arbiter(rho, np.array([x, y, z]), sign * trial_screen)
+                trial = sign * _arbiter(rho, np.array(trial_xyz), sign * trial_screen)
                 better = trial > best
             if better:
                 theta, phi = t, p
@@ -205,17 +201,16 @@ def _refine(
         if not improved:
             step /= 2.0
         sweeps += 1
-    direction = _angles_to_direction(theta, phi)
+    direction = np.array(_xyz(theta, phi))
     if best is None:
         best = sign * _disturbance(rho, direction)
     return sign * best, direction, evaluations
 
 
 def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
-    gram = _gram(rho)
-    norm2 = float(np.vdot(rho, rho).real)
+    screen = _screen(_gram(rho), qmat.hs_norm2(rho))
     dirs = GRID_DIRECTIONS
-    grid_screen = 0.5 * (norm2 - np.einsum("na,ab,nb->n", dirs, gram, dirs))
+    grid_screen = screen(*dirs.T)
     if maximize:
         near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
     else:
@@ -224,7 +219,6 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
     if np.max(np.abs(values - grid_screen[near])) > _TIE_MARGIN / 2.0:
         raise OracleMismatch("Gram screen deviates from the explicit grid disturbance")
     pick = int(np.argmax(values) if maximize else np.argmin(values))
-    screen = _plain_screen(gram, norm2)
     start, start_value = dirs[near[pick]], float(values[pick])
     value, direction, extra = _refine(rho, screen, start, start_value, maximize)
     final_screen = screen(*direction.tolist())

@@ -28,22 +28,17 @@ HERMITICITY_TOL = 1e-10
 STATE_TOL = 1e-8
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Return True iff ``m`` equals its conjugate transpose within ``tol``
-    (Hilbert-Schmidt norm)."""
-    return _hermitian_within(m, m.conj().T, tol)
-
-
 def _hermitian_within(m: np.ndarray, adjoint: np.ndarray, tol: float) -> bool:
-    """:func:`is_hermitian` with the conjugate transpose already taken."""
+    """True iff ``m`` is within ``tol`` of its conjugate transpose
+    ``adjoint`` (Hilbert-Schmidt norm)."""
     return math.sqrt(hs_norm2(m - adjoint)) <= tol
 
 
-def validate_state(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
+def validate_state(m: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix and return its Hermitian part.
 
     Checks hermiticity, unit trace, and positive semidefiniteness, each
-    within ``tol``. Raises :class:`InvalidState` with the failed check named.
+    within 1e-8. Raises :class:`InvalidState` with the failed check named.
     The result (m + m^dagger)/2 is what passed; it is ``m`` bit for bit when
     ``m`` is exactly Hermitian (a -0.0 imaginary diagonal part becomes 0.0).
     """
@@ -53,13 +48,13 @@ def validate_state(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     if not np.isfinite(m).all():
         raise InvalidState("matrix has non-finite entries")
     adjoint = m.conj().T
-    if not _hermitian_within(m, adjoint, tol):
+    if not _hermitian_within(m, adjoint, STATE_TOL):
         raise InvalidState("matrix is not Hermitian within tolerance")
     trace = m.trace()
-    if abs(trace - 1.0) > tol:
+    if abs(trace - 1.0) > STATE_TOL:
         raise InvalidState(f"trace is {trace.real:.6g}, expected 1")
     hermitian_part = (m + adjoint) / 2.0
-    if np.linalg.eigvalsh(hermitian_part).min() < -tol:
+    if np.linalg.eigvalsh(hermitian_part).min() < -STATE_TOL:
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
     return hermitian_part
 

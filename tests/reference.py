@@ -1,12 +1,12 @@
 """Independent references the tests check the package against.
 
 None of these is used by the library or the CLI. They rebuild what the
-closed forms shortcut, the long way: Hamiltonians of the two spin models,
-Gibbs states by eigendecomposition, partial traces, Bloch-form
-reconstruction, Haar unitaries, the measured state of a local projective
-measurement, and a randomized spot check that dephasing is the nearest
-zero-discord state in a fixed basis. Bad shapes and non-unit directions
-raise ``ValueError``.
+closed forms shortcut, the long way: a hermiticity check, Hamiltonians of
+the two spin models, Gibbs states by eigendecomposition, partial traces,
+Bloch-form reconstruction, Haar unitaries, the measured state of a local
+projective measurement, and a randomized spot check that dephasing is the
+nearest zero-discord state in a fixed basis. Bad shapes and non-unit
+directions raise ``ValueError``.
 """
 
 import math
@@ -34,6 +34,12 @@ def _unit_direction(n) -> np.ndarray:
     return n
 
 
+def is_hermitian(m: np.ndarray, tol: float = qmat.HERMITICITY_TOL) -> bool:
+    """Return True iff ``m`` equals its conjugate transpose within ``tol``
+    (Hilbert-Schmidt norm)."""
+    return qmat._hermitian_within(m, m.conj().T, tol)
+
+
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
     """Thermal state exp(-beta*H) / tr exp(-beta*H) of a Hermitian H.
 
@@ -45,7 +51,7 @@ def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
         raise NonFiniteParameter(f"beta must be finite and positive, got {beta!r}")
     h = np.asarray(h, dtype=complex)
-    if not qmat.is_hermitian(h):
+    if not is_hermitian(h):
         raise NonHermitianInput("matrix is not Hermitian within 1e-10")
     values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
     exponents = -beta * values

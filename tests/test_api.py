@@ -1,5 +1,9 @@
 """The package's public surface, pinned so that adding or removing a public
-name is a deliberate change to this list."""
+name is a deliberate change to this list, and a check that the package
+holds no code that nothing in it uses."""
+
+import ast
+import pathlib
 
 import spincorr
 
@@ -41,3 +45,48 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(spincorr.__all__) == PUBLIC_NAMES
     assert all(hasattr(spincorr, name) for name in PUBLIC_NAMES)
+
+
+def _module_level_names(tree):
+    """Names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id
+                    for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                )
+    return names
+
+
+def _referenced_names(tree):
+    """Every name a module reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_package_holds_no_unused_code():
+    package = pathlib.Path(spincorr.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    unused = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in sorted(_module_level_names(tree))
+        if name not in referenced
+        and name not in spincorr.__all__
+        and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unused == []

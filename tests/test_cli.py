@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from spincorr import cli, models
+from spincorr import cli, measures, models, oracle
 from spincorr.errors import ClosedFormMismatch
 
 BELL_STATE_TEXT = """\
@@ -369,6 +371,15 @@ def test_non_utf8_state_file_is_an_invalid_state(tmp_path):
     assert err == f"invalid state: cannot read state file: {UTF8_ERROR}\n"
 
 
+def test_state_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(BELL_STATE_TEXT, encoding="utf-8")
+    marked.write_text(BELL_STATE_TEXT, encoding="utf-8-sig")
+    expected = run_cli(capsys, "measures", "--state", str(plain))
+    assert expected[0] == 0
+    assert run_cli(capsys, "measures", "--state", str(marked)) == expected
+
+
 def test_sweep_refuses_more_rows_than_the_limit(tmp_path):
     # Checked before the grid is allocated: numpy cannot allocate this many.
     code, out, err = run_module(
@@ -407,6 +418,112 @@ def test_verify_small_run_and_determinism(capsys):
     assert out.splitlines()[-1] == "result: PASS"
     code, again, _ = run_cli(capsys, "verify", "--seed", "1", "--count", "5")
     assert code == 0 and again == out
+
+
+def _edit_results_at(monkeypatch, module, name, edits):
+    """Wrap ``module.name`` so that its result at call ``i`` (state ``i`` of
+    a verify run) is replaced by ``edits[i](result)``."""
+    real = getattr(module, name)
+    calls = itertools.count()
+
+    def wrapper(rho):
+        result = real(rho)
+        edit = edits.get(next(calls))
+        return result if edit is None else edit(result)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _replace(**changes):
+    return lambda result: dataclasses.replace(result, **changes)
+
+
+def _shift(delta):
+    return lambda result: dataclasses.replace(result, value=result.value + delta)
+
+
+def _flip(entangled):
+    return not entangled
+
+
+def _lower_above_exact(rep):
+    return dataclasses.replace(rep, gmod_lower=rep.gmod_exact + 1e-9)
+
+
+_NONLOCALITY = (oracle, "min_oracle", {4: _shift(0.01)})
+_DISCORD = (oracle, "gmod_oracle", {1: _shift(-0.002)})
+_WITNESS = (oracle, "ppt_entangled", {2: _flip, 5: _flip})
+_LOWER_BOUND = (measures, "report", {6: _lower_above_exact})
+# verify --seed 3 --count 8 passes unedited; these lines are its summary.
+_SUMMARY = {
+    "min": "max |min_closed - min_oracle|    = 2.77555756156e-17 (state 0)",
+    "gmod": "max |2*gmod_exact - gmod_oracle| = 1.81799020282e-15 (state 7)",
+    "ppt": "ppt/concurrence disagreements    = 0",
+    "lower": "max (gmod_lower - gmod_exact)    = -0.000143469303894 (state 7)",
+}
+_VIOLATED = {
+    "min": "max |min_closed - min_oracle|    = 0.0100000000000 (state 4)",
+    "gmod": "max |2*gmod_exact - gmod_oracle| = 0.00200000000000 (state 1)",
+    "ppt": "ppt/concurrence disagreements    = 2",
+    "lower": "max (gmod_lower - gmod_exact)    = 9.99999999474e-10 (state 6)",
+}
+_VIOLATIONS = {
+    "min": "violation: nonlocality oracle deviation 0.0100000000000 exceeds 0.0001 at state 4",
+    "gmod": "violation: discord oracle deviation 0.00200000000000 exceeds 0.0001 at state 1",
+    "ppt": "violation: witness disagreement at states: 2, 5",
+    "lower": "violation: lower bound exceeds exact discord by 9.99999999474e-10 at state 6",
+}
+
+
+def _fail_stdout(summary, violations):
+    lines = ["verify: seed=3 count=8 grid=2000", *summary.values(), *violations]
+    return "\n".join(lines + ["result: FAIL"]) + "\n"
+
+
+# (edited results, expected stdout); taken from the CLI before its gate loop
+# was rewritten. Every gate is checked alone, all together, and on a tie.
+VERIFY_FAILURES = {
+    "nonlocality": (
+        [_NONLOCALITY],
+        _fail_stdout({**_SUMMARY, "min": _VIOLATED["min"]}, [_VIOLATIONS["min"]]),
+    ),
+    "discord": (
+        [_DISCORD],
+        _fail_stdout({**_SUMMARY, "gmod": _VIOLATED["gmod"]}, [_VIOLATIONS["gmod"]]),
+    ),
+    "witness": (
+        [_WITNESS],
+        _fail_stdout({**_SUMMARY, "ppt": _VIOLATED["ppt"]}, [_VIOLATIONS["ppt"]]),
+    ),
+    "lower-bound": (
+        [_LOWER_BOUND],
+        _fail_stdout({**_SUMMARY, "lower": _VIOLATED["lower"]}, [_VIOLATIONS["lower"]]),
+    ),
+    "all-four": (
+        [_NONLOCALITY, _DISCORD, _WITNESS, _LOWER_BOUND],
+        _fail_stdout(_VIOLATED, list(_VIOLATIONS.values())),
+    ),
+    # States 3 and 7 deviate by exactly 0.5: the first one is reported.
+    "tie": (
+        [
+            (measures, "report", {3: _replace(min_value=1.0), 7: _replace(min_value=1.0)}),
+            (oracle, "min_oracle", {3: _replace(value=0.5), 7: _replace(value=0.5)}),
+        ],
+        _fail_stdout(
+            {**_SUMMARY, "min": "max |min_closed - min_oracle|    = 0.500000000000 (state 3)"},
+            ["violation: nonlocality oracle deviation 0.500000000000 exceeds 0.0001 at state 3"],
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_FAILURES))
+def test_verify_reports_each_violation(monkeypatch, capsys, case):
+    edited, expected = VERIFY_FAILURES[case]
+    for module, name, edits in edited:
+        _edit_results_at(monkeypatch, module, name, edits)
+    code, out, err = run_cli(capsys, "verify", "--seed", "3", "--count", "8")
+    assert (code, out, err) == (1, expected, "")
 
 
 def test_verify_bad_count(capsys):
@@ -459,6 +576,15 @@ def test_config_rejects_bad_content(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--config", str(not_utf8))
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == f"spincorr: error: cannot read config file: {UTF8_ERROR}"
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("model=isodm\nj=1\nd=0\n", encoding="utf-8")
+    marked.write_text("model=isodm\nj=1\nd=0\n", encoding="utf-8-sig")
+    expected = run_cli(capsys, "measures", "--config", str(plain))
+    assert expected[0] == 0
+    assert run_cli(capsys, "measures", "--config", str(marked)) == expected
 
 
 def test_config_with_dashed_keys_and_verify(tmp_path, capsys):
