@@ -14,18 +14,18 @@ D(n) = (||rho||^2 - n^T G n)/2 with G_ab = Re tr(rho A_a rho A_b) and
 A_a = sigma_a (x) I. G is built from explicit operator products, never from
 the Bloch form, so it stays independent of the closed forms it checks. One
 screen function scores both the grid scan (on arrays) and the refinement
-(on plain floats); the explicit projector algebra stays the arbiter. Grid
-rows whose screen lies within 1e-14 of the best are re-scored explicitly,
-a refinement trial that close to the current best is decided by explicit
-values at both points, and the reported value is always explicit. Every
-decision and every reported bit is therefore the one explicit scoring alone
-would give. Each arbiter call checks that screen and explicit value agree
-to 5e-15, and every result checks it to 1e-12 at the final direction; a
-disagreement raises :class:`OracleMismatch`.
+(on plain floats); one stacked projector algebra gives the explicit value
+at any set of directions. Grid rows whose screen lies within 1e-14 of the
+best are re-scored explicitly, a refinement trial that close to the current
+best is decided by explicit values at both points, and the reported value
+is always explicit. Every decision and every reported bit is therefore the
+one explicit scoring alone would give. Each explicit scoring of a near-tie
+checks that screen and explicit value agree to 5e-15, and every result
+checks it to 1e-12 at the final direction; a disagreement raises
+:class:`OracleMismatch`.
 
-Measurements act on the first qubit only. Grid evaluations are independent
-and order-free; reductions compare by value with ties broken by the lowest
-grid index, so parallel and sequential evaluation agree exactly.
+Measurements act on the first qubit only. Reductions compare by value with
+ties broken by the lowest grid index.
 """
 
 from __future__ import annotations
@@ -79,39 +79,33 @@ class OracleResult:
     evaluations: int
 
 
-def _dephase(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """P+ rho P+ + P- rho P- for the first-qubit projectors P = (I +/- n.sigma)/2.
+# The two projector signs, broadcast over (sign, direction, 2, 2).
+_SIGNS = np.array([1.0, -1.0])[:, None, None, None]
 
-    P (x) I is built by placing the 2x2 block P on the diagonal of a
-    (2, 2, 2, 2) zero array, with no Kronecker product: a product with I2 only
-    multiplies by exact ones and zeros, and the 4x4 projector carries the
-    same bits either way.
+
+def _dephase(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """P+ rho P+ + P- rho P- for the first-qubit projectors
+    P = (I +/- n.sigma)/2, for every row n of ``dirs`` (k, 3) at once.
+
+    Both signs and all k blocks P (x) I are placed on the diagonal of one
+    zero array, with no Kronecker product (a product with I2 only multiplies
+    by exact ones and zeros), and applied in one stacked product. Each of
+    the k rows keeps every bit, signed zeros included, of the one-direction
+    np.kron algebra.
     """
-    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-    out = np.zeros_like(rho)
-    for sign in (1.0, -1.0):
-        proj = np.zeros((2, 2, 2, 2), dtype=complex)
-        proj[:, 0, :, 0] = proj[:, 1, :, 1] = (I2 + sign * n_sigma) / 2.0
-        proj = proj.reshape(4, 4)
-        out += proj @ rho @ proj
-    return out
+    n = dirs[:, :, None, None]
+    n_sigma = n[:, 0] * PAULIS[0] + n[:, 1] * PAULIS[1] + n[:, 2] * PAULIS[2]
+    proj = np.zeros((2, len(dirs), 2, 2, 2, 2), dtype=complex)
+    proj[..., 0, :, 0] = proj[..., 1, :, 1] = (I2 + _SIGNS * n_sigma) / 2.0
+    proj = proj.reshape(2, len(dirs), 4, 4)
+    m = proj @ rho @ proj
+    return (0.0 + m[0]) + m[1]
 
 
-def _disturbance(rho: np.ndarray, n: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt distance between rho and its measured image."""
-    return qmat.hs_norm2(rho - _dephase(rho, n))
-
-
-def _batch_disturbance(rho: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Disturbance at every direction at once (vectorized projector algebra)."""
-    n_sigma = np.einsum("nk,kij->nij", directions, PAULIS)
-    measured = np.zeros((directions.shape[0], 4, 4), dtype=complex)
-    for sign in (1.0, -1.0):
-        p = (I2[None, :, :] + sign * n_sigma) / 2.0
-        proj = np.einsum("nij,kl->nikjl", p, I2).reshape(-1, 4, 4)
-        measured += proj @ rho @ proj
-    diff = rho[None, :, :] - measured
-    return np.einsum("nij,nij->n", diff.conj(), diff).real
+def _disturbances(rho: np.ndarray, dirs: np.ndarray) -> list[float]:
+    """Squared Hilbert-Schmidt distance between rho and its measured image,
+    for every row of ``dirs``."""
+    return [qmat.hs_norm2(diff) for diff in rho - _dephase(rho, dirs)]
 
 
 def _gram(rho: np.ndarray) -> np.ndarray:
@@ -136,16 +130,18 @@ def _screen(gram: np.ndarray, norm2: float):
     return screen
 
 
-def _arbiter(rho: np.ndarray, n: np.ndarray, screen: float) -> float:
-    """Explicit disturbance at ``n``, after checking that the Gram screen
-    there agrees with it to half the tie margin."""
-    value = _disturbance(rho, n)
-    if abs(value - screen) > _TIE_MARGIN / 2.0:
-        raise OracleMismatch(
-            f"Gram screen {screen!r} deviates from the explicit disturbance "
-            f"{value!r} at direction {n!r}"
-        )
-    return value
+def _explicit(rho: np.ndarray, dirs: np.ndarray, screens: list[float]) -> list[float]:
+    """Explicit disturbance at every row of ``dirs``, after checking that the
+    Gram screen values ``screens`` there agree with it to half the tie
+    margin."""
+    values = _disturbances(rho, dirs)
+    for n, value, screen in zip(dirs, values, screens):
+        if abs(value - screen) > _TIE_MARGIN / 2.0:
+            raise OracleMismatch(
+                f"Gram screen {screen!r} deviates from the explicit disturbance "
+                f"{value!r} at direction {n!r}"
+            )
+    return values
 
 
 def _xyz(theta: float, phi: float) -> tuple[float, float, float]:
@@ -189,10 +185,13 @@ def _refine(
                 trial = None
                 better = trial_screen > best_screen
             else:
+                rows, screens = [trial_xyz], [trial_screen]
+                if best is None:  # the current point is scored in the same call
+                    rows, screens = [_xyz(theta, phi), trial_xyz], [best_screen, trial_screen]
+                values = _explicit(rho, np.array(rows), [sign * v for v in screens])
                 if best is None:
-                    here = np.array(_xyz(theta, phi))
-                    best = sign * _arbiter(rho, here, sign * best_screen)
-                trial = sign * _arbiter(rho, np.array(trial_xyz), sign * trial_screen)
+                    best = sign * values[0]
+                trial = sign * values[-1]
                 better = trial > best
             if better:
                 theta, phi = t, p
@@ -203,7 +202,7 @@ def _refine(
         sweeps += 1
     direction = np.array(_xyz(theta, phi))
     if best is None:
-        best = sign * _disturbance(rho, direction)
+        best = sign * _disturbances(rho, direction[None])[0]
     return sign * best, direction, evaluations
 
 
@@ -215,11 +214,9 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
         near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
     else:
         near = np.flatnonzero(grid_screen <= grid_screen.min() + _TIE_MARGIN)
-    values = _batch_disturbance(rho, dirs[near])
-    if np.max(np.abs(values - grid_screen[near])) > _TIE_MARGIN / 2.0:
-        raise OracleMismatch("Gram screen deviates from the explicit grid disturbance")
+    values = _explicit(rho, dirs[near], grid_screen[near].tolist())
     pick = int(np.argmax(values) if maximize else np.argmin(values))
-    start, start_value = dirs[near[pick]], float(values[pick])
+    start, start_value = dirs[near[pick]], values[pick]
     value, direction, extra = _refine(rho, screen, start, start_value, maximize)
     final_screen = screen(*direction.tolist())
     if abs(value - final_screen) > _FINAL_TOL:
@@ -244,7 +241,7 @@ def min_oracle(rho: np.ndarray) -> OracleResult:
     if x_norm <= X_DEGENERACY_CUTOFF:
         return _extremize(rho, maximize=True)
     axis = x / x_norm
-    return OracleResult(value=_disturbance(rho, axis), direction=axis, evaluations=1)
+    return OracleResult(value=_disturbances(rho, axis[None])[0], direction=axis, evaluations=1)
 
 
 def gmod_oracle(rho: np.ndarray) -> OracleResult:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from spincorr.bloch import BlochForm, decompose
+from spincorr.qmat import PAULIS
 from spincorr.rng import Lcg, random_state
 
 from reference import reconstruct
@@ -25,6 +26,14 @@ def ground_product_state() -> np.ndarray:
 def random_product_state(rng: Lcg) -> np.ndarray:
     """Tensor product of two independent random single-qubit states."""
     return np.kron(random_state(rng, dim=2), random_state(rng, dim=2))
+
+
+def spin_flip_average(rho: np.ndarray) -> np.ndarray:
+    """(rho + rho~)/2 with rho~ = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y):
+    the spin flip negates both local Bloch vectors and keeps T, so the
+    average is a state with x = y = 0."""
+    yy = np.kron(PAULIS[1], PAULIS[1])
+    return (rho + yy @ rho.conj() @ yy) / 2.0
 
 
 def x_zeroed_states(seed: int, want: int, max_attempts: int = 200) -> list:

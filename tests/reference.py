@@ -128,13 +128,13 @@ def reconstruct(form: BlochForm) -> tuple[np.ndarray, bool]:
 def post_measurement(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Apply the local projective measurement along ``n`` to the first qubit.
 
-    The oracle's arbiter dephasing (P+ rho P+ + P- rho P-, projectors
+    The oracle's explicit dephasing (P+ rho P+ + P- rho P-, projectors
     (I +/- n.sigma)/2 tensored with identity on the second qubit),
     symmetrized. Idempotent: applying twice equals applying once within
     1e-12. |n| must be 1 within 1e-9.
     """
     rho = qmat.validate_state(rho)
-    out = oracle._dephase(rho, _unit_direction(n))
+    out = oracle._dephase(rho, _unit_direction(n)[None])[0]
     return (out + out.conj().T) / 2.0
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the brute-force oracles and the entanglement witness."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,14 +21,17 @@ from spincorr.models import (
 from spincorr.oracle import GRID_DIRECTIONS, gmod_oracle, min_oracle, ppt_entangled
 from spincorr.rng import Lcg, random_state
 
-from helpers import bell_psi_plus, ground_product_state, x_zeroed_states
+from helpers import bell_psi_plus, ground_product_state, spin_flip_average, x_zeroed_states
 from reference import nested_gmod_spotcheck, post_measurement
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 # Bit-exact oracle results on the 2000-point grid, recorded with the
-# explicit projector algebra alone (before the Gram screen existed):
+# explicit projector algebra alone (before the Gram screen existed). The
+# bell and isodm_j1 pins (every direction a tie) were re-recorded when the
+# grid's near-ties moved onto the one-direction algebra: each value moved
+# 1-2 ulp toward its exact value (1/2 and 0.189099867477593919...).
 # name -> (gmod_oracle pin, min_oracle pin or None when min_oracle takes
 # the single-evaluation pinned-axis path). A pin is
 # (value.hex(), direction hex()s, evaluations).
@@ -110,26 +114,48 @@ ORACLE_PINS = {
     ),
     "bell": (
         (
-            "0x1.ffffffffffffcp-2",
-            ("-0x1.629b77f63dee9p-3", "0x1.ed73fac40d4dbp-4", "0x1.f47ae147ae148p-1"),
+            "0x1.ffffffffffffdp-2",
+            ("0x1.545f0695bc2a0p-2", "0x1.01ca37d9ff963p-1", "0x1.9851eb851eb85p-1"),
             2080,
         ),
         (
-            "0x1.0000000000003p-1",
-            ("-0x1.49b87fceb796fp-3", "0x1.4214820c9143ap-1", "0x1.85604189374bdp-1"),
+            "0x1.0000000000002p-1",
+            ("0x1.0498806c952dfp-4", "0x1.45fac60d42312p-1", "0x1.8978d4fdf3b65p-1"),
             2080,
         ),
     ),
     "isodm_j1": (
         (
-            "0x1.8346ca93f41ecp-3",
-            ("-0x1.032c579d57423p-4", "-0x1.ed3db0ef9b1cbp-3", "-0x1.efdf3b645a1cap-1"),
+            "0x1.8346ca93f41eep-3",
+            ("0x1.a0a76d4f5fe8ep-5", "0x1.0fb9c6b723dcep-4", "0x1.fe353f7ced917p-1"),
             2080,
         ),
         (
-            "0x1.8346ca93f41f5p-3",
-            ("-0x1.c873c6babbbddp-1", "-0x1.52bae1405c486p-2", "0x1.3ced916872b04p-2"),
+            "0x1.8346ca93f41f4p-3",
+            ("0x1.928bba45c5011p-2", "0x1.6565a4a8b30bap-1", "0x1.326e978d4fdf5p-1"),
             2080,
+        ),
+    ),
+    # gmod_oracle stops at the refinement's 500-sweep cap: 2000 + 4 * 500.
+    "sweep_cap": (
+        (
+            "0x1.3c45f09a0f0ecp-4",
+            ("0x1.3089c247f76bap-3", "0x1.f2e0f1356e1ebp-1", "-0x1.59a937405e1a8p-3"),
+            4000,
+        ),
+        None,
+    ),
+    # x = y = 0 with a unique optimum: min_oracle maximizes over the grid.
+    "spin_flip": (
+        (
+            "0x1.54f99ac7c020dp-6",
+            ("-0x1.db3a792f5e539p-1", "-0x1.e6e3464931239p-6", "-0x1.7bd82e6c84d90p-2"),
+            2128,
+        ),
+        (
+            "0x1.3003eb6498eacp-4",
+            ("-0x1.938b858ec2209p-3", "0x1.c50ab8f71b8c9p-1", "0x1.b04aa8b49df8ap-2"),
+            2156,
         ),
     ),
 }
@@ -142,6 +168,12 @@ def _pinned_state(name: str) -> np.ndarray:
         return MIXED
     if name == "bell":
         return bell_psi_plus()
+    if name == "sweep_cap":
+        rng = Lcg(3549)
+        random_state(rng)
+        return random_state(rng)
+    if name == "spin_flip":
+        return spin_flip_average(random_state(Lcg(61)))
     return thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix
 
 
@@ -336,9 +368,10 @@ def _kron_dephase(rho, n):
 
 
 def test_blockwise_projectors_match_kron_bit_for_bit():
-    """The arbiter builds P (x) I without np.kron; its disturbance and the
-    measured state keep every bit (signed zeros included) of the np.kron
-    algebra."""
+    """The oracle builds P (x) I without np.kron and measures a whole stack
+    of directions in one call; every row of the measured stack, every
+    disturbance and every measured state keep every bit (signed zeros
+    included) of the one-direction np.kron algebra."""
     axes = np.vstack((np.eye(3), -np.eye(3)))
     rng = Lcg(51)
     states = [random_state(rng) for _ in range(300)]
@@ -346,12 +379,35 @@ def test_blockwise_projectors_match_kron_bit_for_bit():
     for rho in states:
         dirs = np.array([[rng.normal() for _ in range(3)] for _ in range(40)])
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        for n in np.vstack((dirs, axes)):
+        dirs = np.vstack((dirs, axes))
+        stacked = oracle._dephase(rho, dirs)
+        disturbances = oracle._disturbances(rho, dirs)
+        assert stacked.shape == (46, 4, 4) and len(disturbances) == 46
+        for n, row, disturbance in zip(dirs, stacked, disturbances):
             reference = _kron_dephase(rho, n)
-            disturbance = qmat.hs_norm2(rho - reference)
-            assert oracle._disturbance(rho, n).hex() == disturbance.hex()
+            assert row.tobytes() == reference.tobytes()
+            assert disturbance.hex() == qmat.hs_norm2(rho - reference).hex()
             measured = (reference + reference.conj().T) / 2.0
             assert post_measurement(rho, n).tobytes() == measured.tobytes()
+
+
+def test_oracle_results_over_many_states_are_hash_pinned():
+    """One sha256 over the bits of every min_oracle and gmod_oracle result
+    (value, direction bytes, evaluations) on 200 seeded random states and 40
+    x = y = 0 states, recorded before the oracle had one projector algebra:
+    a bit that moves on any single state changes the digest."""
+    rng = Lcg(57)
+    states = [random_state(rng) for _ in range(200)]
+    states += [spin_flip_average(random_state(rng)) for _ in range(40)]
+    digest = hashlib.sha256()
+    for rho in states:
+        for result in (min_oracle(rho), gmod_oracle(rho)):
+            digest.update(result.value.hex().encode())
+            digest.update(result.direction.tobytes())
+            digest.update(str(result.evaluations).encode())
+    assert digest.hexdigest() == (
+        "062861e3d7e71c702c891fc436f271edde41cf9aa332cbbbd8fbe2bff5c3b349"
+    )
 
 
 def test_gram_matches_explicit_disturbance():
