@@ -14,8 +14,6 @@ from .errors import (
     InvalidState,
     NoSignChange,
     NonFiniteParameter,
-    NonHermitianInput,
-    NotPositiveSemidefinite,
     OracleMismatch,
     SpincorrError,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "ModelReport",
     "NoSignChange",
     "NonFiniteParameter",
-    "NonHermitianInput",
-    "NotPositiveSemidefinite",
     "OracleMismatch",
     "OracleResult",
     "SpincorrError",

@@ -37,7 +37,7 @@ import sys
 
 import numpy as np
 
-from . import measures, models, oracle, qmat
+from . import measures, models, oracle
 from .errors import InvalidState, NoSignChange, SpincorrError
 from .rng import Lcg, random_state
 
@@ -203,10 +203,10 @@ def _build_parser() -> _Parser:
 
 
 def _load_state_file(path: str) -> np.ndarray:
-    """Parse and validate a 4x4 density matrix from a text file.
+    """Parse a 4x4 matrix from a text file; ``measures.report`` validates it.
 
     Format: 16 whitespace-separated 're im' pairs in row-major order,
-    '#' comments and blank lines allowed. Validation tolerance 1e-8.
+    '#' comments and blank lines allowed.
     """
     try:
         lines = _content_lines(path)
@@ -222,7 +222,7 @@ def _load_state_file(path: str) -> np.ndarray:
     except ValueError as exc:
         raise InvalidState(f"state file has a non-numeric entry: {exc}")
     entries = [complex(nums[2 * k], nums[2 * k + 1]) for k in range(16)]
-    return qmat.validate_state(np.array(entries, dtype=complex).reshape(4, 4))
+    return np.array(entries, dtype=complex).reshape(4, 4)
 
 
 def _print_measures(rep: measures.MeasureReport, q_paper: float | None) -> None:
@@ -259,11 +259,11 @@ def _cmd_measures(args: argparse.Namespace, parser: _Parser) -> int:
     if args.state is not None:
         _refuse(args, parser, ("model", *_MODEL_FLAGS), "and --state: give one, not both")
         try:
-            rho = _load_state_file(args.state)
+            rep = measures.report(_load_state_file(args.state))
         except InvalidState as exc:
             print(f"invalid state: {exc}", file=sys.stderr)
             return EXIT_INVALID_STATE
-        _print_measures(measures.report(rho), q_paper=None)
+        _print_measures(rep, q_paper=None)
         return EXIT_OK
     if args.model is None:
         parser.error("--model is required (or give --state)")
@@ -275,10 +275,15 @@ def _cmd_measures(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_OK
 
 
+def _series_label(values: dict) -> str:
+    """CSV label of a sweep member: its secondary parameters as name=value,
+    joined by ';'."""
+    return ";".join(f"{name}={value:.12g}" for name, value in values.items())
+
+
 def _parse_series(model: str, text: str, parser: _Parser) -> list[tuple[str, dict]]:
     """Parse the --series flag into (label, secondary parameters) members:
-    the params fields after j, joined by ':' in a member and as name=value
-    by ';' in its label."""
+    the params fields after j, joined by ':' in a member."""
     names = [f.name for f in dataclasses.fields(_PARAMS[model])[1:]]
     members = []
     for part in text.split(","):
@@ -292,8 +297,8 @@ def _parse_series(model: str, text: str, parser: _Parser) -> list[tuple[str, dic
             values = [_finite(value) for value in texts]
         except argparse.ArgumentTypeError as exc:
             parser.error(f"series member {part!r}: {exc}")
-        label = ";".join(f"{name}={value:.12g}" for name, value in zip(names, values))
-        members.append((label, dict(zip(names, values))))
+        member = dict(zip(names, values))
+        members.append((_series_label(member), member))
     return members
 
 
@@ -306,12 +311,11 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
     if not args.j_start < args.j_end:
         parser.error(f"--j-start must be below --j-end, got {args.j_start} >= {args.j_end}")
     _refuse(args, parser, ("j",), "is not used by sweep: the grid sets j")
-    series_text = args.series
-    if series_text is None:
-        series_text = ":".join(f"{value:.12g}" for value in secondary.values())
+    if args.series is None:
+        members = [(_series_label(secondary), secondary)]
     else:
         _refuse(args, parser, secondary, "is not used with --series: each member sets it")
-    members = _parse_series(args.model, series_text, parser)
+        members = _parse_series(args.model, args.series, parser)
     rows = args.j_steps * len(members)
     if rows > MAX_SWEEP_ROWS:
         parser.error(

@@ -2,7 +2,10 @@
 
 Every error raised by the library is a subclass of :class:`SpincorrError`,
 so callers can catch the whole family with one handler while the CLI maps
-individual classes to documented exit codes.
+individual classes to documented exit codes. A matrix is checked in one
+place, ``qmat.validate_state``, which raises :class:`InvalidState` for any
+input that is not a density matrix within 1e-8; no later step checks it
+again.
 """
 
 
@@ -10,17 +13,8 @@ class SpincorrError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NonHermitianInput(SpincorrError):
-    """A matrix required to be Hermitian failed the hermiticity check."""
-
-
 class NonFiniteParameter(SpincorrError):
     """A numeric parameter is NaN, infinite, or outside its valid range."""
-
-
-class NotPositiveSemidefinite(SpincorrError):
-    """A matrix required to be positive semidefinite has a genuinely
-    negative eigenvalue (below the clamping tolerance)."""
 
 
 class InvalidState(SpincorrError):

@@ -6,7 +6,8 @@ the two spin models, Gibbs states by eigendecomposition, partial traces,
 Bloch-form reconstruction, Haar unitaries, the measured state of a local
 projective measurement, and a randomized spot check that dephasing is the
 nearest zero-discord state in a fixed basis. Bad shapes and non-unit
-directions raise ``ValueError``.
+directions raise ``ValueError``, and so does a Hamiltonian that is not
+Hermitian within 1e-10.
 """
 
 import math
@@ -15,12 +16,13 @@ import numpy as np
 
 from spincorr import oracle, qmat
 from spincorr.bloch import BlochForm
-from spincorr.errors import NonFiniteParameter, NonHermitianInput
+from spincorr.errors import NonFiniteParameter
 from spincorr.models import IsoDMParams, XXZParams
 from spincorr.qmat import I2, PAULIS
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
 _DIRECTION_TOL = 1e-9
+_HERMITICITY_TOL = 1e-10
 # The Bloch-form operators, built here rather than taken from the package.
 _BASIS_A = [np.kron(s, I2) for s in PAULIS]
 _BASIS_B = [np.kron(I2, s) for s in PAULIS]
@@ -34,10 +36,10 @@ def _unit_direction(n) -> np.ndarray:
     return n
 
 
-def is_hermitian(m: np.ndarray, tol: float = qmat.HERMITICITY_TOL) -> bool:
+def is_hermitian(m: np.ndarray, tol: float = _HERMITICITY_TOL) -> bool:
     """Return True iff ``m`` equals its conjugate transpose within ``tol``
     (Hilbert-Schmidt norm)."""
-    return qmat._hermitian_within(m, m.conj().T, tol)
+    return math.sqrt(qmat.hs_norm2(m - m.conj().T)) <= tol
 
 
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
@@ -46,13 +48,13 @@ def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
     The minimum of beta*values is subtracted from every exponent before
     exponentiation, so the result stays finite for arbitrarily large
     couplings. ``beta`` must be finite and positive; ``h`` must be Hermitian
-    within 1e-10, otherwise :class:`NonHermitianInput` is raised.
+    within 1e-10, otherwise ``ValueError`` is raised.
     """
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
         raise NonFiniteParameter(f"beta must be finite and positive, got {beta!r}")
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
-        raise NonHermitianInput("matrix is not Hermitian within 1e-10")
+        raise ValueError("matrix is not Hermitian within 1e-10")
     values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
     exponents = -beta * values
     weights = np.exp(exponents - exponents.max())

@@ -1,6 +1,7 @@
 """The package's public surface, pinned so that adding or removing a public
 name is a deliberate change to this list, and a check that the package
-holds no code that nothing in it uses."""
+holds no code that nothing in it uses and no import that its module never
+reads."""
 
 import ast
 import pathlib
@@ -17,8 +18,6 @@ PUBLIC_NAMES = [
     "ModelReport",
     "NoSignChange",
     "NonFiniteParameter",
-    "NonHermitianInput",
-    "NotPositiveSemidefinite",
     "OracleMismatch",
     "OracleResult",
     "SpincorrError",
@@ -77,6 +76,18 @@ def _referenced_names(tree):
     return names
 
 
+def _unread_imports(tree):
+    """Names a module binds by a top-level import but never reads."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - read
+
+
 def test_package_holds_no_unused_code():
     package = pathlib.Path(spincorr.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
@@ -88,5 +99,11 @@ def test_package_holds_no_unused_code():
         if name not in referenced
         and name not in spincorr.__all__
         and not (name.startswith("__") and name.endswith("__"))
+    ]
+    unused += [
+        f"{module}.{name} (import)"
+        for module, tree in trees.items()
+        for name in sorted(_unread_imports(tree))
+        if not (module == "__init__" and name in spincorr.__all__)
     ]
     assert unused == []

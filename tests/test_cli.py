@@ -225,9 +225,20 @@ def test_measures_state_file(tmp_path, capsys):
     assert lines[4] == "branch = XZero"
 
 
+# A random state with its smallest eigenvalue moved to -1e-8 - 3e-17: it
+# passes validation, whose eigvalsh puts that eigenvalue just inside the
+# -1e-8 bound, while eigh of the same matrix puts it just outside.
+BOUNDARY_STATE_TEXT = """\
+0.30709595527370209 0  0.086976327588639685 -0.051423287943342826  0.095664503610932775 0.11182397462961503  -0.016777163257231258 -0.096056190491692534
+0.086976327588639671 0.051423287943342826  0.28202129173037355 0  0.021055541591507722 0.18345750009700218  -0.033113665693239619 -0.15291707861995804
+0.095664503610932761 -0.11182397462961503  0.021055541591507715 -0.18345750009700218  0.17976552433749843 -1.3877787807814457e-17  -0.14232766505825756 0.05301840924356082
+-0.016777163257231248 0.096056190491692534  -0.033113665693239605 0.15291707861995807  -0.14232766505825756 -0.053018409243560813  0.23111722865842671 -6.9388939039072284e-18
+"""
+
+
 def test_state_file_within_tolerance_is_used_through_its_hermitian_part(tmp_path, capsys):
     # Each file passes validation at 1e-8 without being exactly PSD or
-    # Hermitian; the measures must then run on it, not fail in mat_sqrt.
+    # Hermitian; the measures must then run on it, not be refused later.
     slightly_negative = tmp_path / "negative.txt"
     write_state_file(slightly_negative, np.diag([0.5, 0.3, 0.2 + 5e-9, -5e-9]))
     lopsided = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
@@ -236,15 +247,25 @@ def test_state_file_within_tolerance_is_used_through_its_hermitian_part(tmp_path
     write_state_file(skewed, lopsided)
     hermitian = tmp_path / "hermitian.txt"
     write_state_file(hermitian, (lopsided + lopsided.conj().T) / 2.0)
+    boundary = tmp_path / "boundary.txt"
+    boundary.write_text(BOUNDARY_STATE_TEXT, encoding="utf-8")
     reports = []
-    for path in (slightly_negative, skewed, hermitian):
+    for path in (slightly_negative, skewed, hermitian, boundary):
         code, out, err = run_cli(capsys, "measures", "--state", str(path))
         assert (code, err) == (0, "")
         lines = out.splitlines()
         assert [line.split(" = ")[0] for line in lines] == ["C", "N", "Q", "D_exact", "branch"]
+        reports.append(lines)
+    for lines in reports[:3]:
         assert all(abs(float(line.split(" = ")[1])) <= 1e-12 for line in lines[:4])
-        reports.append(out)
     assert reports[1] == reports[2]
+    assert reports[3] == [
+        "C = 0.410759738299",
+        "N = 0.157864311774",
+        "Q = 0.0536267626852",
+        "D_exact = 0.0544927073166",
+        "branch = XNonzero",
+    ]
 
 
 def test_measures_state_file_errors(tmp_path, capsys):
@@ -265,6 +286,19 @@ def test_measures_state_file_errors(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "measures", "--state", str(tmp_path / "nope.txt"))
     assert code == 2 and "cannot read" in err
+
+    # A 1e308 off-diagonal pair overflows the sums of a check; the file is
+    # refused by the check that fails, with no warning printed before it.
+    for name, partner, message in (
+        ("hermitian.txt", 1e308, "matrix has a negative eigenvalue beyond tolerance"),
+        ("skew.txt", -1e308, "matrix is not Hermitian within tolerance"),
+    ):
+        huge = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        huge[0, 1], huge[1, 0] = 1e308, partner
+        write_state_file(tmp_path / name, huge)
+        code, out, err = run_module(tmp_path, "measures", "--state", name)
+        assert (code, out, err) == (2, "", f"invalid state: {message}\n")
+        assert "Warning" not in err and "Traceback" not in err
 
 
 def test_measures_bad_arguments(tmp_path, capsys):
@@ -333,6 +367,27 @@ def test_sweep_xxz_series_labels(tmp_path, capsys):
     assert code == 0
     labels = [line.split(",")[1] for line in default_path.read_text().splitlines()[1:]]
     assert labels == ["delta=1;b=2"] * 2
+
+
+@pytest.mark.parametrize(
+    "model, flags, series",
+    [
+        ("isodm", ("--d", "0.1234567890123456"), "0.1234567890123456"),
+        ("xxz", ("--delta", "0.3", "--b", "1.00000000000049"), "0.3:1.00000000000049"),
+    ],
+)
+def test_sweep_model_flags_match_their_series_member(tmp_path, capsys, model, flags, series):
+    # Values with more than 12 significant digits: the label rounds them,
+    # the computed rows must not.
+    csv = {}
+    for name, chosen in (("flags", flags), ("series", ("--series", series))):
+        out_path = tmp_path / f"{name}.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--model", model, *chosen, "--out", str(out_path)
+        )
+        assert (code, err) == (0, "")
+        csv[name] = out_path.read_bytes()
+    assert csv["flags"] == csv["series"]
 
 
 def test_sweep_bad_arguments(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 
 from spincorr import qmat
 from spincorr.bloch import decompose
+from spincorr.errors import InvalidState
 from spincorr.measures import (
     BRANCH_X_NONZERO,
     BRANCH_X_ZERO,
@@ -198,3 +199,29 @@ def test_measures_are_local_unitary_invariant():
         assert abs(before.gmod_exact - after.gmod_exact) <= 1e-10
         assert abs(before.gmod_lower - after.gmod_lower) <= 1e-10
         assert before.branch == after.branch == BRANCH_X_NONZERO
+
+
+def test_every_state_validation_accepts_gets_a_report():
+    # Each random state gets its smallest eigenvalue moved to -1e-8 + k 1e-17,
+    # the rest spread over the other three. The offsets straddle
+    # validate_state's bound by up to 3e-16, about as far as eigvalsh and
+    # eigh disagree on one matrix, so whatever passes validation must give
+    # finite measures and never be refused by a later step.
+    rng = Lcg(11)
+    accepted = 0
+    for _ in range(100):
+        values, vectors = np.linalg.eigh(random_state(rng))
+        for k in range(-30, 31, 3):
+            moved = values.copy()
+            moved[0] = -1e-8 + k * 1e-17
+            moved[1:] += (values[0] - moved[0]) / 3.0
+            rho = (vectors * moved) @ vectors.conj().T
+            try:
+                qmat.validate_state(rho)
+            except InvalidState:
+                continue
+            accepted += 1
+            rep = report(rho)
+            measured = [rep.concurrence, rep.min_value, rep.gmod_exact, rep.gmod_lower]
+            assert all(math.isfinite(value) for value in measured)
+    assert 0 < accepted < 100 * 21

