@@ -58,9 +58,13 @@ class _ModelParams:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
+            try:
+                number = float(value) if real else math.nan
+            except OverflowError:  # shown as the float it rounds to: a long int has no repr
+                number = value = math.inf if value > 0 else -math.inf
+            if not math.isfinite(number):
                 raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, number)
 
 
 @dataclass(frozen=True)
@@ -193,21 +197,17 @@ class ModelReport:
     q_deviation: float
 
 
-def _cross_checked_report(
-    c_closed: float,
-    n_x_nonzero: float,
-    n_x_zero: float,
-    matrix: np.ndarray,
-    label: str,
-) -> ModelReport:
-    """Cross-check closed forms against the pipeline of ``matrix``.
+def _x_report(e: tuple, n_x_nonzero: float, n_x_zero: float, label: str) -> ModelReport:
+    """Cross-checked report of the X-state with entries e, whose closed
+    concurrence is C = (2/Z) max{0, |rho12| - sqrt(rho00 rho33)}.
 
     ``n_x_nonzero`` and ``n_x_zero`` are the closed nonlocality on either
     side of the marginal cutoff; the one for the branch the pipeline took
     is checked and reported, so the closed form and the pipeline never
     split a point near |x| = 1e-9 between two branches.
     """
-    pipeline = measures.report(matrix)
+    c_closed = (2.0 / e[4]) * max(0.0, _x_gap(e))
+    pipeline = measures.report(_x_matrix(e))
     n_closed = n_x_zero if pipeline.branch == BRANCH_X_ZERO else n_x_nonzero
     c_dev = abs(c_closed - pipeline.concurrence)
     n_dev = abs(n_closed - pipeline.min_value)
@@ -226,13 +226,6 @@ def _cross_checked_report(
         n_deviation=n_dev,
         q_deviation=abs(pipeline.gmod_lower - n_closed / 2.0),
     )
-
-
-def _x_report(e: tuple, n_x_nonzero: float, n_x_zero: float, label: str) -> ModelReport:
-    """Cross-checked report of the X-state with entries e, whose closed
-    concurrence is C = (2/Z) max{0, |rho12| - sqrt(rho00 rho33)}."""
-    c_closed = (2.0 / e[4]) * max(0.0, _x_gap(e))
-    return _cross_checked_report(c_closed, n_x_nonzero, n_x_zero, _x_matrix(e), label)
 
 
 def measures_isodm(p: IsoDMParams) -> ModelReport:

@@ -149,29 +149,34 @@ def _xyz(theta: float, phi: float) -> tuple[float, float, float]:
     return math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
 
 
-def _refine(
-    rho: np.ndarray,
-    screen,
-    direction: np.ndarray,
-    value: float,
-    maximize: bool,
-) -> tuple[float, np.ndarray, int]:
-    """Coordinate descent on the spherical angles of ``direction``.
+def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
+    """The maximum (``maximize``) or the minimum of the disturbance D,
+    found as the maximum of sign * D with sign = +1 or -1.
 
-    Each sweep tries +/-step on the polar and azimuthal angles, keeping
-    strict improvements; the step halves when a sweep yields none, from
-    0.1 rad down to 1e-7, for at most 500 sweeps. Trials are scored by ``screen``; a trial
-    within the tie margin of the current best is decided by the explicit
-    disturbance at both points instead, so every move is the one explicit
-    scoring alone would make. ``value`` is the explicit disturbance at
-    ``direction``. Deterministic for identical inputs.
+    The grid rows within the tie margin of the best signed screen are
+    scored explicitly, and the best of them (lowest grid index on ties)
+    starts coordinate ascent on the spherical angles: each sweep tries
+    +/-step on both angles, keeping strict improvements, and the step
+    halves after a sweep without one, from 0.1 rad down to 1e-7, for at
+    most 500 sweeps. A trial within the tie margin of the current best is
+    decided by the explicit disturbance at both points, so every move is
+    the one explicit scoring alone would make.
     """
     sign = 1.0 if maximize else -1.0
-    theta = math.acos(max(-1.0, min(1.0, float(direction[2]))))
-    phi = math.atan2(float(direction[1]), float(direction[0]))
-    best_screen = sign * screen(*direction.tolist())
-    best = sign * value  # explicit value at the current point; None once unknown
-    evaluations = 0
+    screen = _screen(_gram(rho), qmat.hs_norm2(rho))
+
+    def explicit(dirs: np.ndarray, screens: list) -> list:  # sign * screen in, sign * D out
+        return [sign * v for v in _explicit(rho, dirs, [sign * s for s in screens])]
+
+    grid_screen = sign * screen(*GRID_DIRECTIONS.T)
+    near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
+    values = explicit(GRID_DIRECTIONS[near], grid_screen[near].tolist())
+    pick = int(np.argmax(values))
+    x, y, z = GRID_DIRECTIONS[near[pick]].tolist()
+    theta, phi = math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x)
+    best_screen = sign * screen(x, y, z)
+    best = values[pick]  # explicit value at the current point; None once unknown
+    evaluations = len(GRID_DIRECTIONS)
     step = _REFINE_INITIAL_STEP
     sweeps = 0
     while step >= _REFINE_FINAL_STEP and sweeps < _REFINE_MAX_SWEEPS:
@@ -188,10 +193,10 @@ def _refine(
                 rows, screens = [trial_xyz], [trial_screen]
                 if best is None:  # the current point is scored in the same call
                     rows, screens = [_xyz(theta, phi), trial_xyz], [best_screen, trial_screen]
-                values = _explicit(rho, np.array(rows), [sign * v for v in screens])
+                values = explicit(np.array(rows), screens)
                 if best is None:
-                    best = sign * values[0]
-                trial = sign * values[-1]
+                    best = values[0]
+                trial = values[-1]
                 better = trial > best
             if better:
                 theta, phi = t, p
@@ -201,30 +206,14 @@ def _refine(
             step /= 2.0
         sweeps += 1
     direction = np.array(_xyz(theta, phi))
-    if best is None:
-        best = sign * _disturbances(rho, direction[None])[0]
-    return sign * best, direction, evaluations
-
-
-def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
-    screen = _screen(_gram(rho), qmat.hs_norm2(rho))
-    dirs = GRID_DIRECTIONS
-    grid_screen = screen(*dirs.T)
-    if maximize:
-        near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
-    else:
-        near = np.flatnonzero(grid_screen <= grid_screen.min() + _TIE_MARGIN)
-    values = _explicit(rho, dirs[near], grid_screen[near].tolist())
-    pick = int(np.argmax(values) if maximize else np.argmin(values))
-    start, start_value = dirs[near[pick]], values[pick]
-    value, direction, extra = _refine(rho, screen, start, start_value, maximize)
+    value = sign * best if best is not None else _disturbances(rho, direction[None])[0]
     final_screen = screen(*direction.tolist())
     if abs(value - final_screen) > _FINAL_TOL:
         raise OracleMismatch(
             f"Gram screen {final_screen!r} deviates from the explicit "
             f"disturbance {value!r} at the final direction {direction!r}"
         )
-    return OracleResult(value=value, direction=direction, evaluations=len(dirs) + extra)
+    return OracleResult(value=value, direction=direction, evaluations=evaluations)
 
 
 def min_oracle(rho: np.ndarray) -> OracleResult:

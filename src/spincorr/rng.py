@@ -55,20 +55,12 @@ class Lcg:
         self._spare_normal = radius * math.sin(angle)
         return radius * math.cos(angle)
 
-    def complex_normal(self) -> complex:
-        """Standard complex normal: real part drawn first, then imaginary."""
-        re = self.normal()
-        im = self.normal()
-        return complex(re, im)
-
 
 def gaussian_matrix(rng: Lcg, dim: int = 4) -> np.ndarray:
-    """dim x dim matrix of independent complex standard normals, row-major."""
-    g = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            g[i, j] = rng.complex_normal()
-    return g
+    """dim x dim matrix of independent complex standard normals, row-major,
+    each real part drawn before its imaginary part."""
+    parts = [rng.normal() for _ in range(2 * dim * dim)]
+    return np.array(parts).view(complex).reshape(dim, dim)
 
 
 def random_state(rng: Lcg, dim: int = 4) -> np.ndarray:

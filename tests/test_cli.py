@@ -696,15 +696,10 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys):
             assert call(argv) == result
 
 
-def test_module_entrypoint_subprocess():
-    result = subprocess.run(
-        [sys.executable, "-m", "spincorr", "critical", "--model", "isodm", "--d", "0"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0
-    assert result.stdout == "0.549306144\n"
+def test_module_entrypoint_subprocess(tmp_path):
+    code, out, _ = run_module(tmp_path, "critical", "--model", "isodm", "--d", "0")
+    assert code == 0
+    assert out == "0.549306144\n"
 
 
 def test_internal_error_maps_to_verification_exit(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from spincorr.errors import ClosedFormMismatch, NoSignChange, NonFiniteParameter
 from spincorr.models import (
     IsoDMParams,
     XXZParams,
-    _cross_checked_report,
+    _x_report,
     critical_coupling_isodm,
     critical_coupling_xxz,
     measures_isodm,
@@ -299,6 +300,9 @@ def test_critical_xxz_switches_concurrence_below_threshold():
         (True, False),
         (math.nan, False),
         (math.inf, False),
+        pytest.param(10**400, False, id="1e400"),
+        pytest.param(-(10**400), False, id="-1e400"),
+        pytest.param(Fraction(10**400, 3), False, id="Fraction(1e400,3)"),
     ],
 )
 def test_parameters_must_be_finite_reals(value, accepted):
@@ -348,23 +352,31 @@ def test_parameters_must_be_finite():
         critical_coupling_isodm(math.nan)
     with pytest.raises(NonFiniteParameter):
         critical_coupling_xxz(0.0, math.inf)
+    # Too large for a float and too long to repr (over 4300 digits).
+    with pytest.raises(NonFiniteParameter, match="^b must be finite, got inf$"):
+        XXZParams(j=1.0, b=10**5000)
 
 
-def test_cross_check_guard_trips_on_wrong_closed_form():
-    state = thermal_isodm(IsoDMParams(j=1.0, d=0.0))
-    true_rep = measures_isodm(IsoDMParams(j=1.0, d=0.0))
+def test_cross_check_guard_trips_on_wrong_closed_form(monkeypatch):
+    p = IsoDMParams(j=1.0, d=0.0)
+    e = models._isodm_entries(p.j, p)
+    true_rep = measures_isodm(p)
     n = true_rep.n_closed
-    with pytest.raises(ClosedFormMismatch):
-        _cross_checked_report(0.5, n, n, state.matrix, "test")
+    # A wrong closed concurrence, C = (2/Z)(Z/4) = 0.5, raises.
+    with monkeypatch.context() as m:
+        m.setattr(models, "_x_gap", lambda entries: entries[4] / 4.0)
+        with pytest.raises(ClosedFormMismatch, match="closed concurrence"):
+            _x_report(e, n, n, "test")
     # A wrong nonlocality raises as well: no closed form is exempt.
-    with pytest.raises(ClosedFormMismatch):
-        _cross_checked_report(true_rep.c_closed, 0.9, 0.9, state.matrix, "test")
+    with pytest.raises(ClosedFormMismatch, match="closed nonlocality"):
+        _x_report(e, 0.9, 0.9, "test")
     # isodm marginals are maximally mixed, so the XZero value is the one checked.
-    with pytest.raises(ClosedFormMismatch):
-        _cross_checked_report(true_rep.c_closed, n, 0.9, state.matrix, "test")
-    rep = _cross_checked_report(true_rep.c_closed, 0.9, n, state.matrix, "test")
+    with pytest.raises(ClosedFormMismatch, match="closed nonlocality"):
+        _x_report(e, n, 0.9, "test")
+    rep = _x_report(e, 0.9, n, "test")
     assert rep.n_closed == n
-    rep = _cross_checked_report(true_rep.c_closed, n, n, state.matrix, "test")
+    rep = _x_report(e, n, n, "test")
+    assert rep == true_rep
     assert rep.q_paper == pytest.approx(true_rep.n_closed / 2.0, abs=1e-15)
 
 

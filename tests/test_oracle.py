@@ -429,3 +429,20 @@ def test_corrupted_gram_trips_the_oracle(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("verification failure: ")
     assert "Traceback" not in err
+
+
+def test_final_direction_check_trips_the_oracle(monkeypatch, capsys):
+    """With no tolerance left at the final direction, both extremization
+    routes raise, and verify turns that into one failure line."""
+    monkeypatch.setattr(oracle, "_FINAL_TOL", -1.0)
+    with pytest.raises(OracleMismatch, match="the final direction"):
+        gmod_oracle(random_state(Lcg(49)))
+    flipped = spin_flip_average(random_state(Lcg(61)))
+    assert np.linalg.norm(decompose(flipped).x) <= 1e-9  # the maximize route
+    with pytest.raises(OracleMismatch, match="the final direction"):
+        min_oracle(flipped)
+    assert cli.main(["verify", "--count", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ")
+    assert len(err.splitlines()) == 1 and "the final direction" in err
+    assert "Traceback" not in err

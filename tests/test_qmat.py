@@ -133,6 +133,22 @@ def test_hs_norm2_expands_like_an_inner_product():
         assert abs(qmat.hs_norm2(a + b) - expanded) <= 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_gaussian_matrix_keeps_the_per_entry_stream(dim):
+    """One list of 2 dim^2 normals viewed as complex gives, bit for bit, the
+    matrix filled row-major with one complex(re, im) draw per entry."""
+    for seed in (1, 7, 42, 2**64 - 1):
+        rng, reference_rng = Lcg(seed), Lcg(seed)
+        for _ in range(3):
+            expected = np.empty((dim, dim), dtype=complex)
+            for i in range(dim):
+                for j in range(dim):
+                    expected[i, j] = complex(reference_rng.normal(), reference_rng.normal())
+            g = gaussian_matrix(rng, dim)
+            assert g.shape == (dim, dim) and g.dtype == complex
+            assert g.tobytes() == expected.tobytes()
+
+
 def test_mat_sqrt_diagonal_reference():
     root = qmat.mat_sqrt(np.diag([4.0, 1.0, 0.0, 0.0]).astype(complex))
     assert np.allclose(root, np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-12)
