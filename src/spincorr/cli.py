@@ -310,6 +310,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
         parser.error(f"--j-steps must be at least 2, got {args.j_steps}")
     if not args.j_start < args.j_end:
         parser.error(f"--j-start must be below --j-end, got {args.j_start} >= {args.j_end}")
+    if not math.isfinite(args.j_end - args.j_start):
+        parser.error(f"--j-end - --j-start must be finite, got {args.j_end} - {args.j_start}")
     _refuse(args, parser, ("j",), "is not used by sweep: the grid sets j")
     if args.series is None:
         members = [(_series_label(secondary), secondary)]

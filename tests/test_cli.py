@@ -12,6 +12,7 @@ import pytest
 
 from spincorr import cli, measures, models, oracle
 from spincorr.errors import ClosedFormMismatch
+from spincorr.rng import Lcg, random_state
 
 BELL_STATE_TEXT = """\
 # (|01> + |10>)/sqrt(2), row-major 're im' pairs
@@ -143,6 +144,9 @@ def test_fmt12_reference_strings():
     assert cli.fmt12(9.9e-5) == "9.90000000000e-05"
     assert cli.fmt12(-0.549306144334055) == "-0.549306144334"
     assert cli.fmt12(123.456789012345) == "123.456789012"
+    # From 1e12 up there are no decimals left to give.
+    assert cli.fmt12(1.5e12) == "1500000000000"
+    assert cli.fmt12(-2.5e13) == "-25000000000000"
 
 
 def test_measures_model_point(capsys):
@@ -417,6 +421,40 @@ def test_sweep_bad_arguments(tmp_path, capsys):
             capsys, "sweep", "--model", model, "--out", out, "--series", series
         )
         assert (code, stdout, err.splitlines()[-1]) == (3, "", f"spincorr: error: {wording}")
+
+
+@pytest.mark.parametrize("series", ["0,,1", "0,"])
+def test_sweep_refuses_an_empty_series_member(tmp_path, capsys, series):
+    code, out, err = run_cli(
+        capsys, "sweep", "--model", "isodm", "--out", str(tmp_path / "x.csv"), "--series", series
+    )
+    assert (code, out, err.splitlines()[-1]) == (3, "", "spincorr: error: empty series member")
+
+
+def test_sweep_refuses_a_span_that_overflows(tmp_path):
+    # Both ends are finite, but --j-end minus --j-start is not a float.
+    code, out, err = run_module(
+        tmp_path, "sweep", "--model", "isodm", "--j-start=-1e308", "--j-end", "1e308",
+        "--j-steps", "3", "--out", "f.csv",
+    )
+    assert (code, out) == (3, "")
+    assert "Warning" not in err and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "spincorr: error: --j-end - --j-start must be finite, got 1e+308 - -1e+308"
+    )
+    assert not (tmp_path / "f.csv").exists() and not (tmp_path / "f.csv.tmp").exists()
+
+
+def test_state_file_parses_to_exact_bits(tmp_path):
+    values = random_state(Lcg(2026)).ravel()
+    values[0] = complex(-0.0, 0.0)
+    values[5] = complex(5e-324, -0.0)
+    values[10] = complex(0.0, -1.2345e-310)
+    pairs = [(float(v.real), float(v.imag)) for v in values]
+    path = tmp_path / "state.txt"
+    path.write_text("".join(f"{re!r} {im!r}\n" for re, im in pairs), encoding="utf-8")
+    expected = np.array([complex(re, im) for re, im in pairs]).reshape(4, 4)
+    assert cli._load_state_file(str(path)).tobytes() == expected.tobytes()
 
 
 def test_non_utf8_state_file_is_an_invalid_state(tmp_path):
