@@ -68,9 +68,7 @@ def fmt12(value: float) -> str:
         return "0.000000000000"
     if abs(value) < 1e-4:
         return f"{value:.11e}"
-    decimals = 11 - math.floor(math.log10(abs(value)))
-    if decimals < 0:
-        decimals = 0
+    decimals = max(0, 11 - math.floor(math.log10(abs(value))))
     return f"{value:.{decimals}f}"
 
 
@@ -221,8 +219,7 @@ def _load_state_file(path: str) -> np.ndarray:
         nums = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise InvalidState(f"state file has a non-numeric entry: {exc}")
-    entries = [complex(nums[2 * k], nums[2 * k + 1]) for k in range(16)]
-    return np.array(entries, dtype=complex).reshape(4, 4)
+    return np.array(nums).view(complex).reshape(4, 4)
 
 
 def _print_measures(rep: measures.MeasureReport, q_paper: float | None) -> None:
@@ -328,18 +325,17 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
     make_params = _PARAMS[args.model]
     measure = getattr(models, f"measures_{args.model}")
     lines = [CSV_HEADER]
-    for j in np.linspace(args.j_start, args.j_end, args.j_steps):
+    for j in np.linspace(args.j_start, args.j_end, args.j_steps).tolist():
         for label, values in members:
-            pipe = measure(make_params(float(j), **values)).pipeline
+            pipe = measure(make_params(j, **values)).pipeline
             row = (pipe.concurrence, pipe.min_value, pipe.gmod_lower, pipe.gmod_exact)
-            lines.append(",".join((fmt12(float(j)), label, *map(fmt12, row))))
+            lines.append(",".join((fmt12(j), label, *map(fmt12, row))))
 
-    out_path = args.out
-    tmp_path = out_path + ".tmp"
+    tmp_path = args.out + ".tmp"
     try:
         with open(tmp_path, "w", encoding="ascii", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
-        os.replace(tmp_path, out_path)
+        os.replace(tmp_path, args.out)
     except OSError as exc:
         try:
             os.unlink(tmp_path)
@@ -390,25 +386,16 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     print(f"ppt/concurrence disagreements    = {len(disagreements)}")
     print(f"max (gmod_lower - gmod_exact)    = {fmt12(excess)} (state {excess_at})")
 
-    violations = []
-    if min_dev > ORACLE_TOL:
-        violations.append(
-            f"nonlocality oracle deviation {fmt12(min_dev)} "
-            f"exceeds {ORACLE_TOL:g} at state {min_at}"
-        )
-    if gmod_dev > ORACLE_TOL:
-        violations.append(
-            f"discord oracle deviation {fmt12(gmod_dev)} "
-            f"exceeds {ORACLE_TOL:g} at state {gmod_at}"
-        )
-    if disagreements:
-        violations.append(
-            f"witness disagreement at states: {', '.join(map(str, disagreements))}"
-        )
-    if excess > LOWER_BOUND_TOL:
-        violations.append(
-            f"lower bound exceeds exact discord by {fmt12(excess)} at state {excess_at}"
-        )
+    gates = (  # (failed, message) in report order
+        (min_dev > ORACLE_TOL, "nonlocality oracle deviation "
+         f"{fmt12(min_dev)} exceeds {ORACLE_TOL:g} at state {min_at}"),
+        (gmod_dev > ORACLE_TOL, "discord oracle deviation "
+         f"{fmt12(gmod_dev)} exceeds {ORACLE_TOL:g} at state {gmod_at}"),
+        (disagreements, f"witness disagreement at states: {', '.join(map(str, disagreements))}"),
+        (excess > LOWER_BOUND_TOL, "lower bound exceeds exact discord by "
+         f"{fmt12(excess)} at state {excess_at}"),
+    )
+    violations = [message for failed, message in gates if failed]
     for violation in violations:
         print(f"violation: {violation}")
     print(f"result: {'FAIL' if violations else 'PASS'}")
