@@ -19,10 +19,13 @@ at any set of directions. Grid rows whose screen lies within 1e-14 of the
 best are re-scored explicitly, a refinement trial that close to the current
 best is decided by explicit values at both points, and the reported value
 is always explicit. Every decision and every reported bit is therefore the
-one explicit scoring alone would give. Each explicit scoring of a near-tie
-checks that screen and explicit value agree to 5e-15, and every result
-checks it to 1e-12 at the final direction; a disagreement raises
-:class:`OracleMismatch`.
+one explicit scoring alone would give. The refinement keeps its explicit
+values in a per-call memo keyed by the angles, and a near-tie that misses
+it scores the rest of the sweep and the next sweep's trials ahead in the
+same stacked call. Each explicit value of a near-tie is checked against
+its screen to 5e-15 when it is read, so a value scored ahead but never
+read is never checked, and every result checks it to 1e-12 at the final
+direction; a disagreement raises :class:`OracleMismatch`.
 
 Measurements act on the first qubit only. Reductions compare by value with
 ties broken by the lowest grid index.
@@ -66,12 +69,17 @@ def _fibonacci_sphere(n_points: int) -> np.ndarray:
 
 # The scan grid, built once and shared by every oracle call (so read-only).
 GRID_DIRECTIONS = _fibonacci_sphere(2000)
+# Its x, y and z columns as contiguous rows, for the grid screen.
+_GRID_COLUMNS = np.ascontiguousarray(GRID_DIRECTIONS.T)
+_GRID_COLUMNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Extremized disturbance: the value, the direction attaining it, and
-    how many objective evaluations were spent. Reproducible bit-for-bit for
+    how many objective evaluations were spent: grid directions plus
+    refinement trials, each scored by the Gram screen, or 1 on the pinned
+    axis. Explicit rows are not counted. Reproducible bit-for-bit for
     identical states."""
 
     value: float
@@ -130,23 +138,25 @@ def _screen(gram: np.ndarray, norm2: float):
     return screen
 
 
-def _explicit(rho: np.ndarray, dirs: np.ndarray, screens: list[float]) -> list[float]:
-    """Explicit disturbance at every row of ``dirs``, after checking that the
-    Gram screen values ``screens`` there agree with it to half the tie
-    margin."""
-    values = _disturbances(rho, dirs)
-    for n, value, screen in zip(dirs, values, screens):
-        if abs(value - screen) > _TIE_MARGIN / 2.0:
-            raise OracleMismatch(
-                f"Gram screen {screen!r} deviates from the explicit disturbance "
-                f"{value!r} at direction {n!r}"
-            )
-    return values
+def _check(n: np.ndarray, value: float, screen: float) -> None:
+    """Raise :class:`OracleMismatch` unless the Gram screen value ``screen``
+    at direction ``n`` agrees with the explicit disturbance ``value`` there
+    to half the tie margin."""
+    if abs(value - screen) > _TIE_MARGIN / 2.0:
+        raise OracleMismatch(
+            f"Gram screen {screen!r} deviates from the explicit disturbance "
+            f"{value!r} at direction {n!r}"
+        )
 
 
 def _xyz(theta: float, phi: float) -> tuple[float, float, float]:
     """The unit direction at polar angle ``theta`` and azimuth ``phi``."""
     return math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
+
+
+def _moves(step: float) -> tuple:
+    """The four angle offsets one refinement sweep tries, in order."""
+    return (step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)
 
 
 def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
@@ -161,18 +171,43 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
     most 500 sweeps. A trial within the tie margin of the current best is
     decided by the explicit disturbance at both points, so every move is
     the one explicit scoring alone would make.
+
+    Explicit values come from a memo keyed by the angles (theta, phi),
+    filled one stacked call at a time: a near-tie that misses the memo
+    scores the current point (if its value is unknown), the rest of this
+    sweep's trials and the four trials at step/2 from the same point, which
+    are the next sweep's trials if this sweep keeps its point. Each row
+    keeps every bit of a one-row call. A value is checked against its
+    screen when it is read, in the order one-row scoring would check it;
+    a row scored ahead but never read is never checked.
     """
     sign = 1.0 if maximize else -1.0
     screen = _screen(_gram(rho), qmat.hs_norm2(rho))
+    # (theta, phi) -> (direction row, D). The angles start from acos and
+    # atan2 of a grid row and move by sums, so none is -0.0 and equal keys
+    # are equal bits.
+    memo: dict = {}
 
-    def explicit(dirs: np.ndarray, screens: list) -> list:  # sign * screen in, sign * D out
-        return [sign * v for v in _explicit(rho, dirs, [sign * s for s in screens])]
+    def score(keys: list) -> None:  # one stacked call for the keys not yet in the memo
+        keys = [key for key in keys if key not in memo]
+        if keys:
+            dirs = np.array([_xyz(*key) for key in keys])
+            memo.update(zip(keys, zip(dirs, _disturbances(rho, dirs))))
 
-    grid_screen = sign * screen(*GRID_DIRECTIONS.T)
+    def read(key: tuple, signed_screen: float) -> float:  # checked sign * D at ``key``
+        n, value = memo[key]
+        _check(n, value, sign * signed_screen)
+        return sign * value
+
+    grid_screen = sign * screen(*_GRID_COLUMNS)
     near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
-    values = explicit(GRID_DIRECTIONS[near], grid_screen[near].tolist())
+    rows = GRID_DIRECTIONS[near]
+    values = _disturbances(rho, rows)
+    for n, value, signed_screen in zip(rows, values, grid_screen[near].tolist()):
+        _check(n, value, sign * signed_screen)
+    values = [sign * v for v in values]
     pick = int(np.argmax(values))
-    x, y, z = GRID_DIRECTIONS[near[pick]].tolist()
+    x, y, z = rows[pick].tolist()
     theta, phi = math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x)
     best_screen = sign * screen(x, y, z)
     best = values[pick]  # explicit value at the current point; None once unknown
@@ -181,22 +216,22 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
     sweeps = 0
     while step >= _REFINE_FINAL_STEP and sweeps < _REFINE_MAX_SWEEPS:
         improved = False
-        for d_theta, d_phi in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+        moves = _moves(step)
+        for i, (d_theta, d_phi) in enumerate(moves):
             t, p = theta + d_theta, phi + d_phi
-            trial_xyz = _xyz(t, p)
-            trial_screen = sign * screen(*trial_xyz)
+            trial_screen = sign * screen(*_xyz(t, p))
             evaluations += 1
             if abs(trial_screen - best_screen) > _TIE_MARGIN:
                 trial = None
                 better = trial_screen > best_screen
             else:
-                rows, screens = [trial_xyz], [trial_screen]
-                if best is None:  # the current point is scored in the same call
-                    rows, screens = [_xyz(theta, phi), trial_xyz], [best_screen, trial_screen]
-                values = explicit(np.array(rows), screens)
+                current = [] if best is not None else [(theta, phi)]
+                if any(key not in memo for key in current + [(t, p)]):
+                    ahead = moves[i:] + _moves(step / 2.0)
+                    score(current + [(theta + dt, phi + dp) for dt, dp in ahead])
                 if best is None:
-                    best = values[0]
-                trial = values[-1]
+                    best = read((theta, phi), best_screen)
+                trial = read((t, p), trial_screen)
                 better = trial > best
             if better:
                 theta, phi = t, p
@@ -206,7 +241,10 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
             step /= 2.0
         sweeps += 1
     direction = np.array(_xyz(theta, phi))
-    value = sign * best if best is not None else _disturbances(rho, direction[None])[0]
+    if best is None:
+        score([(theta, phi)])
+        best = sign * memo[theta, phi][1]
+    value = sign * best
     final_screen = screen(*direction.tolist())
     if abs(value - final_screen) > _FINAL_TOL:
         raise OracleMismatch(

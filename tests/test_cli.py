@@ -507,6 +507,17 @@ def test_verify_small_run_and_determinism(capsys):
     assert code == 0 and again == out
 
 
+def test_sweep_cap_verify_is_byte_pinned(capsys):
+    """The second state of seed 3549 runs all 500 refinement sweeps, the
+    path with the most near-ties read from the oracle's memo; its report
+    keeps the bytes recorded before the memo existed."""
+    code, out, err = run_cli(capsys, "verify", "--seed", "3549", "--count", "2")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "99d1720484b1e95909d139d6b2e52a4b7b78c166daef043438fb8f1e66228241"
+    )
+
+
 def _edit_results_at(monkeypatch, module, name, edits):
     """Wrap ``module.name`` so that its result at call ``i`` (state ``i`` of
     a verify run) is replaced by ``edits[i](result)``."""

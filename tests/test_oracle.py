@@ -446,3 +446,91 @@ def test_final_direction_check_trips_the_oracle(monkeypatch, capsys):
     assert err.startswith("verification failure: ")
     assert len(err.splitlines()) == 1 and "the final direction" in err
     assert "Traceback" not in err
+
+
+def test_stacked_projector_calls_are_pinned(monkeypatch):
+    """The refinement reads near-tie values from a memo filled one stacked
+    call at a time: 300 seeded gmod_oracle calls make 1,404 explicit
+    scoring calls (300 of them the grid's), where one call per near-tie
+    made 4,156."""
+    true_disturbances = oracle._disturbances
+    calls = []
+
+    def counted(rho, dirs):
+        calls.append(len(dirs))
+        return true_disturbances(rho, dirs)
+
+    monkeypatch.setattr(oracle, "_disturbances", counted)
+    rng = Lcg(12345)
+    for _ in range(300):
+        gmod_oracle(random_state(rng))
+    assert len(calls) == 1404
+
+
+def _scoring_events(monkeypatch, rho):
+    """gmod_oracle(rho) with its explicit scoring observed: the result and,
+    in call order, ("score", row bytes) for each _disturbances call and
+    ("read", [row bytes]) for each screen/explicit check."""
+    true_disturbances, true_check = oracle._disturbances, oracle._check
+    events = []
+
+    def disturbances(rho, dirs):
+        events.append(("score", [n.tobytes() for n in dirs]))
+        return true_disturbances(rho, dirs)
+
+    def check(n, value, screen):
+        events.append(("read", [n.tobytes()]))
+        true_check(n, value, screen)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_disturbances", disturbances)
+        patch.setattr(oracle, "_check", check)
+        result = gmod_oracle(rho)
+    return result, events
+
+
+def _corrupt_rows(monkeypatch, rows):
+    """Shift the explicit disturbance by 1e-9 at the directions whose bytes
+    are in ``rows``."""
+    true_disturbances = oracle._disturbances
+
+    def corrupted(rho, dirs):
+        values = true_disturbances(rho, dirs)
+        return [v + 1e-9 if n.tobytes() in rows else v for n, v in zip(dirs, values)]
+
+    monkeypatch.setattr(oracle, "_disturbances", corrupted)
+
+
+def test_rows_scored_ahead_but_never_read_are_never_checked(monkeypatch):
+    rho = random_state(Lcg(49))
+    result, events = _scoring_events(monkeypatch, rho)
+    scored = {row for kind, rows in events if kind == "score" for row in rows}
+    read = {rows[0] for kind, rows in events if kind == "read"}
+    unread = scored - read - {result.direction.tobytes()}
+    assert len(unread) == 21
+    _corrupt_rows(monkeypatch, unread)
+    assert _pin(gmod_oracle(rho)) == _pin(result)
+
+
+def test_a_row_scored_ahead_is_checked_when_read(monkeypatch):
+    """A row scored in one stacked call and first read after a later call
+    raises when it is read, with the text one-row scoring gave (recorded
+    with the same corruption before the memo existed)."""
+    rho = random_state(Lcg(49))
+    _, events = _scoring_events(monkeypatch, rho)
+    calls, scored_in, read_later = 0, {}, []
+    for kind, rows in events:
+        if kind == "score":
+            calls += 1
+            for row in rows:
+                scored_in.setdefault(row, calls)
+        elif scored_in[rows[0]] < calls:
+            read_later.append(rows[0])
+    assert len(read_later) == 8
+    _corrupt_rows(monkeypatch, {read_later[0]})
+    with pytest.raises(OracleMismatch) as raised:
+        gmod_oracle(rho)
+    assert str(raised.value) == (
+        "Gram screen 0.04771508207614805 deviates from the explicit disturbance "
+        "0.047715083076148024 at direction array([ 0.02838908, -0.0673408 , -0.99732606])"
+    )
