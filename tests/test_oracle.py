@@ -469,7 +469,7 @@ def test_stacked_projector_calls_are_pinned(monkeypatch):
 
 def _scoring_events(monkeypatch, rho):
     """gmod_oracle(rho) with its explicit scoring observed: the result and,
-    in call order, ("score", row bytes) for each _disturbances call and
+    in call order, ("score", [row bytes]) for each _disturbances call and
     ("read", [row bytes]) for each screen/explicit check."""
     true_disturbances, true_check = oracle._disturbances, oracle._check
     events = []
