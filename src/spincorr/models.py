@@ -22,13 +22,20 @@ is the one for the branch the pipeline took: N = 2 kappa^2/Z^2 when the
 field polarizes the marginal, else tr(T T^t) - lambda_min(T T^t) of the
 correlation matrix T = diag(kappa/Z, kappa/Z, t3).
 
-Critical couplings (where concurrence first becomes nonzero) are found by
-a uniform sign scan over j in [-50, 50] that stops at the first bracket,
-followed by bisection.
+Critical couplings (where concurrence first becomes nonzero) are the first
+bracket of a gap sign change on a uniform grid of j in [-50, 50], refined
+by bisection. The isodm search evaluates the gap at every grid point up to
+that bracket. The xxz gap has a sign that is provably monotone on j <= 0
+and on j > 0, so its search evaluates the two piece ends and
+binary-searches the piece that holds the first stop: about 40 gap
+evaluations in place of about 1,000. An entry that overflows counts as a
+stop, so both searches give the bracket, root bits, ``NoSignChange`` and
+``OverflowError`` of a scan that visits every grid point in order.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -121,8 +128,9 @@ def _isodm_entries(j: float, p: IsoDMParams) -> tuple[float, float, float, compl
     d = p.d
     eta = math.hypot(j, d)
     mu = math.exp(-j / 2.0)
-    omega = math.exp(j / 2.0) * math.cosh(eta)
-    nu = -(j + 1j * d) * math.exp(j / 2.0) * _sinhc(eta)
+    grow = math.exp(j / 2.0)
+    omega = grow * math.cosh(eta)
+    nu = -(j + 1j * d) * grow * _sinhc(eta)
     return mu, omega, mu, nu, 2.0 * (mu + omega)
 
 
@@ -134,8 +142,9 @@ def _xxz_entries(j: float, p: XXZParams) -> tuple[float, float, float, float, fl
     alpha = j * (1.0 + delta) / 2.0
     delta_plus = math.exp(-(alpha + b))
     delta_minus = math.exp(-(alpha - b))
-    epsilon = math.exp(alpha) * math.cosh(j)
-    kappa = -math.exp(alpha) * math.sinh(j)
+    grow = math.exp(alpha)
+    epsilon = grow * math.cosh(j)
+    kappa = -grow * math.sinh(j)
     return delta_plus, epsilon, delta_minus, kappa, delta_plus + delta_minus + 2.0 * epsilon
 
 
@@ -270,23 +279,62 @@ def _bisect_root(entries, p: _ModelParams, lo: float, hi: float, f_lo: float) ->
     return (lo + hi) / 2.0
 
 
-def _first_root(label: str, entries, p: _ModelParams) -> float:
-    """First sign change of the X-state gap of ``entries(j, p)`` over an
-    ascending uniform scan of ``SCAN_POINTS`` values of j in [-50, 50],
-    refined by bisection to an interval of 1e-9. The gap is evaluated as
-    the scan goes, so no point past the first bracket is computed. Raises
-    :class:`NoSignChange` when the scan finds no bracket."""
+def _one_step_pieces(xs: list) -> range:
+    """Every grid point ends a piece of its own: the search is the dense
+    scan, one gap evaluation per point up to the first bracket."""
+    return range(1, len(xs))
+
+
+def _first_root(label: str, entries, p: _ModelParams, piece_ends=_one_step_pieces) -> float:
+    """First sign change of the X-state gap of ``entries(j, p)`` over the
+    ascending uniform grid of ``SCAN_POINTS`` values of j in [-50, 50],
+    refined by bisection to an interval of 1e-9. Raises
+    :class:`NoSignChange` when no two adjacent grid points bracket a root.
+
+    The result is that of a dense scan which evaluates the gap point by
+    point from j = -50 and stops at the first point that overflows
+    (``OverflowError`` propagates), has the other sign than the first
+    point (bisect from the point before it), or is an exact zero reached
+    from above (return it). ``piece_ends(xs)`` gives ascending grid
+    indices, the last one ``len(xs) - 1``, that cut the grid into pieces
+    on which "the dense scan has stopped here or earlier" is false and
+    then true. The search evaluates each piece's end, and only in the
+    piece where that holds does it binary-search for the first such
+    point; the gap there and at the point before it are the dense scan's
+    values, so bracket, bisection and exit are its own, bit for bit."""
     xs = np.linspace(SCAN_RANGE[0], SCAN_RANGE[1], SCAN_POINTS).tolist()
-    prev = _x_gap(entries(xs[0], p))
-    if prev == 0.0:
+    first = _x_gap(entries(xs[0], p))
+    if first == 0.0:
         return xs[0]
-    for lo, hi in zip(xs, xs[1:]):
-        value = _x_gap(entries(hi, p))
-        if (prev < 0.0) != (value < 0.0):
-            return _bisect_root(entries, p, lo, hi, prev)
-        if value == 0.0:
-            return hi
-        prev = value
+    negative = first < 0.0
+    last = first  # the gap stopped() saw, None where an entry overflowed
+
+    def stopped(i: int) -> bool:
+        nonlocal last
+        try:
+            last = _x_gap(entries(xs[i], p))
+        except OverflowError:
+            last = None
+            return True
+        return (last < 0.0) != negative or last == 0.0
+
+    lo, f_lo = 0, first
+    for hi in piece_ends(xs):
+        if not stopped(hi):
+            lo, f_lo = hi, last
+            continue
+        f_hi = last
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if stopped(mid):
+                hi, f_hi = mid, last
+            else:
+                lo, f_lo = mid, last
+        if f_hi is None:
+            entries(xs[hi], p)  # raises the dense scan's OverflowError again
+        if (f_hi < 0.0) != negative:
+            return _bisect_root(entries, p, xs[lo], xs[hi], f_lo)
+        return xs[hi]
     at = ", ".join(f"{f.name}={getattr(p, f.name):g}" for f in fields(p)[1:])
     raise NoSignChange(
         f"{label} threshold at {at}: no sign change over j in "
@@ -297,8 +345,63 @@ def _first_root(label: str, entries, p: _ModelParams) -> float:
 def critical_coupling_isodm(d: float) -> float:
     """Exchange threshold j_c where the isodm concurrence first turns on:
     the root of |nu(j, d)| = mu(j, d). Concurrence is positive for j > j_c
-    and zero for j <= j_c in a neighborhood of the root."""
+    and zero for j <= j_c in a neighborhood of the root. The gap is
+    evaluated at every grid point up to the first bracket."""
     return _first_root("isodm", _isodm_entries, IsoDMParams(0.0, d))
+
+
+def _xxz_pieces(xs: list) -> tuple[int, int]:
+    """Ends of the two pieces of the grid on which the xxz search looks for
+    its first stop: the last j <= 0, then the last point. The argument
+    below holds for grid steps h in [0.01, 0.05], that is for
+    2001 <= SCAN_POINTS <= 10001.
+
+    Sign. With alpha = j(1+delta)/2, |kappa| = e^alpha sinh|j| and
+    sqrt(delta_plus delta_minus) = e^-alpha, so the gap has the sign of
+    f(j) = log sinh|j| + j(1+delta), and b cancels. Read delta as the value
+    1+delta rounds to, minus 1. Unless an entry overflows at j = -50,
+    where the search starts, |1+delta| <= 709.78/25 < 28.4.
+
+    - On j < 0, f = log(1 - e^(-2|j|)) - ln 2 - delta|j|. When delta >= 0,
+      f < -delta|j| - ln 2 < 0. When delta < 0, f' = (1+delta) - coth|j|
+      <= delta < 0, so f decreases.
+    - At j = 0, kappa = -0.0, so the gap is -sqrt(delta_plus delta_minus):
+      exactly negative, as e^-b and e^b cannot both underflow without one
+      of them overflowing. Along j <= 0 the sign is + then -, or -
+      throughout.
+    - The j > 0 piece is searched only when every point of the first has
+      the sign of gap(-50), and that sign is -. A + at the last point
+      j_m <= 0, within h of 0, would need f(j_m) > 0, but f(j_m) <=
+      log sinh h + 28.4 h < -1.5. And gap(-50) < 0 needs f(-50) =
+      -ln 2 - 50 delta < 1e-12, that is delta > -0.014 >= -2, where
+      f' = coth j + 1 + delta > 1.9 on j > 0: f increases.
+
+    Rounding. The computed gap has the sign of f wherever |f| > 1e-12.
+    |f| < 1 needs |j| > 0.06, and then alpha < 1.9, so no entry lies
+    below e^-714 (the partner of a small delta stays below e^709.78):
+    every factor is normal or nearly so and carries a relative error
+    below 1e-12. Where |f| >= 1 the two sides stay apart. |kappa|
+    overflows silently to inf only when alpha > 660, and
+    delta_plus delta_minus only when alpha < -354: each on the side of
+    its true sign, never both, so no NaN. A delta below e^-714 with its
+    partner finite needs alpha > 2.1, so |j| > 0.14 and f > 2.3; rounding
+    at most triples such a delta or flushes it to zero, which keeps the
+    gap positive. On a piece, f is monotone with slope at least |delta|
+    (j <= 0) or 1.9 (j > 0). Two grid points at least 0.01 apart can
+    both have |f| <= 1e-12 only when |delta| < 2e-10, and then f < -0.69
+    on all of j <= 0. So at most one grid point per piece, next to the
+    root, can take another sign than f, and either sign there keeps the
+    sign sequence monotone.
+
+    Overflow. ``math.exp`` raises above one fixed argument, and the
+    computed arguments -(alpha+b), -(alpha-b) and alpha are monotone in
+    j, as every rounded operation is; cosh and sinh never overflow on
+    [-50, 50]. So each entry overflows on a prefix or a suffix of the
+    grid, and the points where none overflows are contiguous. If j = -50
+    does not raise, the points that do form a suffix. Either way,
+    "overflowed, or left the sign of gap(-50), or hit zero" is false and
+    then true on each piece."""
+    return bisect.bisect_right(xs, 0.0) - 1, len(xs) - 1
 
 
 def critical_coupling_xxz(delta: float, b: float) -> float:
@@ -306,5 +409,7 @@ def critical_coupling_xxz(delta: float, b: float) -> float:
     |kappa| = sqrt(delta_plus delta_minus), i.e. sinh|j| = exp(-j(1+delta)).
     The field b cancels from the condition, so the threshold is
     b-independent (the field suppresses the magnitude of the concurrence
-    above threshold but does not move the threshold)."""
-    return _first_root("xxz", _xxz_entries, XXZParams(0.0, delta, b))
+    above threshold but does not move the threshold). The search visits
+    the two pieces of :func:`_xxz_pieces`: about 40 gap evaluations in
+    place of one per grid point, with the dense scan's result."""
+    return _first_root("xxz", _xxz_entries, XXZParams(0.0, delta, b), _xxz_pieces)

@@ -4,19 +4,21 @@ None of these is used by the library or the CLI. They rebuild what the
 closed forms shortcut, the long way: a hermiticity check, Hamiltonians of
 the two spin models, Gibbs states by eigendecomposition, partial traces,
 Bloch-form reconstruction, Haar unitaries, the measured state of a local
-projective measurement, and a randomized spot check that dephasing is the
-nearest zero-discord state in a fixed basis. Bad shapes and non-unit
-directions raise ``ValueError``, and so does a Hamiltonian that is not
-Hermitian within 1e-10.
+projective measurement, a randomized spot check that dephasing is the
+nearest zero-discord state in a fixed basis, and the dense threshold scan
+that evaluates the gap at every grid point up to the first bracket. Bad
+shapes and non-unit directions raise ``ValueError``, and so does a
+Hamiltonian that is not Hermitian within 1e-10.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
-from spincorr import oracle, qmat
+from spincorr import models, oracle, qmat
 from spincorr.bloch import BlochForm
-from spincorr.errors import NonFiniteParameter
+from spincorr.errors import NoSignChange, NonFiniteParameter
 from spincorr.models import IsoDMParams, XXZParams
 from spincorr.qmat import I2, PAULIS
 from spincorr.rng import Lcg, gaussian_matrix, random_state
@@ -167,3 +169,28 @@ def nested_gmod_spotcheck(rho: np.ndarray, n: np.ndarray, k: int, seed: int = 1)
         )
         best = min(best, qmat.hs_norm2(rho - candidate))
     return best
+
+
+def dense_first_root(label: str, entries, p) -> float:
+    """First sign change of the X-state gap of ``entries(j, p)`` over an
+    ascending uniform scan of ``models.SCAN_POINTS`` values of j in
+    [-50, 50], refined by ``models._bisect_root``: the gap is evaluated at
+    every grid point up to the first bracket. Raises :class:`NoSignChange`
+    when the scan finds no bracket, and lets the first ``OverflowError``
+    of the entries through."""
+    xs = np.linspace(models.SCAN_RANGE[0], models.SCAN_RANGE[1], models.SCAN_POINTS).tolist()
+    prev = models._x_gap(entries(xs[0], p))
+    if prev == 0.0:
+        return xs[0]
+    for lo, hi in zip(xs, xs[1:]):
+        value = models._x_gap(entries(hi, p))
+        if (prev < 0.0) != (value < 0.0):
+            return models._bisect_root(entries, p, lo, hi, prev)
+        if value == 0.0:
+            return hi
+        prev = value
+    at = ", ".join(f"{f.name}={getattr(p, f.name):g}" for f in fields(p)[1:])
+    raise NoSignChange(
+        f"{label} threshold at {at}: no sign change over j in "
+        f"[{models.SCAN_RANGE[0]:g}, {models.SCAN_RANGE[1]:g}]"
+    )

@@ -22,7 +22,7 @@ from spincorr.models import (
     thermal_xxz,
 )
 
-from reference import gibbs, hamiltonian_isodm, hamiltonian_xxz
+from reference import dense_first_root, gibbs, hamiltonian_isodm, hamiltonian_xxz
 
 LN3_HALF = math.log(3.0) / 2.0
 
@@ -273,7 +273,7 @@ def test_critical_xxz_threshold_is_field_independent():
 
 def test_critical_scan_stops_at_the_first_bracket(monkeypatch):
     # At delta = -3 a field of |b| = 700 overflows exp only for j near 10,
-    # far above the root near -0.42; a scan that stops at the first bracket
+    # far above the root near -0.42; a search that stops at the first bracket
     # never gets there and finds the field-free root bit for bit.
     reference = critical_coupling_xxz(-3.0, 0.0)
     for b in (700.0, 705.0, -700.0):
@@ -282,8 +282,12 @@ def test_critical_scan_stops_at_the_first_bracket(monkeypatch):
     entries = models._xxz_entries
     monkeypatch.setattr(models, "_xxz_entries", lambda j, p: seen.append(j) or entries(j, p))
     assert critical_coupling_xxz(-3.0, 0.0) == reference
-    step = (models.SCAN_RANGE[1] - models.SCAN_RANGE[0]) / (models.SCAN_POINTS - 1)
-    assert max(seen) < reference + step
+    # The root lies in the j <= 0 piece, which ends at j = 0: nothing past
+    # it is evaluated. 38 = j = -50, the piece end, 10 binary-search probes
+    # over the piece's 1000 grid steps and 26 bisection halvings of 0.05
+    # down to 1e-9; the dense scan took 1019.
+    assert max(seen) <= 0.0
+    assert len(seen) == 38
 
 
 def _scan_with_gap(monkeypatch, gap):
@@ -309,6 +313,46 @@ def test_critical_scan_exact_zero_exits(monkeypatch):
     from_below = _scan_with_gap(monkeypatch, lambda j: j - xs[1300])
     assert from_below.hex() == "0x1.dfffffffccccdp+3"
     assert 0.0 < xs[1300] - from_below <= models.BISECT_WIDTH
+
+
+def _outcome(find, *args):
+    """The root's ``float.hex``, or the class and message of what it raised."""
+    try:
+        return find(*args).hex()
+    except (NoSignChange, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _gap_at_minus_50_flips():
+    """The two adjacent deltas (near -ln 2 / 50) between which the xxz gap
+    at j = -50 turns from positive to negative."""
+    def gap(delta):
+        return models._x_gap(models._xxz_entries(-50.0, XXZParams(0.0, delta, 0.0)))
+
+    lo, hi = -0.02, -0.01
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+    assert gap(lo) > 0.0 > gap(hi)
+    return [lo, hi]
+
+
+def test_critical_xxz_search_matches_the_dense_scan(monkeypatch):
+    # Same root bits, or the same exception and message, as the dense scan.
+    # Fields in |b| in [709.5, 711] overflow an entry near the root on the
+    # j <= 0 piece for delta < -1, so the binary search meets overflowing
+    # points there and must stop at the dense scan's first stop.
+    deltas = np.linspace(-5.0, 5.0, 21).tolist() + _gap_at_minus_50_flips()
+    window = [s * b for b in np.linspace(709.5, 711.0, 16).tolist() for s in (1.0, -1.0)]
+    bs = [0.0, 1.0, -1.0, 10.0, -10.0, 700.0, -700.0, 705.0, -705.0, *window]
+    assert -2.0 in deltas and 0.0 in deltas
+    for n in (2001, 4001, 5003):
+        monkeypatch.setattr(models, "SCAN_POINTS", n)
+        for delta in deltas:
+            for b in bs:
+                p = XXZParams(0.0, delta, b)
+                dense = _outcome(dense_first_root, "xxz", models._xxz_entries, p)
+                assert _outcome(critical_coupling_xxz, delta, b) == dense, (n, delta, b)
 
 
 def test_critical_xxz_switches_concurrence_below_threshold():
