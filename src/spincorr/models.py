@@ -24,18 +24,22 @@ correlation matrix T = diag(kappa/Z, kappa/Z, t3).
 
 Critical couplings (where concurrence first becomes nonzero) are the first
 bracket of a gap sign change on a uniform grid of j in [-50, 50], refined
-by bisection. The isodm search evaluates the gap at every grid point up to
-that bracket. The xxz gap has a sign that is provably monotone on j <= 0
-and on j > 0, so its search evaluates the two piece ends and
-binary-searches the piece that holds the first stop: about 40 gap
-evaluations in place of about 1,000. An entry that overflows counts as a
-stop, so both searches give the bracket, root bits, ``NoSignChange`` and
+by bisection. The search cuts the grid into pieces on which the gap's sign
+is provably monotone, evaluates each piece's end and binary-searches the
+piece that holds the first stop. The xxz gap is monotone on j <= 0 and on
+j > 0: about 40 gap evaluations in place of about 1,000. The isodm gap is
+monotone on j > 0 for |d| <= 680, so its search visits every grid point
+with j <= 0 and then the last one: 1,002 evaluations where no root exists,
+in place of 2,001. An entry that overflows counts as a stop, so both
+searches give the bracket, root bits, ``NoSignChange`` and
 ``OverflowError`` of a scan that visits every grid point in order.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -50,6 +54,7 @@ CROSS_CHECK_TOL = 1e-10
 SCAN_RANGE = (-50.0, 50.0)
 SCAN_POINTS = 2001
 BISECT_WIDTH = 1e-9
+ISODM_PIECE_LIMIT = 680.0  # |d| beyond which the isodm search is the dense scan
 
 
 class _ModelParams:
@@ -279,7 +284,13 @@ def _bisect_root(entries, p: _ModelParams, lo: float, hi: float, f_lo: float) ->
     return (lo + hi) / 2.0
 
 
-def _one_step_pieces(xs: list) -> range:
+@functools.lru_cache(maxsize=4)
+def _scan_grid(lo: float, hi: float, points: int) -> tuple:
+    """The ascending uniform scan grid, built once per (range, points)."""
+    return tuple(np.linspace(lo, hi, points).tolist())
+
+
+def _one_step_pieces(xs: tuple) -> range:
     """Every grid point ends a piece of its own: the search is the dense
     scan, one gap evaluation per point up to the first bracket."""
     return range(1, len(xs))
@@ -302,7 +313,7 @@ def _first_root(label: str, entries, p: _ModelParams, piece_ends=_one_step_piece
     piece where that holds does it binary-search for the first such
     point; the gap there and at the point before it are the dense scan's
     values, so bracket, bisection and exit are its own, bit for bit."""
-    xs = np.linspace(SCAN_RANGE[0], SCAN_RANGE[1], SCAN_POINTS).tolist()
+    xs = _scan_grid(SCAN_RANGE[0], SCAN_RANGE[1], SCAN_POINTS)
     first = _x_gap(entries(xs[0], p))
     if first == 0.0:
         return xs[0]
@@ -330,8 +341,8 @@ def _first_root(label: str, entries, p: _ModelParams, piece_ends=_one_step_piece
                 hi, f_hi = mid, last
             else:
                 lo, f_lo = mid, last
-        if f_hi is None:
-            entries(xs[hi], p)  # raises the dense scan's OverflowError again
+        if f_hi is None:  # raises the dense scan's OverflowError again
+            _x_gap(entries(xs[hi], p))
         if (f_hi < 0.0) != negative:
             return _bisect_root(entries, p, xs[lo], xs[hi], f_lo)
         return xs[hi]
@@ -342,15 +353,62 @@ def _first_root(label: str, entries, p: _ModelParams, piece_ends=_one_step_piece
     )
 
 
+def _isodm_pieces(xs: tuple) -> itertools.chain:
+    """Ends of the pieces of the grid on which the isodm search looks for
+    its first stop when |d| <= 680: one grid point each up to the last
+    j <= 0, which is the dense scan there, then one piece up to the last
+    point. The argument below holds for grid steps h in [0.01, 0.05], that
+    is for 2001 <= SCAN_POINTS <= 10001.
+
+    Sign. With eta = hypot(j, d), |nu| = e^(j/2) sinh(eta) and
+    mu = e^(-j/2), so the gap has the sign of g(j) = j + log sinh(eta). On
+    j > 0, g' = 1 + coth(eta) j/eta >= 1: g increases. The j > 0 piece is
+    searched only when every grid point up to the last one j_k <= 0 has
+    the sign of gap(-50), and that leaves two cases.
+
+    - gap(-50) < 0. Along j > 0 the sign runs - then +, so "left the sign
+      of gap(-50) or hit zero" is false and then true.
+    - gap(-50) > 0. Then gap(j_k) > 0, so g(j_k) > -1e-12 (see Rounding),
+      with -h < j_k <= 0. That needs sinh(eta_k) > e^(-1e-12), so
+      eta_k > 0.8813 and |d| > 0.8799. On [j_k, 0], eta >= |d| and
+      g' >= 1 - 0.05 coth(0.8799)/0.8799 > 0.9; on j > 0, g' >= 1. So at
+      every grid point j > 0, g > 0.9 h - 1e-12 > 0.008: the sign stays +
+      and the search evaluates the last point only.
+
+    Rounding. For |d| <= 680, mu lies in [e^-25, e^25], |nu| is normal
+    or far below mu, and the computed |nu| and mu carry relative errors
+    below eta eps + 8 eps < 1e-13 (eps = 2^-53; the eta eps term is the
+    rounding of hypot passed through sinh). So the computed gap has the
+    sign of g wherever |g| > 1e-12. As g' >= 1 on j > 0 and grid points
+    lie at least 0.01 apart, at most one grid point there has
+    |g| <= 1e-12, next to the root, and either sign there keeps the sign
+    sequence monotone.
+
+    Overflow. For |d| <= 680 no entry and no |nu| overflows anywhere on
+    [-50, 50]: eta <= hypot(50, 680) < 681.9, and every entry, each part
+    of nu and |nu| is at most e^25 cosh(eta) < e^707. Larger |d| keeps
+    one-step pieces (see :func:`critical_coupling_isodm`): there
+    ``abs(nu)`` raises ``OverflowError`` in a window of j where the parts
+    of nu are still finite, and past it |nu| is a silent inf, so the
+    points that raise need not form a prefix or a suffix of the grid."""
+    last_nonpositive = bisect.bisect_right(xs, 0.0) - 1
+    return itertools.chain(range(1, last_nonpositive + 1), (len(xs) - 1,))
+
+
 def critical_coupling_isodm(d: float) -> float:
     """Exchange threshold j_c where the isodm concurrence first turns on:
     the root of |nu(j, d)| = mu(j, d). Concurrence is positive for j > j_c
-    and zero for j <= j_c in a neighborhood of the root. The gap is
-    evaluated at every grid point up to the first bracket."""
-    return _first_root("isodm", _isodm_entries, IsoDMParams(0.0, d))
+    and zero for j <= j_c in a neighborhood of the root. For |d| <= 680 the
+    search visits the pieces of :func:`_isodm_pieces`: every grid point
+    with j <= 0, then the last point and a binary search of j > 0 if the
+    sign moved there. For larger |d| it visits every grid point up to the
+    first stop. Either way the result is the dense scan's."""
+    p = IsoDMParams(0.0, d)
+    pieces = _isodm_pieces if abs(p.d) <= ISODM_PIECE_LIMIT else _one_step_pieces
+    return _first_root("isodm", _isodm_entries, p, pieces)
 
 
-def _xxz_pieces(xs: list) -> tuple[int, int]:
+def _xxz_pieces(xs: tuple) -> tuple[int, int]:
     """Ends of the two pieces of the grid on which the xxz search looks for
     its first stop: the last j <= 0, then the last point. The argument
     below holds for grid steps h in [0.01, 0.05], that is for

@@ -315,6 +315,23 @@ def test_critical_scan_exact_zero_exits(monkeypatch):
     assert 0.0 < xs[1300] - from_below <= models.BISECT_WIDTH
 
 
+def test_critical_isodm_search_evaluation_counts(monkeypatch):
+    seen = []
+    entries = models._isodm_entries
+    monkeypatch.setattr(models, "_isodm_entries", lambda j, p: seen.append(j) or entries(j, p))
+    with pytest.raises(NoSignChange):
+        critical_coupling_isodm(10.0)
+    # 1,002 = j = -50, the 1,000 grid points up to j = 0 and the last point:
+    # the sign stays + past j = 0. The dense scan took 2,001.
+    assert len(seen) == 1002
+    assert seen[-2:] == [0.0, 50.0]
+    seen.clear()
+    critical_coupling_isodm(2.0)
+    # The root lies on j <= 0, where the search is the dense scan.
+    assert len(seen) == 977
+    assert max(seen) <= 0.0
+
+
 def _outcome(find, *args):
     """The root's ``float.hex``, or the class and message of what it raised."""
     try:
@@ -323,36 +340,76 @@ def _outcome(find, *args):
         return type(exc), str(exc)
 
 
-def _gap_at_minus_50_flips():
-    """The two adjacent deltas (near -ln 2 / 50) between which the xxz gap
-    at j = -50 turns from positive to negative."""
-    def gap(delta):
-        return models._x_gap(models._xxz_entries(-50.0, XXZParams(0.0, delta, 0.0)))
+def _gap_at_minus_50_flips(label, params, lo, hi):
+    """The two adjacent floats in [lo, hi] between which the gap of
+    ``params(0.0, x)`` at j = -50 changes sign."""
+    entries = getattr(models, f"_{label}_entries")
 
-    lo, hi = -0.02, -0.01
+    def gap(x):
+        return models._x_gap(entries(-50.0, params(0.0, x)))
+
+    left = gap(lo) > 0.0
     while math.nextafter(lo, hi) != hi:
         mid = (lo + hi) / 2.0
-        lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
-    assert gap(lo) > 0.0 > gap(hi)
+        lo, hi = (mid, hi) if (gap(mid) > 0.0) == left else (lo, mid)
+    assert gap(lo) * gap(hi) < 0.0
     return [lo, hi]
 
 
+def _assert_search_matches_the_dense_scan(monkeypatch, label, params, inputs) -> set:
+    """``critical_coupling_<label>(*args)`` has the dense scan's root bits, or
+    its exception class and message, for every ``args`` in ``inputs`` on
+    grids of 2001, 4001 and 5003 points. Returns the (points, outcome kind)
+    pairs seen, the kind being "root" or the exception message without the
+    parameters it names."""
+    find = getattr(models, f"critical_coupling_{label}")
+    entries = getattr(models, f"_{label}_entries")
+    kinds = set()
+    for n in (2001, 4001, 5003):
+        monkeypatch.setattr(models, "SCAN_POINTS", n)
+        for args in inputs:
+            dense = _outcome(dense_first_root, label, entries, params(0.0, *args))
+            assert _outcome(find, *args) == dense, (n, args)
+            kinds.add((n, "root" if isinstance(dense, str) else dense[1].rpartition(": ")[2]))
+    return kinds
+
+
 def test_critical_xxz_search_matches_the_dense_scan(monkeypatch):
-    # Same root bits, or the same exception and message, as the dense scan.
     # Fields in |b| in [709.5, 711] overflow an entry near the root on the
     # j <= 0 piece for delta < -1, so the binary search meets overflowing
     # points there and must stop at the dense scan's first stop.
-    deltas = np.linspace(-5.0, 5.0, 21).tolist() + _gap_at_minus_50_flips()
+    deltas = np.linspace(-5.0, 5.0, 21).tolist()
+    deltas += _gap_at_minus_50_flips("xxz", XXZParams, -0.02, -0.01)
     window = [s * b for b in np.linspace(709.5, 711.0, 16).tolist() for s in (1.0, -1.0)]
     bs = [0.0, 1.0, -1.0, 10.0, -10.0, 700.0, -700.0, 705.0, -705.0, *window]
     assert -2.0 in deltas and 0.0 in deltas
+    inputs = [(delta, b) for delta in deltas for b in bs]
+    _assert_search_matches_the_dense_scan(monkeypatch, "xxz", XXZParams, inputs)
+
+
+def test_critical_isodm_search_matches_the_dense_scan(monkeypatch):
+    # d on a grid; 30 floats on each side of asinh(1), where the root
+    # reaches j = 0; the pair near 8.3 where gap(-50) turns positive; and
+    # |d| from 660 to 720 in steps of 5, across the 680 cut. There |nu|
+    # raises in a window of j only about 0.005 wide from 683.65 on, and an
+    # entry raises at j = -50 from about 708.75 on. The 0.05 steps in
+    # [685.8, 686.1] hit that window on every grid, where a piece search
+    # over j > 0 would step over it.
+    below, above = [math.asinh(1.0)], [math.asinh(1.0)]
+    for _ in range(30):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 2.0))
+    ds = np.linspace(-20.0, 20.0, 21).tolist() + below[1:] + above[1:]
+    ds += _gap_at_minus_50_flips("isodm", IsoDMParams, 8.0, 9.0)
+    ds += np.linspace(660.0, 720.0, 13).tolist() + [-683.65, -702.5]
+    ds += np.linspace(685.8, 686.1, 7).tolist()
+    kinds = _assert_search_matches_the_dense_scan(
+        monkeypatch, "isodm", IsoDMParams, [(d,) for d in ds]
+    )
+    no_root = f"no sign change over j in [{models.SCAN_RANGE[0]:g}, {models.SCAN_RANGE[1]:g}]"
+    exits = {"root", no_root, "absolute value too large", "math range error"}
     for n in (2001, 4001, 5003):
-        monkeypatch.setattr(models, "SCAN_POINTS", n)
-        for delta in deltas:
-            for b in bs:
-                p = XXZParams(0.0, delta, b)
-                dense = _outcome(dense_first_root, "xxz", models._xxz_entries, p)
-                assert _outcome(critical_coupling_xxz, delta, b) == dense, (n, delta, b)
+        assert {kind for points, kind in kinds if points == n} >= exits, n
 
 
 def test_critical_xxz_switches_concurrence_below_threshold():
