@@ -17,7 +17,7 @@ from .errors import (
     OracleMismatch,
     SpincorrError,
 )
-from .measures import MeasureReport, concurrence, gmod_exact, gmod_lower, min_closed, report
+from .measures import MeasureReport, concurrence, report
 from .models import (
     IsoDMParams,
     ModelReport,
@@ -52,12 +52,9 @@ __all__ = [
     "critical_coupling_isodm",
     "critical_coupling_xxz",
     "decompose",
-    "gmod_exact",
-    "gmod_lower",
     "gmod_oracle",
     "measures_isodm",
     "measures_xxz",
-    "min_closed",
     "min_oracle",
     "ppt_entangled",
     "random_state",

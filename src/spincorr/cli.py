@@ -151,10 +151,11 @@ def _config_tokens(args: argparse.Namespace, parser: _Parser) -> list[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The argparse tree, built on the first call and reused by every later
-    ``main`` call in the process. Parsing keeps no state in the parser: each
-    call gets a fresh namespace."""
+def _build_parser() -> tuple[_Parser, dict]:
+    """The argparse tree and each subcommand's (handler, parser), built on the
+    first call and reused by every later ``main`` call in the process. Parsing
+    keeps no state in the parsers: each call gets a fresh namespace. Handlers
+    report usage errors through their subcommand's parser, as argparse does."""
     parser = _Parser(
         prog="spincorr",
         description="Two-qubit correlation measures for thermal spin models "
@@ -197,7 +198,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--count", type=int, default=100, help="number of states (default 100)")
     p_verify.add_argument("--config", help="key=value defaults file; flags win")
 
-    return parser
+    handlers = {"measures": _cmd_measures, "sweep": _cmd_sweep,
+                "critical": _cmd_critical, "verify": _cmd_verify}
+    return parser, {name: (handlers[name], p) for name, p in sub.choices.items()}
 
 
 def _load_state_file(path: str) -> np.ndarray:
@@ -404,22 +407,17 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 
 def main(argv=None) -> int:
     """Run the CLI; returns the process exit code."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        handler, command_parser = commands[args.command]
         if args.config:
             # Config values go in right after the subcommand, so one parse
             # checks them like flags and a flag given on the command line wins.
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args, parser) + argv[at:])
-        handler = {
-            "measures": _cmd_measures,
-            "sweep": _cmd_sweep,
-            "critical": _cmd_critical,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args, parser)
+            args = parser.parse_args(argv[:at] + _config_tokens(args, command_parser) + argv[at:])
+        return handler(args, command_parser)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     except SpincorrError as exc:

@@ -1,6 +1,6 @@
 """Closed-form correlation measures for arbitrary two-qubit states.
 
-Four measures are computed from a density matrix or its Bloch form:
+Four measures of a density matrix, all given by ``report``:
 
 - Wootters concurrence ``C``: entanglement monotone from the spin-flipped
   spectrum. The needed values are the square roots of the eigenvalues of
@@ -13,8 +13,9 @@ Four measures are computed from a density matrix or its Bloch form:
 - Measurement-induced nonlocality ``N``: the maximal squared
   Hilbert-Schmidt disturbance of the state under local projective
   measurements on the first qubit that preserve that qubit's marginal.
-  Closed form: tr(T T^t) - lambda_min(T T^t) when the marginal is
-  maximally mixed (|x| below a cutoff), else tr(T T^t) - x^t T T^t x/|x|^2.
+  Closed form: when the marginal is maximally mixed (|x| below a cutoff)
+  every axis preserves it and N = tr(T T^t) - lambda_min(T T^t); otherwise
+  only the axis x/|x| does and N = tr(T T^t) - x^t T T^t x/|x|^2.
   N is genuinely discontinuous as x -> 0, so the branch taken is reported.
 - Geometric discord ``D_exact``: minimal squared Hilbert-Schmidt distance
   to the zero-discord states, in the Bloch normalization of this package:
@@ -22,8 +23,10 @@ Four measures are computed from a density matrix or its Bloch form:
   oracle equals exactly twice this value (verified, not assumed).
 - Discord lower bound ``Q``: the tight spectral bound
   Q = (2/3) [2 tr S - sqrt(6 tr S^2 - 2 (tr S)^2)], which never exceeds
-  D_exact. Its radicand is evaluated as a sum of squared eigenvalue gaps
-  of S, so it is never negative.
+  D_exact. Its radicand is evaluated as 2 sum_{i<j} (k_i - k_j)^2 over the
+  eigenvalues of S, so it is never negative. The moment form cancels where
+  S is near-isotropic and would put ~1e-9 of noise into Q exactly where
+  Q = N/2 must hold to 1e-12.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .bloch import BlochForm, decompose
+from .bloch import decompose
 from .qmat import PAULI_PRODUCTS
 
 X_DEGENERACY_CUTOFF = 1e-9
@@ -79,65 +82,27 @@ def concurrence(rho: np.ndarray) -> float:
     return max(0.0, float(lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
 
 
-def min_closed(form: BlochForm) -> tuple[float, str]:
-    """Measurement-induced nonlocality from a Bloch form.
-
-    Returns ``(value, branch)``. With a maximally mixed first-qubit
-    marginal (|x| <= 1e-9) every measurement axis preserves the marginal
-    and the maximal disturbance is tr(T T^t) minus the smallest eigenvalue
-    of T T^t (branch ``"XZero"``); otherwise the only admissible axis is
-    x/|x| and the value is tr(T T^t) - x^t T T^t x / |x|^2 (branch
-    ``"XNonzero"``).
-    """
-    value, branch, _, _ = _closed_forms(form)
-    return value, branch
-
-
-def gmod_exact(form: BlochForm) -> float:
-    """Exact geometric discord 2 (tr S - k_max), k_i the eigenvalues of S."""
-    return _closed_forms(form)[2]
-
-
-def gmod_lower(form: BlochForm) -> float:
-    """Tight lower bound on the geometric discord (never above gmod_exact).
-
-    Q = (2/3)(2 tr S - sqrt(6 tr(S^2) - 2 (tr S)^2)). The radicand is
-    evaluated through the eigenvalues of S as 2 sum_{i<j} (k_i - k_j)^2,
-    which is the same quantity but immune to the catastrophic cancellation
-    the moment form suffers when S is near-isotropic (where the radicand
-    vanishes); the direct moment route would inject ~1e-9 of noise into Q
-    exactly where Q = N/2 must hold to 1e-12.
-    """
-    return _closed_forms(form)[3]
-
-
-def _closed_forms(form: BlochForm) -> tuple[float, str, float, float]:
-    """(N, branch, D_exact, Q) of :func:`min_closed`, :func:`gmod_exact` and
-    :func:`gmod_lower`, from one T T^t and one spectrum of S."""
+def report(rho: np.ndarray) -> MeasureReport:
+    """All four measures of one state, with the nonlocality branch. N, D and
+    Q share one T T^t and one spectrum of S; see the module docstring."""
+    rho = qmat.validate_state(rho)
+    form = decompose(rho)
     tt = form.T @ form.T.T
     trace_tt = float(tt.trace())
     x_norm2 = float(form.x @ form.x)
     if math.sqrt(x_norm2) <= X_DEGENERACY_CUTOFF:
-        value, branch = trace_tt - float(np.linalg.eigvalsh(tt).min()), BRANCH_X_ZERO
+        min_value, branch = trace_tt - float(np.linalg.eigvalsh(tt).min()), BRANCH_X_ZERO
     else:
-        value, branch = trace_tt - float(form.x @ tt @ form.x) / x_norm2, BRANCH_X_NONZERO
+        min_value, branch = trace_tt - float(form.x @ tt @ form.x) / x_norm2, BRANCH_X_NONZERO
     s = (np.outer(form.x, form.x) + tt) / 4.0
     trace_s = float(s.trace())
     k = np.linalg.eigvalsh(s)  # ascending, so k[2] is k_max
     d01, d12, d20 = k[0] - k[1], k[1] - k[2], k[2] - k[0]
     radicand = 2.0 * (d01 * d01 + d12 * d12 + d20 * d20)
-    exact = 2.0 * (trace_s - float(k[2]))
-    return value, branch, exact, (2.0 / 3.0) * (2.0 * trace_s - math.sqrt(radicand))
-
-
-def report(rho: np.ndarray) -> MeasureReport:
-    """All four measures of one state, with the nonlocality branch."""
-    rho = qmat.validate_state(rho)
-    min_value, branch, exact, lower = _closed_forms(decompose(rho))
     return MeasureReport(
         concurrence=concurrence(rho),
         min_value=min_value,
-        gmod_exact=exact,
-        gmod_lower=lower,
+        gmod_exact=2.0 * (trace_s - float(k[2])),
+        gmod_lower=(2.0 / 3.0) * (2.0 * trace_s - math.sqrt(radicand)),
         branch=branch,
     )

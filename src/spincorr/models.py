@@ -296,7 +296,7 @@ def _one_step_pieces(xs: tuple) -> range:
     return range(1, len(xs))
 
 
-def _first_root(label: str, entries, p: _ModelParams, piece_ends=_one_step_pieces) -> float:
+def _first_root(label: str, entries, p: _ModelParams, piece_ends) -> float:
     """First sign change of the X-state gap of ``entries(j, p)`` over the
     ascending uniform grid of ``SCAN_POINTS`` values of j in [-50, 50],
     refined by bisection to an interval of 1e-9. Raises

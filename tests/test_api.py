@@ -26,12 +26,9 @@ PUBLIC_NAMES = [
     "critical_coupling_isodm",
     "critical_coupling_xxz",
     "decompose",
-    "gmod_exact",
-    "gmod_lower",
     "gmod_oracle",
     "measures_isodm",
     "measures_xxz",
-    "min_closed",
     "min_oracle",
     "ppt_entangled",
     "random_state",

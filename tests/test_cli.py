@@ -422,7 +422,7 @@ def test_sweep_bad_arguments(tmp_path, capsys):
         code, stdout, err = run_cli(
             capsys, "sweep", "--model", model, "--out", out, "--series", series
         )
-        assert (code, stdout, err.splitlines()[-1]) == (3, "", f"spincorr: error: {wording}")
+        assert (code, stdout, err.splitlines()[-1]) == (3, "", f"spincorr sweep: error: {wording}")
 
 
 def test_sweep_refuses_a_span_that_overflows(tmp_path):
@@ -434,7 +434,7 @@ def test_sweep_refuses_a_span_that_overflows(tmp_path):
     assert (code, out) == (3, "")
     assert "Warning" not in err and "Traceback" not in err
     assert err.splitlines()[-1] == (
-        "spincorr: error: --j-end - --j-start must be finite, got 1e+308 - -1e+308"
+        "spincorr sweep: error: --j-end - --j-start must be finite, got 1e+308 - -1e+308"
     )
     assert not (tmp_path / "f.csv").exists() and not (tmp_path / "f.csv.tmp").exists()
 
@@ -475,7 +475,7 @@ def test_sweep_refuses_more_rows_than_the_limit(tmp_path):
     assert (code, out) == (3, "")
     assert "Traceback" not in err
     assert err.splitlines()[-1] == (
-        "spincorr: error: --j-steps 10000000000000 x 1 series = 10000000000000 rows, "
+        "spincorr sweep: error: --j-steps 10000000000000 x 1 series = 10000000000000 rows, "
         "above the limit of 1000000"
     )
     assert not (tmp_path / "x.csv").exists()
@@ -673,7 +673,7 @@ def test_config_rejects_bad_content(tmp_path, capsys):
     not_utf8.write_bytes(b"\xff\xfe\x00")
     code, out, err = run_cli(capsys, "verify", "--config", str(not_utf8))
     assert (code, out) == (3, "")
-    assert err.splitlines()[-1] == f"spincorr: error: cannot read config file: {UTF8_ERROR}"
+    assert err.splitlines()[-1] == f"spincorr verify: error: cannot read config file: {UTF8_ERROR}"
 
 
 def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
@@ -909,7 +909,11 @@ def test_ignored_model_flags_are_refused(tmp_path, capsys, argv, via_config):
     code, out, err = run_cli(capsys, *argv, *extra)
     assert (code, out) == (3, "") and not out_path.exists()
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("spincorr: error: ")
+    # Usage line and error prefix name the subcommand, as argparse's errors
+    # for its flags do; argparse names the top level for an unknown flag.
+    last = err.splitlines()[-1]
+    prog = "spincorr" if "unrecognized arguments" in last else f"spincorr {argv[0]}"
+    assert err.startswith(f"usage: {prog} [-h] ") and last.startswith(f"{prog}: error: ")
 
 
 # A negative value in scientific notation, or one that is not a plain

@@ -294,7 +294,9 @@ def _scan_with_gap(monkeypatch, gap):
     """``_first_root`` over the real scan grid with the gap replaced by
     ``gap(j)``: the entries of j are j itself."""
     monkeypatch.setattr(models, "_x_gap", gap)
-    return models._first_root("test", lambda j, p: j, IsoDMParams(0.0, 0.0))
+    return models._first_root(
+        "test", lambda j, p: j, IsoDMParams(0.0, 0.0), models._one_step_pieces
+    )
 
 
 def test_critical_scan_exact_zero_exits(monkeypatch):

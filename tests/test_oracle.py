@@ -9,7 +9,7 @@ import pytest
 from spincorr import cli, oracle, qmat
 from spincorr.bloch import decompose
 from spincorr.errors import OracleMismatch
-from spincorr.measures import concurrence, gmod_exact, min_closed
+from spincorr.measures import concurrence, report
 from spincorr.models import (
     IsoDMParams,
     XXZParams,
@@ -246,7 +246,7 @@ def test_min_oracle_pinned_axis_single_evaluation():
         form = decompose(rho)
         result = min_oracle(rho)
         assert result.evaluations == 1
-        assert abs(result.value - min_closed(form)[0]) <= 1e-10
+        assert abs(result.value - report(rho).min_value) <= 1e-10
         axis = form.x / np.linalg.norm(form.x)
         assert np.max(np.abs(result.direction - axis)) <= 1e-12
 
@@ -261,7 +261,7 @@ def test_gmod_oracle_is_twice_the_closed_form():
     for _ in range(30):
         rho = random_state(rng)
         oracle_value = gmod_oracle(rho).value
-        assert abs(oracle_value - 2.0 * gmod_exact(decompose(rho))) <= 1e-4
+        assert abs(oracle_value - 2.0 * report(rho).gmod_exact) <= 1e-4
 
 
 def test_min_oracle_dominates_gmod_oracle_at_degeneracy():
