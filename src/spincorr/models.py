@@ -24,22 +24,26 @@ correlation matrix T = diag(kappa/Z, kappa/Z, t3).
 
 Critical couplings (where concurrence first becomes nonzero) are the first
 bracket of a gap sign change on a uniform grid of j in [-50, 50], refined
-by bisection. The search cuts the grid into pieces on which the gap's sign
-is provably monotone, evaluates each piece's end and binary-searches the
-piece that holds the first stop. The xxz gap is monotone on j <= 0 and on
-j > 0: about 40 gap evaluations in place of about 1,000. The isodm gap is
-monotone on j > 0 for |d| <= 680, so its search visits every grid point
-with j <= 0 and then the last one: 1,002 evaluations where no root exists,
-in place of 2,001. An entry that overflows counts as a stop, so both
-searches give the bracket, root bits, ``NoSignChange`` and
-``OverflowError`` of a scan that visits every grid point in order.
+by bisection. Each model sets one number, ``walk_to``: the search visits
+the grid points with j <= ``walk_to`` one by one and cuts the rest of the
+grid at the last j <= 0 and at the last point, into pieces on which the
+gap's sign is provably monotone. It evaluates each piece's end and
+binary-searches the piece that holds the first stop. The xxz gap is
+monotone on j <= 0 and on j > 0, so xxz walks no point
+(``walk_to = -math.inf``): about 40 gap evaluations in place of about
+1,000. The isodm gap is monotone on j > 0 for |d| <= 680, so isodm walks
+j <= 0 (``walk_to = 0.0``) and then evaluates the last point: 1,002
+evaluations where no root exists, in place of 2,001. Beyond |d| = 680 it
+walks every point (``walk_to = math.inf``). An entry that overflows
+counts as a stop, so both searches give the bracket, root bits,
+``NoSignChange`` and ``OverflowError`` of a scan that visits every grid
+point in order.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -290,13 +294,7 @@ def _scan_grid(lo: float, hi: float, points: int) -> tuple:
     return tuple(np.linspace(lo, hi, points).tolist())
 
 
-def _one_step_pieces(xs: tuple) -> range:
-    """Every grid point ends a piece of its own: the search is the dense
-    scan, one gap evaluation per point up to the first bracket."""
-    return range(1, len(xs))
-
-
-def _first_root(label: str, entries, p: _ModelParams, piece_ends) -> float:
+def _first_root(label: str, entries, p: _ModelParams, walk_to: float) -> float:
     """First sign change of the X-state gap of ``entries(j, p)`` over the
     ascending uniform grid of ``SCAN_POINTS`` values of j in [-50, 50],
     refined by bisection to an interval of 1e-9. Raises
@@ -306,14 +304,19 @@ def _first_root(label: str, entries, p: _ModelParams, piece_ends) -> float:
     point from j = -50 and stops at the first point that overflows
     (``OverflowError`` propagates), has the other sign than the first
     point (bisect from the point before it), or is an exact zero reached
-    from above (return it). ``piece_ends(xs)`` gives ascending grid
-    indices, the last one ``len(xs) - 1``, that cut the grid into pieces
-    on which "the dense scan has stopped here or earlier" is false and
+    from above (return it). The search visits the grid points with
+    j <= ``walk_to`` one by one, as the dense scan does. It cuts the rest
+    of the grid at the last j <= 0 and at the last point, skipping a cut
+    at or before the last walked point; the caller must know that on each
+    piece so cut "the dense scan has stopped here or earlier" is false and
     then true. The search evaluates each piece's end, and only in the
     piece where that holds does it binary-search for the first such
     point; the gap there and at the point before it are the dense scan's
-    values, so bracket, bisection and exit are its own, bit for bit."""
+    values, so bracket, bisection and exit are its own, bit for bit.
+    ``walk_to = math.inf`` is the dense scan itself."""
     xs = _scan_grid(SCAN_RANGE[0], SCAN_RANGE[1], SCAN_POINTS)
+    walked = bisect.bisect_right(xs, walk_to) - 1
+    cuts = (bisect.bisect_right(xs, 0.0) - 1, len(xs) - 1)
     first = _x_gap(entries(xs[0], p))
     if first == 0.0:
         return xs[0]
@@ -330,7 +333,7 @@ def _first_root(label: str, entries, p: _ModelParams, piece_ends) -> float:
         return (last < 0.0) != negative or last == 0.0
 
     lo, f_lo = 0, first
-    for hi in piece_ends(xs):
+    for hi in (*range(1, walked + 1), *(i for i in cuts if i > walked)):
         if not stopped(hi):
             lo, f_lo = hi, last
             continue
@@ -353,12 +356,16 @@ def _first_root(label: str, entries, p: _ModelParams, piece_ends) -> float:
     )
 
 
-def _isodm_pieces(xs: tuple) -> itertools.chain:
-    """Ends of the pieces of the grid on which the isodm search looks for
-    its first stop when |d| <= 680: one grid point each up to the last
-    j <= 0, which is the dense scan there, then one piece up to the last
-    point. The argument below holds for grid steps h in [0.01, 0.05], that
-    is for 2001 <= SCAN_POINTS <= 10001.
+def critical_coupling_isodm(d: float) -> float:
+    """Exchange threshold j_c where the isodm concurrence first turns on:
+    the root of |nu(j, d)| = mu(j, d). Concurrence is positive for j > j_c
+    and zero for j <= j_c in a neighborhood of the root. For |d| <= 680 the
+    search walks every grid point with j <= 0 (``walk_to = 0.0``), which is
+    the dense scan there, then evaluates the last point and binary-searches
+    j > 0 if the sign moved there. For larger |d| it walks every grid point
+    up to the first stop (``walk_to = math.inf``). Either way the result is
+    the dense scan's. The argument below holds for grid steps h in
+    [0.01, 0.05], that is for 2001 <= SCAN_POINTS <= 10001.
 
     Sign. With eta = hypot(j, d), |nu| = e^(j/2) sinh(eta) and
     mu = e^(-j/2), so the gap has the sign of g(j) = j + log sinh(eta). On
@@ -386,32 +393,27 @@ def _isodm_pieces(xs: tuple) -> itertools.chain:
 
     Overflow. For |d| <= 680 no entry and no |nu| overflows anywhere on
     [-50, 50]: eta <= hypot(50, 680) < 681.9, and every entry, each part
-    of nu and |nu| is at most e^25 cosh(eta) < e^707. Larger |d| keeps
-    one-step pieces (see :func:`critical_coupling_isodm`): there
-    ``abs(nu)`` raises ``OverflowError`` in a window of j where the parts
-    of nu are still finite, and past it |nu| is a silent inf, so the
-    points that raise need not form a prefix or a suffix of the grid."""
-    last_nonpositive = bisect.bisect_right(xs, 0.0) - 1
-    return itertools.chain(range(1, last_nonpositive + 1), (len(xs) - 1,))
-
-
-def critical_coupling_isodm(d: float) -> float:
-    """Exchange threshold j_c where the isodm concurrence first turns on:
-    the root of |nu(j, d)| = mu(j, d). Concurrence is positive for j > j_c
-    and zero for j <= j_c in a neighborhood of the root. For |d| <= 680 the
-    search visits the pieces of :func:`_isodm_pieces`: every grid point
-    with j <= 0, then the last point and a binary search of j > 0 if the
-    sign moved there. For larger |d| it visits every grid point up to the
-    first stop. Either way the result is the dense scan's."""
+    of nu and |nu| is at most e^25 cosh(eta) < e^707. Larger |d| walks
+    every grid point (``walk_to = math.inf``): there ``abs(nu)`` raises
+    ``OverflowError`` in a window of j where the parts of nu are still
+    finite, and past it |nu| is a silent inf, so the points that raise
+    need not form a prefix or a suffix of the grid."""
     p = IsoDMParams(0.0, d)
-    pieces = _isodm_pieces if abs(p.d) <= ISODM_PIECE_LIMIT else _one_step_pieces
-    return _first_root("isodm", _isodm_entries, p, pieces)
+    walk_to = 0.0 if abs(p.d) <= ISODM_PIECE_LIMIT else math.inf
+    return _first_root("isodm", _isodm_entries, p, walk_to)
 
 
-def _xxz_pieces(xs: tuple) -> tuple[int, int]:
-    """Ends of the two pieces of the grid on which the xxz search looks for
-    its first stop: the last j <= 0, then the last point. The argument
-    below holds for grid steps h in [0.01, 0.05], that is for
+def critical_coupling_xxz(delta: float, b: float) -> float:
+    """Exchange threshold j_c of the xxz concurrence: the root of
+    |kappa| = sqrt(delta_plus delta_minus), i.e. sinh|j| = exp(-j(1+delta)).
+    The field b cancels from the condition, so the threshold is
+    b-independent (the field suppresses the magnitude of the concurrence
+    above threshold but does not move the threshold). The search walks no
+    grid point (``walk_to = -math.inf``): it evaluates the ends of two
+    pieces, the last j <= 0 and the last point, and binary-searches the
+    first piece where the sign moved, about 40 gap evaluations in place of
+    one per grid point, with the dense scan's result. The argument below
+    holds for grid steps h in [0.01, 0.05], that is for
     2001 <= SCAN_POINTS <= 10001.
 
     Sign. With alpha = j(1+delta)/2, |kappa| = e^alpha sinh|j| and
@@ -459,15 +461,4 @@ def _xxz_pieces(xs: tuple) -> tuple[int, int]:
     does not raise, the points that do form a suffix. Either way,
     "overflowed, or left the sign of gap(-50), or hit zero" is false and
     then true on each piece."""
-    return bisect.bisect_right(xs, 0.0) - 1, len(xs) - 1
-
-
-def critical_coupling_xxz(delta: float, b: float) -> float:
-    """Exchange threshold j_c of the xxz concurrence: the root of
-    |kappa| = sqrt(delta_plus delta_minus), i.e. sinh|j| = exp(-j(1+delta)).
-    The field b cancels from the condition, so the threshold is
-    b-independent (the field suppresses the magnitude of the concurrence
-    above threshold but does not move the threshold). The search visits
-    the two pieces of :func:`_xxz_pieces`: about 40 gap evaluations in
-    place of one per grid point, with the dense scan's result."""
-    return _first_root("xxz", _xxz_entries, XXZParams(0.0, delta, b), _xxz_pieces)
+    return _first_root("xxz", _xxz_entries, XXZParams(0.0, delta, b), -math.inf)

@@ -257,6 +257,41 @@ def test_concurrence_and_ppt_are_swap_invariant_by_property(seed, rank):
     assert ppt_entangled(rho) == ppt_entangled(swapped)
 
 
+# Largest errors measured over 15,000 product states for each choice of
+# pure or mixed factors: x, y and T 1.1e-16; C 1.9e-15 (both pure; 0
+# when both are mixed); |N| 1.1e-16, |D| 3.3e-16 and |Q| 2.2e-16, each
+# with both factors pure. Each tolerance is about 4x its maximum.
+_PRODUCT_TOL = {"bloch": 5e-16, "C": 8e-15, "N": 5e-16, "D": 1.4e-15, "Q": 1e-15}
+
+
+def _bloch_vector(rng: Lcg, pure: bool) -> np.ndarray:
+    """A random direction of length 1/2 (a pure qubit) or below it."""
+    v = np.array([rng.normal() for _ in range(3)])
+    return v * ((0.5 if pure else 0.5 * rng.uniform()) / np.linalg.norm(v))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), pure_a=st.booleans(), pure_b=st.booleans())
+def test_product_state_bloch_form_and_measures_by_property(seed, pure_a, pure_b):
+    # rho = (I/2 + a.sigma) (x) (I/2 + b.sigma) has x = a, y = b and
+    # T = 2 a b^t in the half-trace normalization, and no correlation of
+    # any kind: C = N = D = Q = 0. A transposed T, a swapped qubit order or
+    # a sign error in a Pauli operator breaks the Bloch form.
+    rng = Lcg(seed)
+    a, b = _bloch_vector(rng, pure_a), _bloch_vector(rng, pure_b)
+    rho_a, rho_b = (qmat.I2 / 2.0 + np.tensordot(v, qmat.PAULIS, axes=1) for v in (a, b))
+    rho = np.kron(rho_a, rho_b)
+    form = decompose(rho)
+    assert np.abs(form.x - a).max() <= _PRODUCT_TOL["bloch"]
+    assert np.abs(form.y - b).max() <= _PRODUCT_TOL["bloch"]
+    assert np.abs(form.T - 2.0 * np.outer(a, b)).max() <= _PRODUCT_TOL["bloch"]
+    rep = report(rho)
+    assert rep.concurrence <= _PRODUCT_TOL["C"]
+    assert abs(rep.min_value) <= _PRODUCT_TOL["N"]
+    assert abs(rep.gmod_exact) <= _PRODUCT_TOL["D"]
+    assert abs(rep.gmod_lower) <= _PRODUCT_TOL["Q"]
+
+
 def test_every_state_validation_accepts_gets_a_report():
     # Each random state gets its smallest eigenvalue moved to -1e-8 + k 1e-17,
     # the rest spread over the other three. The offsets straddle

@@ -290,29 +290,31 @@ def test_critical_scan_stops_at_the_first_bracket(monkeypatch):
     assert len(seen) == 38
 
 
-def _scan_with_gap(monkeypatch, gap):
+def _scan_with_gap(monkeypatch, gap, walk_to):
     """``_first_root`` over the real scan grid with the gap replaced by
     ``gap(j)``: the entries of j are j itself."""
     monkeypatch.setattr(models, "_x_gap", gap)
-    return models._first_root(
-        "test", lambda j, p: j, IsoDMParams(0.0, 0.0), models._one_step_pieces
-    )
+    return models._first_root("test", lambda j, p: j, IsoDMParams(0.0, 0.0), walk_to)
 
 
-def test_critical_scan_exact_zero_exits(monkeypatch):
+@pytest.mark.parametrize("walk_to", [-math.inf, 0.0, math.inf])
+def test_critical_scan_exact_zero_exits(monkeypatch, walk_to):
+    # Every exit lies at j >= 5 or at the first point, so walk_to = inf
+    # reaches it point by point and the other two through a searched piece.
     xs = np.linspace(models.SCAN_RANGE[0], models.SCAN_RANGE[1], models.SCAN_POINTS).tolist()
     assert (xs[1100], xs[1101], xs[1300]) == (5.0, 5.050000000000004, 15.0)
     # Zero at the first scan point: that point.
-    assert _scan_with_gap(monkeypatch, lambda j: 0.0).hex() == "-0x1.9000000000000p+5"
+    assert _scan_with_gap(monkeypatch, lambda j: 0.0, walk_to).hex() == "-0x1.9000000000000p+5"
     # Zero at a later grid point reached from above: that point, no bisection.
-    from_above = _scan_with_gap(monkeypatch, lambda j: max(xs[1300] - j, 0.0))
+    from_above = _scan_with_gap(monkeypatch, lambda j: max(xs[1300] - j, 0.0), walk_to)
     assert from_above.hex() == "0x1.e000000000000p+3"
     # Zero at the first bisection midpoint of a bracket: that midpoint.
     mid = (xs[1100] + xs[1101]) / 2.0
-    assert _scan_with_gap(monkeypatch, lambda j: j - mid).hex() == "0x1.419999999999cp+2"
+    at_mid = _scan_with_gap(monkeypatch, lambda j: j - mid, walk_to)
+    assert at_mid.hex() == "0x1.419999999999cp+2"
     # Zero at a grid point reached from below brackets it from the left, so
     # the bisection ends within BISECT_WIDTH of the point, not at it.
-    from_below = _scan_with_gap(monkeypatch, lambda j: j - xs[1300])
+    from_below = _scan_with_gap(monkeypatch, lambda j: j - xs[1300], walk_to)
     assert from_below.hex() == "0x1.dfffffffccccdp+3"
     assert 0.0 < xs[1300] - from_below <= models.BISECT_WIDTH
 
