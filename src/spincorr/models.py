@@ -31,13 +31,11 @@ gap's sign is provably monotone. It evaluates each piece's end and
 binary-searches the piece that holds the first stop. The xxz gap is
 monotone on j <= 0 and on j > 0, so xxz walks no point
 (``walk_to = -math.inf``): about 40 gap evaluations in place of about
-1,000. The isodm gap is monotone on j > 0 for |d| <= 680, so isodm walks
-j <= 0 (``walk_to = 0.0``) and then evaluates the last point: 1,002
-evaluations where no root exists, in place of 2,001. Beyond |d| = 680 it
-walks every point (``walk_to = math.inf``). An entry that overflows
-counts as a stop, so both searches give the bracket, root bits,
-``NoSignChange`` and ``OverflowError`` of a scan that visits every grid
-point in order.
+1,000. The isodm gap is monotone on j > 0, so isodm walks j <= 0
+(``walk_to = 0.0``) and then evaluates the last point: 1,002 evaluations
+where no root exists, in place of 2,001. An entry that overflows counts
+as a stop, so both searches give the bracket, root bits, ``NoSignChange``
+and ``OverflowError`` of a scan that visits every grid point in order.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ CROSS_CHECK_TOL = 1e-10
 SCAN_RANGE = (-50.0, 50.0)
 SCAN_POINTS = 2001
 BISECT_WIDTH = 1e-9
-ISODM_PIECE_LIMIT = 680.0  # |d| beyond which the isodm search is the dense scan
 
 
 class _ModelParams:
@@ -173,8 +170,13 @@ def _x_matrix(e: tuple) -> np.ndarray:
 
 def _x_gap(e: tuple) -> float:
     """|rho12| - sqrt(rho00 rho33) of X-state entries e: the state is
-    entangled exactly where it is positive."""
-    return abs(e[3]) - math.sqrt(e[0] * e[2])
+    entangled exactly where it is positive. A |rho12| beyond the float
+    range reads as +inf, also where ``abs`` raises on finite parts."""
+    try:
+        rho12 = abs(e[3])
+    except OverflowError:
+        rho12 = math.inf
+    return rho12 - math.sqrt(e[0] * e[2])
 
 
 def thermal_isodm(p: IsoDMParams) -> ClosedFormState:
@@ -359,13 +361,12 @@ def _first_root(label: str, entries, p: _ModelParams, walk_to: float) -> float:
 def critical_coupling_isodm(d: float) -> float:
     """Exchange threshold j_c where the isodm concurrence first turns on:
     the root of |nu(j, d)| = mu(j, d). Concurrence is positive for j > j_c
-    and zero for j <= j_c in a neighborhood of the root. For |d| <= 680 the
-    search walks every grid point with j <= 0 (``walk_to = 0.0``), which is
-    the dense scan there, then evaluates the last point and binary-searches
-    j > 0 if the sign moved there. For larger |d| it walks every grid point
-    up to the first stop (``walk_to = math.inf``). Either way the result is
-    the dense scan's. The argument below holds for grid steps h in
-    [0.01, 0.05], that is for 2001 <= SCAN_POINTS <= 10001.
+    and zero for j <= j_c in a neighborhood of the root. The search walks
+    every grid point with j <= 0 (``walk_to = 0.0``), which is the dense
+    scan there, then evaluates the last point and binary-searches j > 0 if
+    the sign moved there, with the dense scan's result. The argument below
+    holds for every d and for grid steps h in [0.01, 0.05], that is for
+    2001 <= SCAN_POINTS <= 10001.
 
     Sign. With eta = hypot(j, d), |nu| = e^(j/2) sinh(eta) and
     mu = e^(-j/2), so the gap has the sign of g(j) = j + log sinh(eta). On
@@ -389,18 +390,18 @@ def critical_coupling_isodm(d: float) -> float:
     sign of g wherever |g| > 1e-12. As g' >= 1 on j > 0 and grid points
     lie at least 0.01 apart, at most one grid point there has
     |g| <= 1e-12, next to the root, and either sign there keeps the sign
-    sequence monotone.
+    sequence monotone. For |d| > 680, g > -50 + log sinh(680) > 600 on
+    all of [-50, 50], so every computed gap is positive, +inf included.
 
-    Overflow. For |d| <= 680 no entry and no |nu| overflows anywhere on
-    [-50, 50]: eta <= hypot(50, 680) < 681.9, and every entry, each part
-    of nu and |nu| is at most e^25 cosh(eta) < e^707. Larger |d| walks
-    every grid point (``walk_to = math.inf``): there ``abs(nu)`` raises
-    ``OverflowError`` in a window of j where the parts of nu are still
-    finite, and past it |nu| is a silent inf, so the points that raise
-    need not form a prefix or a suffix of the grid."""
-    p = IsoDMParams(0.0, d)
-    walk_to = 0.0 if abs(p.d) <= ISODM_PIECE_LIMIT else math.inf
-    return _first_root("isodm", _isodm_entries, p, walk_to)
+    Overflow. exp(+-j/2) <= e^25, so an entry raises only from cosh or
+    sinh of eta, each above one fixed argument. The computed eta is even
+    in j and, at |j| <= 50 - h, below its value at j = +-50 by far more
+    than its rounding. So either j = -50, the first point evaluated,
+    raises as in the dense scan, or no grid point does. Nothing else
+    raises: a |nu| beyond the float range reads as a +inf gap (see
+    :func:`_x_gap`). For |d| <= 680 nothing overflows: every entry, each
+    part of nu and |nu| is at most e^25 cosh(hypot(50, 680)) < e^707."""
+    return _first_root("isodm", _isodm_entries, IsoDMParams(0.0, d), 0.0)
 
 
 def critical_coupling_xxz(delta: float, b: float) -> float:

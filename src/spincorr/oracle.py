@@ -69,9 +69,6 @@ def _fibonacci_sphere(n_points: int) -> np.ndarray:
 
 # The scan grid, built once and shared by every oracle call (so read-only).
 GRID_DIRECTIONS = _fibonacci_sphere(2000)
-# Its x, y and z columns as contiguous rows, for the grid screen.
-_GRID_COLUMNS = np.ascontiguousarray(GRID_DIRECTIONS.T)
-_GRID_COLUMNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
         _check(n, value, sign * signed_screen)
         return sign * value
 
-    grid_screen = sign * screen(*_GRID_COLUMNS)
+    grid_screen = sign * screen(*GRID_DIRECTIONS.T)
     near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
     rows = GRID_DIRECTIONS[near]
     values = _disturbances(rho, rows)

@@ -496,6 +496,10 @@ def test_critical_output(capsys):
     assert code == 0 and out == "0.549306144\n"  # threshold ignores the field
     code, out, err = run_cli(capsys, "critical", "--model", "isodm", "--d", "10")
     assert code == 5 and out == "" and "no bracket" in err
+    # Here abs(nu) overflows from finite parts in a window of j > 0; the
+    # scan reads that as a positive gap, not as an OverflowError.
+    code, out, err = run_cli(capsys, "critical", "--model", "isodm", "--d", "685.85")
+    assert code == 5 and out == "" and err.startswith("no bracket: ")
 
 
 def test_verify_small_run_and_determinism(capsys):

@@ -292,6 +292,52 @@ def test_product_state_bloch_form_and_measures_by_property(seed, pure_a, pure_b)
     assert abs(rep.gmod_lower) <= _PRODUCT_TOL["Q"]
 
 
+# Largest errors measured over 20,000 rotated Werner states, p = k/2^20
+# for k in [1, 2^20]: C 3.1e-15, N 1.3e-15, D 7.2e-16, Q 7.5e-16; over
+# 1,000 of them min_oracle 7.8e-16 and gmod_oracle 1.2e-15 from p^2/2.
+# Each tolerance is about 4x its maximum.
+_WERNER_TOL = {"C": 1.2e-14, "N": 5e-15, "D": 3e-15, "Q": 3e-15, "min": 3e-15, "gmod": 5e-15}
+_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+
+
+def _rotated_werner(seed: int, k: int) -> tuple[float, np.ndarray]:
+    """p = k/2^20 and (U_A (x) U_B)(p |psi-><psi-| + (1 - p) I/4)(U_A (x) U_B)^dagger."""
+    p = k / 2**20
+    rng = Lcg(seed)
+    u = np.kron(random_unitary(rng), random_unitary(rng))
+    rho = p * np.outer(_PSI_MINUS, _PSI_MINUS.conj()) + (1.0 - p) * MIXED
+    return p, u @ rho @ u.conj().T
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 2**20))
+def test_rotated_werner_state_measures_by_property(seed, k):
+    # A rotated Werner state has maximally mixed marginals and T = -p R for
+    # a rotation R, so C = max(0, (3p - 1)/2), N = p^2/2 and D = Q = p^2/4
+    # exactly. For 0 < p <= 1/3 it is separable yet N > 0: nonlocality
+    # without entanglement, which vanishes only at I/4.
+    p, rho = _rotated_werner(seed, k)
+    rep = report(rho)
+    assert rep.branch == BRANCH_X_ZERO
+    assert abs(rep.concurrence - max(0.0, (3.0 * p - 1.0) / 2.0)) <= _WERNER_TOL["C"]
+    assert abs(rep.min_value - p * p / 2.0) <= _WERNER_TOL["N"]
+    assert abs(rep.gmod_exact - p * p / 4.0) <= _WERNER_TOL["D"]
+    assert abs(rep.gmod_lower - p * p / 4.0) <= _WERNER_TOL["Q"]
+    if p <= 1.0 / 3.0:
+        assert rep.concurrence <= _WERNER_TOL["C"] and rep.min_value > 0.0
+
+
+# Every grid direction ties on a Werner state, so each oracle call costs
+# about 15 ms: fewer examples than the report property.
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 2**20))
+def test_oracles_on_rotated_werner_states_by_property(seed, k):
+    # N = 2 D = p^2/2; as x = 0, min_oracle takes the maximize route.
+    p, rho = _rotated_werner(seed, k)
+    assert abs(min_oracle(rho).value - p * p / 2.0) <= _WERNER_TOL["min"]
+    assert abs(gmod_oracle(rho).value - p * p / 2.0) <= _WERNER_TOL["gmod"]
+
+
 def test_every_state_validation_accepts_gets_a_report():
     # Each random state gets its smallest eigenvalue moved to -1e-8 + k 1e-17,
     # the rest spread over the other three. The offsets straddle

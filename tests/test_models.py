@@ -319,6 +319,16 @@ def test_critical_scan_exact_zero_exits(monkeypatch, walk_to):
     assert 0.0 < xs[1300] - from_below <= models.BISECT_WIDTH
 
 
+def test_x_gap_reads_an_overflowing_coherence_as_inf():
+    # abs() of this complex raises OverflowError although both parts are
+    # finite; the gap reads it as +inf. Elsewhere it is abs() itself.
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+    assert models._x_gap((1.0, 1.0, 1.0, complex(1.5e308, 1.5e308), 4.0)) == math.inf
+    assert models._x_gap((1.0, 1.0, 1.0, complex(math.inf, 1.0), 4.0)) == math.inf
+    assert models._x_gap((4.0, 1.0, 9.0, complex(3.0, 4.0), 15.0)) == -1.0
+
+
 def test_critical_isodm_search_evaluation_counts(monkeypatch):
     seen = []
     entries = models._isodm_entries
@@ -344,6 +354,17 @@ def _outcome(find, *args):
         return type(exc), str(exc)
 
 
+def _adjacent_floats_where(flips, lo, hi):
+    """The two adjacent floats in [lo, hi] between which the truth of
+    ``flips(x)`` changes."""
+    left = flips(lo)
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if flips(mid) == left else (lo, mid)
+    assert flips(lo) != flips(hi)
+    return [lo, hi]
+
+
 def _gap_at_minus_50_flips(label, params, lo, hi):
     """The two adjacent floats in [lo, hi] between which the gap of
     ``params(0.0, x)`` at j = -50 changes sign."""
@@ -352,29 +373,34 @@ def _gap_at_minus_50_flips(label, params, lo, hi):
     def gap(x):
         return models._x_gap(entries(-50.0, params(0.0, x)))
 
-    left = gap(lo) > 0.0
-    while math.nextafter(lo, hi) != hi:
-        mid = (lo + hi) / 2.0
-        lo, hi = (mid, hi) if (gap(mid) > 0.0) == left else (lo, mid)
-    assert gap(lo) * gap(hi) < 0.0
-    return [lo, hi]
+    pair = _adjacent_floats_where(lambda x: gap(x) > 0.0, lo, hi)
+    assert gap(pair[0]) * gap(pair[1]) < 0.0
+    return pair
 
 
-def _assert_search_matches_the_dense_scan(monkeypatch, label, params, inputs) -> set:
+def _isodm_at_minus_50_raises(d) -> bool:
+    try:
+        models._isodm_entries(-50.0, IsoDMParams(0.0, d))
+    except OverflowError:
+        return True
+    return False
+
+
+def _assert_search_matches_the_dense_scan(monkeypatch, label, params, inputs) -> dict:
     """``critical_coupling_<label>(*args)`` has the dense scan's root bits, or
     its exception class and message, for every ``args`` in ``inputs`` on
-    grids of 2001, 4001 and 5003 points. Returns the (points, outcome kind)
-    pairs seen, the kind being "root" or the exception message without the
-    parameters it names."""
+    grids of 2001, 4001 and 5003 points. Returns, for each ``args``, the
+    set of outcome kinds seen over the three grids, the kind being "root"
+    or the exception message without the parameters it names."""
     find = getattr(models, f"critical_coupling_{label}")
     entries = getattr(models, f"_{label}_entries")
-    kinds = set()
+    kinds = {args: set() for args in inputs}
     for n in (2001, 4001, 5003):
         monkeypatch.setattr(models, "SCAN_POINTS", n)
         for args in inputs:
             dense = _outcome(dense_first_root, label, entries, params(0.0, *args))
             assert _outcome(find, *args) == dense, (n, args)
-            kinds.add((n, "root" if isinstance(dense, str) else dense[1].rpartition(": ")[2]))
+            kinds[args].add("root" if isinstance(dense, str) else dense[1].rpartition(": ")[2])
     return kinds
 
 
@@ -394,11 +420,10 @@ def test_critical_xxz_search_matches_the_dense_scan(monkeypatch):
 def test_critical_isodm_search_matches_the_dense_scan(monkeypatch):
     # d on a grid; 30 floats on each side of asinh(1), where the root
     # reaches j = 0; the pair near 8.3 where gap(-50) turns positive; and
-    # |d| from 660 to 720 in steps of 5, across the 680 cut. There |nu|
-    # raises in a window of j only about 0.005 wide from 683.65 on, and an
-    # entry raises at j = -50 from about 708.75 on. The 0.05 steps in
-    # [685.8, 686.1] hit that window on every grid, where a piece search
-    # over j > 0 would step over it.
+    # |d| from 660 to 720 in steps of 5. From 683.65 on, abs(nu) raises on
+    # finite parts in a window of j only about 0.005 wide, which the 0.05
+    # steps in [685.8, 686.1] hit on every grid; the gap reads it as +inf.
+    # An entry raises at j = -50 from the pair near 708.75 on.
     below, above = [math.asinh(1.0)], [math.asinh(1.0)]
     for _ in range(30):
         below.append(math.nextafter(below[-1], 0.0))
@@ -407,13 +432,14 @@ def test_critical_isodm_search_matches_the_dense_scan(monkeypatch):
     ds += _gap_at_minus_50_flips("isodm", IsoDMParams, 8.0, 9.0)
     ds += np.linspace(660.0, 720.0, 13).tolist() + [-683.65, -702.5]
     ds += np.linspace(685.8, 686.1, 7).tolist()
+    ds += _adjacent_floats_where(_isodm_at_minus_50_raises, 708.0, 709.0)
     kinds = _assert_search_matches_the_dense_scan(
         monkeypatch, "isodm", IsoDMParams, [(d,) for d in ds]
     )
+    # Each input has one outcome on every grid.
+    assert all(len(seen) == 1 for seen in kinds.values()), kinds
     no_root = f"no sign change over j in [{models.SCAN_RANGE[0]:g}, {models.SCAN_RANGE[1]:g}]"
-    exits = {"root", no_root, "absolute value too large", "math range error"}
-    for n in (2001, 4001, 5003):
-        assert {kind for points, kind in kinds if points == n} >= exits, n
+    assert set().union(*kinds.values()) == {"root", no_root, "math range error"}
 
 
 def test_critical_xxz_switches_concurrence_below_threshold():
