@@ -3,6 +3,7 @@
 import numpy as np
 
 from spincorr.bloch import BlochForm, decompose
+from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
 from spincorr.qmat import PAULIS
 from spincorr.rng import Lcg, random_state
 
@@ -51,4 +52,18 @@ def x_zeroed_states(seed: int, want: int, max_attempts: int = 200) -> list:
         matrix, valid = reconstruct(BlochForm(x=np.zeros(3), y=form.y, T=form.T))
         if valid:
             states.append(matrix)
+    return states
+
+
+def pinned_states() -> list:
+    """The 1,605 states whose measures and validation outcomes are pinned by
+    digest: 1,000 random states, three thermal series of 201 couplings each,
+    the maximally mixed state and a Bell state."""
+    rng = Lcg(41)
+    states = [random_state(rng) for _ in range(1000)]
+    for j in np.linspace(-20.0, 20.0, 201):
+        states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)).matrix)
+        states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)).matrix)
+        states.append(thermal_xxz(XXZParams(j=float(j), delta=1.0, b=0.0)).matrix)
+    states += [np.eye(4, dtype=complex) / 4.0, bell_psi_plus()]
     return states

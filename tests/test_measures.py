@@ -18,6 +18,7 @@ from spincorr.rng import Lcg, gaussian_matrix, random_state
 from helpers import (
     bell_psi_plus,
     ground_product_state,
+    pinned_states,
     random_product_state,
     x_zeroed_states,
 )
@@ -159,29 +160,28 @@ def test_report_thermal_reference_point():
 # sha256 of "N D Q branch" per state below (float.hex), taken when N, D and Q
 # also had one public function each; report gave every bit of those.
 REPORT_DIGEST = "a81dfc87d1bc0aefa539949eb7d176408be1b978e605bcae086cedf2a3bf10a4"
+# sha256 of C (float.hex) per state below, taken when concurrence took its
+# singular values and their differences as numpy scalars.
+CONCURRENCE_DIGEST = "d330494975c5a9d2af8b8acff735bf3657ff7497139ea10aad68d595ecb31e33"
 
 
 def test_report_matches_the_single_measures_bit_for_bit():
-    # report's concurrence is concurrence's, bit for bit; its N, D and Q keep
-    # the bits pinned above.
-    rng = Lcg(41)
-    states = [random_state(rng) for _ in range(1000)]
-    for j in np.linspace(-20.0, 20.0, 201):
-        states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)).matrix)
-        states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)).matrix)
-        states.append(thermal_xxz(XXZParams(j=float(j), delta=1.0, b=0.0)).matrix)
-    states += [MIXED, bell_psi_plus()]
+    # report's concurrence is concurrence's, bit for bit; its C, N, D and Q
+    # keep the bits pinned above.
     digest = hashlib.sha256()
+    c_digest = hashlib.sha256()
     branches = set()
-    for rho in states:
+    for rho in pinned_states():
         rep = report(rho)
         assert rep.concurrence.hex() == concurrence(rho).hex()
         digest.update(
             f"{rep.min_value.hex()} {rep.gmod_exact.hex()} {rep.gmod_lower.hex()} "
             f"{rep.branch}\n".encode()
         )
+        c_digest.update(f"{rep.concurrence.hex()}\n".encode())
         branches.add(rep.branch)
     assert digest.hexdigest() == REPORT_DIGEST
+    assert c_digest.hexdigest() == CONCURRENCE_DIGEST
     assert branches == {BRANCH_X_ZERO, BRANCH_X_NONZERO}
 
 

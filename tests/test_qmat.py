@@ -1,15 +1,18 @@
 """Unit tests for the dense linear-algebra layer."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincorr import measures, qmat
 from spincorr.errors import InvalidState, NonFiniteParameter
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
-from helpers import bell_psi_plus, ground_product_state
+from helpers import bell_psi_plus, ground_product_state, pinned_states
 from reference import gibbs, partial_trace
 
 
@@ -219,3 +222,117 @@ def test_validate_state_rejects_defects():
     nonfinite[0, 0] = math.nan
     with pytest.raises(InvalidState):
         qmat.validate_state(nonfinite)
+
+
+# sha256 of validate_state's returned bytes over helpers.pinned_states().
+VALIDATED_DIGEST = "06d612a447fa678285283cf539e320df49e30fe1f4bd34abd1a3b45f88769ad9"
+
+
+def _near_four(target: float, extra: tuple, value: float) -> np.ndarray:
+    """diag(a, 1 - a, 0, 0) with a^2 + (1 - a)^2 = target, plus one entry."""
+    a = (1.0 + math.sqrt(2.0 * target - 1.0)) / 2.0
+    m = np.diag([a, 1.0 - a, 0.0, 0.0]).astype(complex)
+    m[extra] += value
+    return m
+
+
+def _validation_defects() -> list:
+    """(name, matrix, exact message) for inputs validate_state refuses."""
+    rho = random_state(Lcg(7))
+    nonfinite = "matrix has non-finite entries"
+    asymmetric = "matrix is not Hermitian within tolerance"
+    negative = "matrix has a negative eigenvalue beyond tolerance"
+    cases = []
+    for v in (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 1e154):
+        messages = [nonfinite] * 5 if not math.isfinite(v) else [
+            f"trace is {v:.6g}, expected 1", negative, asymmetric, negative, asymmetric
+        ]
+        entries = [
+            ("diagonal", (1, 1), v, True),
+            ("off-diagonal Hermitian", (0, 2), v, True),
+            ("off-diagonal not Hermitian", (0, 2), v, False),
+            ("imaginary off-diagonal Hermitian", (1, 3), complex(0.0, v), True),
+            ("imaginary diagonal", (2, 2), complex(rho[2, 2].real, v), False),
+        ]
+        for (where, (i, j), entry, hermitian), message in zip(entries, messages):
+            m = rho.copy()
+            m[i, j] = entry
+            if hermitian and i != j:
+                m[j, i] = np.conj(entry)
+            cases.append((f"{v:g} {where}", m, message))
+    for v in (1e308, 1e200, 1e154):
+        cases.append((f"+-{v:g} trace-one diagonal", np.diag([v, -v, 1.0, 0.0]).astype(complex), negative))
+        pair = rho.copy()
+        pair[0, 1], pair[1, 0] = v, -v
+        cases.append((f"+-{v:g} antisymmetric pair", pair, asymmetric))
+    cases.append(("identity: trace 4, hs_norm2 4", np.eye(4, dtype=complex), "trace is 4, expected 1"))
+    cases.append(("trace 4", 4.0 * rho, "trace is 4, expected 1"))
+    cases.append(("trace 1e308", np.eye(4, dtype=complex) * 2.5e307, "trace is 1e+308, expected 1"))
+    # hs_norm2 a few ulps either side of 4, where the eigenvalue test and the
+    # norm test meet, alone and with a defect that an earlier check names.
+    for ulps in range(-3, 4):
+        a = (1.0 + math.sqrt(7.0)) / 2.0
+        for _ in range(abs(ulps)):
+            a = math.nextafter(a, math.copysign(math.inf, ulps))
+        m = np.diag([a, 1.0 - a, 0.0, 0.0]).astype(complex)
+        cases.append((f"hs_norm2 {qmat.hs_norm2(m)!r}", m, negative))
+    for side in (-1e-7, 1e-7):
+        cases.append((f"not Hermitian at hs_norm2 4{side:+g}",
+                      _near_four(4.0 - 1e-6 + side, (0, 3), 1e-3), asymmetric))
+        cases.append((f"trace 1.001 at hs_norm2 4{side:+g}",
+                      _near_four(4.0 - 1e-6 + side, (3, 3), 1e-3), "trace is 1.001, expected 1"))
+    for shape in [(2, 2), (4,), (16,), (1, 4, 4), (4, 4, 1), (3, 4), (0,)]:
+        cases.append((f"shape {shape}", np.zeros(shape, dtype=complex),
+                      f"expected a 4x4 matrix, got shape {shape}"))
+    return cases
+
+
+def test_validate_state_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for rho in pinned_states():
+        digest.update(qmat.validate_state(rho).tobytes())
+    assert digest.hexdigest() == VALIDATED_DIGEST
+    for name, m, message in _validation_defects():
+        with pytest.raises(InvalidState) as info:
+            qmat.validate_state(m)
+        assert str(info.value) == message, name
+    # A Fortran-ordered copy, and a -0.0 imaginary diagonal, which the
+    # Hermitian part turns into the +0.0 of the state itself.
+    rho = random_state(Lcg(7))
+    out = qmat.validate_state(np.asfortranarray(rho))
+    assert out.tobytes() == rho.tobytes() and out.strides == (64, 16)
+    signed = rho.copy()
+    signed.imag[range(4), range(4)] = -0.0
+    out = qmat.validate_state(signed)
+    assert out.tobytes() == rho.tobytes() and out.strides == (64, 16)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    rank=st.integers(1, 4),
+    skew=st.floats(0.0, 0.9),
+    shift=st.floats(0.0, 0.9),
+)
+def test_validate_state_is_a_fixed_point_of_its_output_by_property(seed, rank, skew, shift):
+    # The Hermitian part (m + m^dagger)/2 is exactly Hermitian with a +0.0
+    # imaginary diagonal, so validating it again returns it bit for bit. This
+    # is why measures.report may validate the same state three times.
+    rng = Lcg(seed)
+    g = gaussian_matrix(rng, 4)[:, :rank]
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    # Move shift * 1e-8 of weight from the smallest eigenvalue (0 below full
+    # rank) to the largest, then add a non-Hermitian part of HS norm
+    # skew * 1e-8 in m - m^dagger: both inside the 1e-8 tolerances.
+    _, vectors = np.linalg.eigh(rho)
+    low, high = vectors[:, :1], vectors[:, -1:]
+    m = rho + shift * 1e-8 * (high @ high.conj().T - low @ low.conj().T)
+    noise = gaussian_matrix(rng, 4)
+    noise = noise - noise.conj().T
+    m = m + skew * 1e-8 * noise / (2.0 * math.sqrt(qmat.hs_norm2(noise)))
+    once = qmat.validate_state(m)
+    assert np.array_equal(once, once.conj().T)
+    assert not np.signbit(once.diagonal().imag).any()
+    twice = qmat.validate_state(once)
+    assert twice.tobytes() == once.tobytes() and twice.strides == once.strides
