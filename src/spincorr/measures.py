@@ -78,8 +78,8 @@ def concurrence(rho: np.ndarray) -> float:
     """
     rho = qmat.validate_state(rho)
     root = qmat.mat_sqrt(rho)
-    lambdas = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
-    return max(0.0, float(lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
+    lambdas = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False).tolist()
+    return max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
 
 
 def report(rho: np.ndarray) -> MeasureReport:
@@ -91,18 +91,18 @@ def report(rho: np.ndarray) -> MeasureReport:
     trace_tt = float(tt.trace())
     x_norm2 = float(form.x @ form.x)
     if math.sqrt(x_norm2) <= X_DEGENERACY_CUTOFF:
-        min_value, branch = trace_tt - float(np.linalg.eigvalsh(tt).min()), BRANCH_X_ZERO
+        min_value, branch = trace_tt - float(np.linalg.eigvalsh(tt)[0]), BRANCH_X_ZERO
     else:
         min_value, branch = trace_tt - float(form.x @ tt @ form.x) / x_norm2, BRANCH_X_NONZERO
-    s = (np.outer(form.x, form.x) + tt) / 4.0
+    s = (form.x[:, None] * form.x + tt) / 4.0
     trace_s = float(s.trace())
-    k = np.linalg.eigvalsh(s)  # ascending, so k[2] is k_max
+    k = np.linalg.eigvalsh(s).tolist()  # ascending, so k[2] is k_max
     d01, d12, d20 = k[0] - k[1], k[1] - k[2], k[2] - k[0]
     radicand = 2.0 * (d01 * d01 + d12 * d12 + d20 * d20)
     return MeasureReport(
         concurrence=concurrence(rho),
         min_value=min_value,
-        gmod_exact=2.0 * (trace_s - float(k[2])),
+        gmod_exact=2.0 * (trace_s - k[2]),
         gmod_lower=(2.0 / 3.0) * (2.0 * trace_s - math.sqrt(radicand)),
         branch=branch,
     )

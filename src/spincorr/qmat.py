@@ -12,6 +12,7 @@ trusts the Hermitian part it returns.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -42,14 +43,20 @@ def validate_state(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    norm2 = hs_norm2(m)
+    if norm2 <= 4.0:
+        # Every entry is finite with modulus at most 2: nothing below overflows.
+        guard = contextlib.nullcontext()
+    elif not np.isfinite(m).all():
         raise InvalidState("matrix has non-finite entries")
+    else:
+        # Entries near the float limit overflow to inf here, and each such
+        # input fails one of the checks below, so the warnings say nothing new.
+        guard = np.errstate(over="ignore", invalid="ignore")
     adjoint = m.conj().T
-    # Entries near the float limit overflow to inf here, and each such input
-    # fails one of the checks below, so the warnings would say nothing new.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with guard:
         asymmetry = math.sqrt(hs_norm2(m - adjoint))
-        trace = m.trace()
+        trace = complex(m.trace())
         hermitian_part = (m + adjoint) / 2.0
     if not asymmetry <= STATE_TOL:
         raise InvalidState("matrix is not Hermitian within tolerance")
@@ -57,7 +64,8 @@ def validate_state(m: np.ndarray) -> np.ndarray:
         raise InvalidState(f"trace is {trace.real:.6g}, expected 1")
     # A state within tolerance has tr(m^dagger m) below 1 + 1e-6, so a value
     # above 4 means a negative eigenvalue; eigvalsh never sees such entries.
-    if hs_norm2(m) > 4.0 or np.linalg.eigvalsh(hermitian_part).min() < -STATE_TOL:
+    # Its eigenvalues come in ascending order.
+    if norm2 > 4.0 or np.linalg.eigvalsh(hermitian_part)[0] < -STATE_TOL:
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
     return hermitian_part
 
@@ -77,6 +85,6 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     squares back to ``m`` within the clamped amount plus 1e-9.
     """
     values, vectors = np.linalg.eigh(m)
-    values[values < 0.0] = 0.0
+    np.maximum(values, 0.0, out=values)
     root = (vectors * np.sqrt(values)) @ vectors.conj().T
     return (root + root.conj().T) / 2.0
