@@ -6,8 +6,12 @@ stacks (sigma_x, sigma_y, sigma_z) and ``PAULI_PRODUCTS`` the 15 products
 sigma_i (x) I, then I (x) sigma_j, then sigma_i (x) sigma_j row-major, so
 sigma_y (x) sigma_y is row 10. All operations are pure functions.
 :func:`validate_state` is the package's only check of a matrix: it accepts
-any finite 4x4 input or raises :class:`InvalidState`, and every later step
-trusts the Hermitian part it returns.
+any finite 4x4 input or raises :class:`InvalidState`. Each public entry
+validates its input, so ``report`` runs it three times (its own call,
+``decompose``'s and ``concurrence``'s) and ``min_oracle`` twice. The repeats
+change nothing: the Hermitian part returned validates to itself bit for
+bit. The bench pin ``measures.validations_per_report`` = 3.0 holds that
+count until one validation per report replaces them.
 """
 
 from __future__ import annotations
@@ -43,15 +47,14 @@ def validate_state(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
+    # With hs_norm2 <= 4 every entry is finite with modulus <= 2 and nothing
+    # below overflows; above 4 an overflow fails a check, so its warning is moot.
     norm2 = hs_norm2(m)
     if norm2 <= 4.0:
-        # Every entry is finite with modulus at most 2: nothing below overflows.
         guard = contextlib.nullcontext()
     elif not np.isfinite(m).all():
         raise InvalidState("matrix has non-finite entries")
     else:
-        # Entries near the float limit overflow to inf here, and each such
-        # input fails one of the checks below, so the warnings say nothing new.
         guard = np.errstate(over="ignore", invalid="ignore")
     adjoint = m.conj().T
     with guard:
@@ -64,8 +67,7 @@ def validate_state(m: np.ndarray) -> np.ndarray:
         raise InvalidState(f"trace is {trace.real:.6g}, expected 1")
     # A state within tolerance has tr(m^dagger m) below 1 + 1e-6, so a value
     # above 4 means a negative eigenvalue; eigvalsh never sees such entries.
-    # Its eigenvalues come in ascending order.
-    if norm2 > 4.0 or np.linalg.eigvalsh(hermitian_part)[0] < -STATE_TOL:
+    if norm2 > 4.0 or np.linalg.eigvalsh(hermitian_part)[0] < -STATE_TOL:  # ascending
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
     return hermitian_part
 
