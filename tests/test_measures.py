@@ -160,8 +160,8 @@ def test_report_thermal_reference_point():
 # sha256 of "N D Q branch" per state below (float.hex), taken when N, D and Q
 # also had one public function each; report gave every bit of those.
 REPORT_DIGEST = "a81dfc87d1bc0aefa539949eb7d176408be1b978e605bcae086cedf2a3bf10a4"
-# sha256 of C (float.hex) per state below, taken when concurrence took its
-# singular values and their differences as numpy scalars.
+# sha256 of C (float.hex) per state below, so C is pinned apart from
+# concurrence() itself.
 CONCURRENCE_DIGEST = "d330494975c5a9d2af8b8acff735bf3657ff7497139ea10aad68d595ecb31e33"
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -261,13 +262,17 @@ def _validation_defects() -> list:
                 m[j, i] = np.conj(entry)
             cases.append((f"{v:g} {where}", m, message))
     for v in (1e308, 1e200, 1e154):
-        cases.append((f"+-{v:g} trace-one diagonal", np.diag([v, -v, 1.0, 0.0]).astype(complex), negative))
+        diagonal = np.diag([v, -v, 1.0, 0.0]).astype(complex)
+        cases.append((f"+-{v:g} trace-one diagonal", diagonal, negative))
         pair = rho.copy()
         pair[0, 1], pair[1, 0] = v, -v
         cases.append((f"+-{v:g} antisymmetric pair", pair, asymmetric))
-    cases.append(("identity: trace 4, hs_norm2 4", np.eye(4, dtype=complex), "trace is 4, expected 1"))
+    eye = np.eye(4, dtype=complex)
+    cases.append(("identity: trace 4, hs_norm2 4", eye, "trace is 4, expected 1"))
     cases.append(("trace 4", 4.0 * rho, "trace is 4, expected 1"))
-    cases.append(("trace 1e308", np.eye(4, dtype=complex) * 2.5e307, "trace is 1e+308, expected 1"))
+    cases.append(("trace 1e308", eye * 2.5e307, "trace is 1e+308, expected 1"))
+    top = sys.float_info.max
+    cases.append(("trace at the float limit", eye * (top / 4.0), f"trace is {top:.6g}, expected 1"))
     # hs_norm2 a few ulps either side of 4, where the eigenvalue test and the
     # norm test meet, alone and with a defect that an earlier check names.
     for ulps in range(-3, 4):
