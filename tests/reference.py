@@ -9,10 +9,18 @@ nearest zero-discord state in a fixed basis, and the dense threshold scan
 that evaluates the gap at every grid point up to the first bracket. Bad
 shapes and non-unit directions raise ``ValueError``, and so does a
 Hamiltonian that is not Hermitian within 1e-10.
+
+The exact references work in ``decimal`` at 50 digits and take float
+arguments at their exact binary values: the X-state entries of both
+thermal models, C, N, D and Q of an X-state from its entries, and the
+threshold roots of both models, bisected on the sign of the threshold
+condition in log form. They share no formula with the package.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import fields
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -194,3 +202,127 @@ def dense_first_root(label: str, entries, p) -> float:
         f"{label} threshold at {at}: no sign change over j in "
         f"[{models.SCAN_RANGE[0]:g}, {models.SCAN_RANGE[1]:g}]"
     )
+
+
+_DIGITS = 50
+# The nonlocality branch cutoff on |x|, at the float's exact value.
+_X_CUTOFF = Decimal(1e-9)
+_ROOT_RANGE = (Decimal(-50), Decimal(50))
+_ROOT_WIDTH = Decimal("1e-22")
+
+XEntries = namedtuple("XEntries", "r00 r11 r33 r12_abs z")
+XMeasures = namedtuple("XMeasures", "c n d q x_zero")
+
+
+def _sinh_cosh(x: Decimal) -> tuple[Decimal, Decimal]:
+    grow = x.exp()
+    return (grow - 1 / grow) / 2, (grow + 1 / grow) / 2
+
+
+def isodm_entries(j: float, d: float) -> XEntries:
+    """Exact unnormalized X-state entries of the isodm thermal state:
+    rho00 = rho33 = e^(-j/2), rho11 = e^(j/2) cosh eta and
+    |rho12| = e^(j/2) sinh eta with eta = hypot(j, d), Z their trace."""
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        j, d = Decimal(j), Decimal(d)
+        sinh, cosh = _sinh_cosh((j * j + d * d).sqrt())
+        grow = (j / 2).exp()
+        mu = 1 / grow
+        return XEntries(mu, grow * cosh, mu, grow * sinh, 2 * (mu + grow * cosh))
+
+
+def xxz_entries(j: float, delta: float, b: float) -> XEntries:
+    """Exact unnormalized X-state entries of the xxz thermal state: with
+    alpha = j(1+delta)/2, rho00 = e^-(alpha+b), rho33 = e^-(alpha-b),
+    rho11 = e^alpha cosh j and |rho12| = e^alpha sinh|j|, Z their trace."""
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        j, delta, b = Decimal(j), Decimal(delta), Decimal(b)
+        alpha = j * (1 + delta) / 2
+        sinh, cosh = _sinh_cosh(abs(j))
+        grow = alpha.exp()
+        r00, r33 = (-(alpha + b)).exp(), (b - alpha).exp()
+        return XEntries(r00, grow * cosh, r33, grow * sinh, r00 + r33 + 2 * grow * cosh)
+
+
+def x_state_measures(e: XEntries) -> XMeasures:
+    """Exact C, N, D and Q of the X-state with entries ``e``, in the
+    half-trace Bloch normalization. With t12^2 = |rho12|^2/Z^2,
+    t3 = (rho00 + rho33 - 2 rho11)/(2Z) and x_z = (rho00 - rho33)/(2Z), the
+    state has x = (0, 0, x_z), T T^t = diag(t12^2, t12^2, t3^2) and
+    S = diag(t12^2, t12^2, x_z^2 + t3^2)/4. N takes the pipeline's branch
+    rule: 2 t12^2 when |x_z| > 1e-9 (``x_zero`` false), else
+    t12^2 + max(t12^2, t3^2)."""
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        t12_sq = (e.r12_abs / e.z) ** 2
+        t3 = (e.r00 + e.r33 - 2 * e.r11) / (2 * e.z)
+        x_z = (e.r00 - e.r33) / (2 * e.z)
+        x_zero = abs(x_z) <= _X_CUTOFF
+        k_pair, k_z = t12_sq / 4, (x_z * x_z + t3 * t3) / 4
+        trace_s = 2 * k_pair + k_z
+        # The spectrum of S is (k_pair, k_pair, k_z): sum_{i<j} (k_i - k_j)^2 = 2 (k_pair - k_z)^2.
+        return XMeasures(
+            c=max(Decimal(0), 2 * (e.r12_abs - (e.r00 * e.r33).sqrt()) / e.z),
+            n=t12_sq + max(t12_sq, t3 * t3) if x_zero else 2 * t12_sq,
+            d=2 * (trace_s - max(k_pair, k_z)),
+            q=Decimal(2) / 3 * (2 * trace_s - 2 * abs(k_pair - k_z)),
+            x_zero=x_zero,
+        )
+
+
+def _bisect_sign(f, lo: Decimal, hi: Decimal, negative: bool) -> Decimal:
+    """A root of f in [lo, hi], bisected to an interval below 1e-22, where
+    f has the sign ``negative`` says next to lo and the other one next to
+    hi. Neither end is evaluated."""
+    while hi - lo >= _ROOT_WIDTH:
+        mid = (lo + hi) / 2
+        value = f(mid)
+        if value == 0:
+            return mid
+        if (value < 0) == negative:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def isodm_threshold(d: float) -> Decimal | None:
+    """Exact first root on [-50, 50] of g(j) = j + ln sinh(hypot(j, d)),
+    where |rho12| = rho00 of the isodm model, or None where g(-50) >= 0.
+    g changes sign there only if g(-50) < 0, and then once, from - to +:
+    its critical points on j < 0 lie below -0.58, and g' >= 1 on j > 0."""
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        d = Decimal(d)
+
+        def g(j):
+            return j + _sinh_cosh((j * j + d * d).sqrt())[0].ln()
+
+        lo, hi = _ROOT_RANGE
+        if g(lo) >= 0:
+            return None
+        return _bisect_sign(g, lo, hi, True)
+
+
+def xxz_threshold(delta: float) -> Decimal | None:
+    """Exact first root on [-50, 50] of f(j) = ln sinh|j| + j(1+delta),
+    where |rho12| = sqrt(rho00 rho33) of the xxz model, for any field. f
+    tends to -inf at j = 0. On j < 0 it is negative (delta >= 0) or
+    decreasing (delta < 0). f(-50) <= 0 needs delta > -0.014, and then f
+    increases on j > 0. So the root is in [-50, 0] when f(-50) > 0, else in
+    [0, 50] when f(50) > 0, else there is none."""
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        slope = 1 + Decimal(delta)
+
+        def f(j):
+            return _sinh_cosh(abs(j))[0].ln() + j * slope
+
+        lo, hi = _ROOT_RANGE
+        if f(lo) > 0:
+            return _bisect_sign(f, lo, Decimal(0), False)
+        if f(hi) > 0:
+            return _bisect_sign(f, Decimal(0), hi, True)
+        return None

@@ -2,10 +2,13 @@
 
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import os
+import pathlib
 import subprocess
 import sys
+import tomllib
 
 import numpy as np
 import pytest
@@ -747,6 +750,20 @@ def test_module_entrypoint_subprocess(tmp_path):
     code, out, _ = run_module(tmp_path, "critical", "--model", "isodm", "--d", "0")
     assert code == 0
     assert out == "0.549306144\n"
+
+
+def test_console_script_runs_main_entry(monkeypatch, capsys):
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"spincorr": "spincorr.cli:main_entry"}
+    module, _, name = scripts["spincorr"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.main_entry
+    monkeypatch.setattr(sys, "argv", ["spincorr", "critical", "--model", "isodm", "--d", "0"])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "0.549306144\n"
 
 
 def test_internal_error_maps_to_verification_exit(monkeypatch, capsys):

@@ -185,6 +185,13 @@ def test_fibonacci_grid_shape_and_norms():
     assert not GRID_DIRECTIONS.flags.writeable
 
 
+def test_fibonacci_grid_bytes_are_pinned():
+    # Every oracle result starts from this grid, so a change to one of its
+    # bits must be deliberate.
+    digest = hashlib.sha256(GRID_DIRECTIONS.tobytes()).hexdigest()
+    assert digest == "bd70a3bc2320fccdef48add5d9241547bd913114606735466e2e5cac90e72f1c"
+
+
 def test_post_measurement_leaves_maximally_mixed_invariant():
     for n in GRID_DIRECTIONS[:5]:
         assert np.max(np.abs(post_measurement(MIXED, n) - MIXED)) <= 1e-15
