@@ -15,8 +15,6 @@ one gather over tables built from ``qmat.PAULI_PRODUCTS``, bit for bit the
 per-operator traces tr(rho P)/2.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -25,8 +25,6 @@ error. An optional ``--config`` file supplies ``key=value`` defaults
 explicit flags win on conflict.
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import functools
@@ -419,7 +417,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_tokens(args, command_parser) + argv[at:])
         return handler(args, command_parser)
     except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
+        return exc.code
     except SpincorrError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -29,8 +29,6 @@ Four measures of a density matrix, all given by ``report``:
   Q = N/2 must hold to 1e-12.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

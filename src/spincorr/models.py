@@ -38,8 +38,6 @@ as a stop, so both searches give the bracket, root bits, ``NoSignChange``
 and ``OverflowError`` of a scan that visits every grid point in order.
 """
 
-from __future__ import annotations
-
 import bisect
 import functools
 import math

@@ -31,8 +31,6 @@ Measurements act on the first qubit only. Reductions compare by value with
 ties broken by the lowest grid index.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -56,10 +54,10 @@ _FINAL_TOL = 1e-12
 
 def _fibonacci_sphere(n_points: int) -> np.ndarray:
     """Fibonacci sphere lattice: z_i = 1 - (2i+1)/n, golden-angle
-    azimuths phi_i = i * pi * (3 - sqrt(5))."""
+    azimuths phi_i = i * pi * (3 - sqrt(5)). |z_i| <= 1 - 1/n keeps 1 - z_i^2 > 0."""
     i = np.arange(n_points)
     z = 1.0 - (2.0 * i + 1.0) / n_points
-    radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    radius = np.sqrt(1.0 - z * z)
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
     dirs = np.column_stack((radius * np.cos(phi), radius * np.sin(phi), z))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]

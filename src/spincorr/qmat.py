@@ -14,8 +14,6 @@ bit. The bench pin ``measures.validations_per_report`` = 3.0 holds that
 count until one validation per report replaces them.
 """
 
-from __future__ import annotations
-
 import contextlib
 import math
 

@@ -15,8 +15,6 @@ external library's generator. Definition:
   row-major from complex standard normals
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

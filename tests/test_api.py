@@ -79,7 +79,7 @@ def _unread_imports(tree):
     for node in tree.body:
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             imported.update(alias.asname or alias.name for alias in node.names)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return imported - read
