@@ -1,5 +1,7 @@
 """Allow ``python -m spincorr`` to run the command-line interface."""
 
-from .cli import main_entry
+import sys
 
-main_entry()
+from .cli import main
+
+sys.exit(main())

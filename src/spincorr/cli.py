@@ -421,8 +421,3 @@ def main(argv=None) -> int:
     except SpincorrError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-
-
-def main_entry() -> None:
-    """Console-script entry point."""
-    sys.exit(main())

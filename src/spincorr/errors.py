@@ -2,10 +2,7 @@
 
 Every error raised by the library is a subclass of :class:`SpincorrError`,
 so callers can catch the whole family with one handler while the CLI maps
-individual classes to documented exit codes. A matrix is checked in one
-place, ``qmat.validate_state``, which raises :class:`InvalidState` for any
-input that is not a density matrix within 1e-8; its output passes it again
-bit for bit.
+individual classes to documented exit codes.
 """
 
 

@@ -3,13 +3,7 @@
 Four measures of a density matrix, all given by ``report``:
 
 - Wootters concurrence ``C``: entanglement monotone from the spin-flipped
-  spectrum. The needed values are the square roots of the eigenvalues of
-  the Hermitian product sqrt(rho) rho~ sqrt(rho) (same spectrum as
-  rho rho~); they are obtained directly as the singular values of
-  A = sqrt(rho) (sigma_y x sigma_y) sqrt(rho)*, whose Gram matrix A A^dag
-  is that product. Going through A keeps near-pure thermal states
-  accurate: eigendecomposing the product itself squares the small
-  spectral values into roundoff and costs ~sqrt(eps) absolute error.
+  spectrum; :func:`concurrence` gives its route.
 - Measurement-induced nonlocality ``N``: the maximal squared
   Hilbert-Schmidt disturbance of the state under local projective
   measurements on the first qubit that preserve that qubit's marginal.
@@ -72,7 +66,8 @@ def concurrence(rho: np.ndarray) -> float:
     sqrt(rho) rho~ sqrt(rho) and are computed as the singular values of
     A = sqrt(rho) (sigma_y (x) sigma_y) sqrt(rho)*: since sqrt(rho) is
     Hermitian, A A^dag equals that Hermitian product, and singular values
-    deliver the roots at working precision instead of sqrt(eps).
+    deliver the roots at working precision instead of the sqrt(eps) that
+    eigendecomposing the product costs near-pure thermal states.
     """
     rho = qmat.validate_state(rho)
     root = qmat.mat_sqrt(rho)

@@ -7,11 +7,8 @@ sigma_i (x) I, then I (x) sigma_j, then sigma_i (x) sigma_j row-major, so
 sigma_y (x) sigma_y is row 10. All operations are pure functions.
 :func:`validate_state` is the package's only check of a matrix: it accepts
 any finite 4x4 input or raises :class:`InvalidState`. Each public entry
-validates its input, so ``report`` runs it three times (its own call,
-``decompose``'s and ``concurrence``'s) and ``min_oracle`` twice. The repeats
-change nothing: the Hermitian part returned validates to itself bit for
-bit. The bench pin ``measures.validations_per_report`` = 3.0 holds that
-count until one validation per report replaces them.
+validates its input, and a repeat changes nothing: the Hermitian part
+returned validates to itself bit for bit.
 """
 
 import contextlib

@@ -4,10 +4,12 @@ import numpy as np
 
 from spincorr.bloch import BlochForm, decompose
 from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
-from spincorr.qmat import PAULIS
 from spincorr.rng import Lcg, random_state
 
-from reference import reconstruct
+from reference import PAULIS, reconstruct
+
+MIXED = np.eye(4, dtype=complex) / 4.0
+MIXED.flags.writeable = False
 
 
 def bell_psi_plus() -> np.ndarray:
@@ -65,5 +67,5 @@ def pinned_states() -> list:
         states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)).matrix)
         states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)).matrix)
         states.append(thermal_xxz(XXZParams(j=float(j), delta=1.0, b=0.0)).matrix)
-    states += [np.eye(4, dtype=complex) / 4.0, bell_psi_plus()]
+    states += [MIXED, bell_psi_plus()]
     return states

@@ -8,7 +8,17 @@ projective measurement, a randomized spot check that dephasing is the
 nearest zero-discord state in a fixed basis, and the dense threshold scan
 that evaluates the gap at every grid point up to the first bracket. Bad
 shapes and non-unit directions raise ``ValueError``, and so does a
-Hamiltonian that is not Hermitian within 1e-10.
+Hamiltonian that is not Hermitian within 1e-10. ``PAULIS`` is the tests'
+one written-out table of sigma_x, sigma_y and sigma_z.
+
+Four of them still run package code. ``post_measurement`` dephases with
+``oracle._dephase``, so the oracle and its reference share one projector
+algebra, which ``test_oracle`` checks bit for bit against ``np.kron``.
+``dense_first_root`` evaluates the gap with ``models._x_gap`` and refines
+with ``models._bisect_root``. ``is_hermitian`` and ``nested_gmod_spotcheck``
+use ``qmat.hs_norm2``, and ``nested_gmod_spotcheck`` and
+``post_measurement`` validate with ``qmat.validate_state``. Random inputs
+come from ``spincorr.rng``.
 
 The exact references work in ``decimal`` at 50 digits and take float
 arguments at their exact binary values: the X-state entries of both
@@ -28,12 +38,17 @@ from spincorr import models, oracle, qmat
 from spincorr.bloch import BlochForm
 from spincorr.errors import NoSignChange, NonFiniteParameter
 from spincorr.models import IsoDMParams, XXZParams
-from spincorr.qmat import I2, PAULIS
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
 _DIRECTION_TOL = 1e-9
 _HERMITICITY_TOL = 1e-10
-# The Bloch-form operators, built here rather than taken from the package.
+# The tests' one table of sigma_x, sigma_y, sigma_z, and the Bloch-form
+# operators, built here rather than taken from the package.
+I2 = np.eye(2, dtype=complex)
+PAULIS = np.array(
+    [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
+    dtype=complex,
+)
 _BASIS_A = [np.kron(s, I2) for s in PAULIS]
 _BASIS_B = [np.kron(I2, s) for s in PAULIS]
 _BASIS_AB = [[np.kron(si, sj) for sj in PAULIS] for si in PAULIS]

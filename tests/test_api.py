@@ -5,6 +5,7 @@ reads."""
 
 import ast
 import pathlib
+import tomllib
 
 import spincorr
 
@@ -41,6 +42,24 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(spincorr.__all__) == PUBLIC_NAMES
     assert all(hasattr(spincorr, name) for name in PUBLIC_NAMES)
+
+
+def test_version_is_read_from_the_package():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"] == {"version": {"attr": "spincorr.__version__"}}
+    # setuptools reads a literal without importing the package, whose numpy
+    # import an isolated build does not have.
+    init = ast.parse(pathlib.Path(spincorr.__file__).read_text())
+    (value,) = [
+        node.value
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["__version__"]
+    ]
+    assert ast.literal_eval(value) == spincorr.__version__
 
 
 def _module_level_names(tree):

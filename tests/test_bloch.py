@@ -9,12 +9,12 @@ from spincorr.errors import InvalidState
 from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
 from spincorr.rng import Lcg, random_state
 
-from helpers import bell_psi_plus, ground_product_state, random_product_state
-from reference import partial_trace, reconstruct
+from helpers import MIXED, bell_psi_plus, ground_product_state, random_product_state
+from reference import I2, PAULIS, partial_trace, reconstruct
 
 
 def test_decompose_maximally_mixed_is_all_zero():
-    form = decompose(np.eye(4, dtype=complex) / 4.0)
+    form = decompose(MIXED)
     assert np.max(np.abs(form.x)) == 0.0
     assert np.max(np.abs(form.y)) == 0.0
     assert np.max(np.abs(form.T)) == 0.0
@@ -37,16 +37,10 @@ def test_decompose_ground_product_state():
 def _per_operator_bloch(rho):
     """The Bloch form the long way: one np.trace(rho @ op) per product
     operator, each built here with np.kron."""
-    eye = np.eye(2, dtype=complex)
-    paulis = [
-        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    ]
-    x = np.array([np.trace(rho @ np.kron(s, eye)).real / 2.0 for s in paulis])
-    y = np.array([np.trace(rho @ np.kron(eye, s)).real / 2.0 for s in paulis])
+    x = np.array([np.trace(rho @ np.kron(s, I2)).real / 2.0 for s in PAULIS])
+    y = np.array([np.trace(rho @ np.kron(I2, s)).real / 2.0 for s in PAULIS])
     t = np.array(
-        [[np.trace(rho @ np.kron(si, sj)).real / 2.0 for sj in paulis] for si in paulis]
+        [[np.trace(rho @ np.kron(si, sj)).real / 2.0 for sj in PAULIS] for si in PAULIS]
     )
     return x, y, t
 
@@ -62,7 +56,7 @@ def test_decompose_matches_per_operator_trace_bit_for_bit():
     for j in np.linspace(-20.0, 20.0, 201):
         states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)).matrix)
         states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)).matrix)
-    states += [np.eye(4, dtype=complex) / 4.0, bell_psi_plus(), ground_product_state()]
+    states += [MIXED, bell_psi_plus(), ground_product_state()]
     for rho in states:
         form = decompose(rho)
         x, y, t = _per_operator_bloch(rho)
@@ -177,12 +171,8 @@ def test_marginals_match_bloch_vectors():
     for _ in range(50):
         rho = random_state(rng)
         form = decompose(rho)
-        first = qmat.I2 / 2.0 + sum(
-            form.x[i] * qmat.PAULIS[i] for i in range(3)
-        )
-        second = qmat.I2 / 2.0 + sum(
-            form.y[i] * qmat.PAULIS[i] for i in range(3)
-        )
+        first = I2 / 2.0 + sum(form.x[i] * PAULIS[i] for i in range(3))
+        second = I2 / 2.0 + sum(form.y[i] * PAULIS[i] for i in range(3))
         assert np.max(np.abs(partial_trace(rho, "B") - first)) <= 1e-12
         assert np.max(np.abs(partial_trace(rho, "A") - second)) <= 1e-12
 

@@ -750,19 +750,25 @@ def test_module_entrypoint_subprocess(tmp_path):
     code, out, _ = run_module(tmp_path, "critical", "--model", "isodm", "--d", "0")
     assert code == 0
     assert out == "0.549306144\n"
+    code, out, err = run_module(tmp_path, "critical", "--model", "isodm", "--bogus")
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "spincorr: error: unrecognized arguments: --bogus"
+    ]
 
 
-def test_console_script_runs_main_entry(monkeypatch, capsys):
+def test_console_script_runs_main(monkeypatch, capsys):
+    # The generated script runs sys.exit(main()), so main's return value is
+    # the exit code.
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-    assert scripts == {"spincorr": "spincorr.cli:main_entry"}
+    assert scripts == {"spincorr": "spincorr.cli:main"}
     module, _, name = scripts["spincorr"].partition(":")
     entry = getattr(importlib.import_module(module), name)
-    assert entry is cli.main_entry
+    assert entry is cli.main
     monkeypatch.setattr(sys, "argv", ["spincorr", "critical", "--model", "isodm", "--d", "0"])
-    with pytest.raises(SystemExit) as exit_info:
-        entry()
-    assert exit_info.value.code == 0
+    assert entry() == 0
     assert capsys.readouterr().out == "0.549306144\n"
 
 

@@ -10,21 +10,27 @@ from hypothesis import strategies as st
 from spincorr import qmat
 from spincorr.bloch import decompose
 from spincorr.errors import InvalidState
-from spincorr.measures import BRANCH_X_NONZERO, BRANCH_X_ZERO, concurrence, report
+from spincorr.measures import (
+    BRANCH_X_NONZERO,
+    BRANCH_X_ZERO,
+    X_DEGENERACY_CUTOFF,
+    concurrence,
+    report,
+)
 from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
 from spincorr.oracle import gmod_oracle, min_oracle, ppt_entangled
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
 from helpers import (
+    MIXED,
     bell_psi_plus,
     ground_product_state,
     pinned_states,
     random_product_state,
+    spin_flip_average,
     x_zeroed_states,
 )
-from reference import post_measurement, random_unitary
-
-MIXED = np.eye(4, dtype=complex) / 4.0
+from reference import I2, PAULIS, post_measurement, random_unitary
 
 
 def test_concurrence_reference_states():
@@ -279,7 +285,7 @@ def test_product_state_bloch_form_and_measures_by_property(seed, pure_a, pure_b)
     # a sign error in a Pauli operator breaks the Bloch form.
     rng = Lcg(seed)
     a, b = _bloch_vector(rng, pure_a), _bloch_vector(rng, pure_b)
-    rho_a, rho_b = (qmat.I2 / 2.0 + np.tensordot(v, qmat.PAULIS, axes=1) for v in (a, b))
+    rho_a, rho_b = (I2 / 2.0 + np.tensordot(v, PAULIS, axes=1) for v in (a, b))
     rho = np.kron(rho_a, rho_b)
     form = decompose(rho)
     assert np.abs(form.x - a).max() <= _PRODUCT_TOL["bloch"]
@@ -336,6 +342,43 @@ def test_oracles_on_rotated_werner_states_by_property(seed, k):
     p, rho = _rotated_werner(seed, k)
     assert abs(min_oracle(rho).value - p * p / 2.0) <= _WERNER_TOL["min"]
     assert abs(gmod_oracle(rho).value - p * p / 2.0) <= _WERNER_TOL["gmod"]
+
+
+# Largest values measured over 20,000 pairs of states, k = 1 to 4:
+# |N - min_oracle| 2.4e-8 below the cutoff (where the oracle's refinement
+# stops at its 500-sweep cap; the 99.9th percentile is 9.7e-12) and 1.1e-16
+# above it; C moved 3.3e-15 across the cutoff, D and Q not at all. 2 D - N
+# and Q - D never came above -1.7e-8; their tolerances are roundoff, as in
+# _LU_TOL. The others are about 4x their maximum.
+_CUTOFF_TOL = {"min_zero": 1e-7, "min_nonzero": 5e-16, "C": 1.3e-14, "2D-N": 3e-15, "Q-D": 3e-15}
+_SIGMA_Z_A = np.kron(PAULIS[2], I2)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 4))
+def test_x_states_across_the_nonlocality_cutoff_by_property(seed, k):
+    # A spin-flip average has x = 0 exactly; (x_z/2) sigma_z (x) I gives it
+    # x = (0, 0, x_z). x_z = 1e-9 -+ k eps: a 4x4 state resolves x_z only to
+    # about eps, so a few ulps of 1e-9 itself would land on either side.
+    # report and min_oracle share the cutoff, so they take the same branch
+    # on each side, and only N may jump across it.
+    base = spin_flip_average(random_state(Lcg(seed)))
+    reports = []
+    for side in (-1, 1):
+        rho = base + ((X_DEGENERACY_CUTOFF + side * k * 2.0**-52) / 2.0) * _SIGMA_Z_A
+        x_zero = float(np.linalg.norm(decompose(rho).x)) <= X_DEGENERACY_CUTOFF
+        rep = report(rho)
+        assert x_zero == (side < 0)
+        assert rep.branch == (BRANCH_X_ZERO if x_zero else BRANCH_X_NONZERO)
+        tol = _CUTOFF_TOL["min_zero" if x_zero else "min_nonzero"]
+        assert abs(rep.min_value - min_oracle(rho).value) <= tol
+        assert 2.0 * rep.gmod_exact <= rep.min_value + _CUTOFF_TOL["2D-N"]
+        assert rep.gmod_lower <= rep.gmod_exact + _CUTOFF_TOL["Q-D"]
+        reports.append(rep)
+    below, above = reports
+    assert abs(below.concurrence - above.concurrence) <= _CUTOFF_TOL["C"]
+    assert below.gmod_exact == above.gmod_exact
+    assert below.gmod_lower == above.gmod_lower
 
 
 def test_every_state_validation_accepts_gets_a_report():

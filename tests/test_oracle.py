@@ -21,10 +21,15 @@ from spincorr.models import (
 from spincorr.oracle import GRID_DIRECTIONS, gmod_oracle, min_oracle, ppt_entangled
 from spincorr.rng import Lcg, random_state
 
-from helpers import bell_psi_plus, ground_product_state, spin_flip_average, x_zeroed_states
-from reference import nested_gmod_spotcheck, post_measurement
+from helpers import (
+    MIXED,
+    bell_psi_plus,
+    ground_product_state,
+    spin_flip_average,
+    x_zeroed_states,
+)
+from reference import I2, PAULIS, nested_gmod_spotcheck, post_measurement
 
-MIXED = np.eye(4, dtype=complex) / 4.0
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 # Bit-exact oracle results on the 2000-point grid, recorded with the
@@ -366,10 +371,10 @@ def test_oracle_results_are_bit_pinned(name):
 def _kron_dephase(rho, n):
     """The projector algebra spelled out with np.kron: sum over the two signs
     of (P (x) I) rho (P (x) I), P = (I +/- n.sigma)/2."""
-    n_sigma = n[0] * qmat.PAULIS[0] + n[1] * qmat.PAULIS[1] + n[2] * qmat.PAULIS[2]
+    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
     out = np.zeros_like(rho)
     for sign in (1.0, -1.0):
-        proj = np.kron((qmat.I2 + sign * n_sigma) / 2.0, qmat.I2)
+        proj = np.kron((I2 + sign * n_sigma) / 2.0, I2)
         out += proj @ rho @ proj
     return out
 

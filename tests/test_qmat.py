@@ -11,18 +11,11 @@ from hypothesis import strategies as st
 
 from spincorr import measures, qmat
 from spincorr.errors import InvalidState, NonFiniteParameter
+from spincorr.models import IsoDMParams
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
 from helpers import bell_psi_plus, ground_product_state, pinned_states
-from reference import gibbs, partial_trace
-
-
-def _exchange_with_antisymmetric_term() -> np.ndarray:
-    """0.5 (XX + YY + ZZ + XY - YX): reference matrix with known spectrum."""
-    sx, sy, sz = qmat.PAULIS
-    h = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
-    h = h + np.kron(sx, sy) - np.kron(sy, sx)
-    return 0.5 * h
+from reference import I2, PAULIS, gibbs, hamiltonian_isodm, partial_trace
 
 
 def test_pauli_constants():
@@ -41,13 +34,13 @@ def test_gibbs_zero_hamiltonian_is_maximally_mixed():
 
 
 def test_gibbs_single_qubit_closed_form():
-    rho = gibbs(qmat.PAULIS[2], beta=1.0)
+    rho = gibbs(PAULIS[2], beta=1.0)
     p0 = 1.0 / (1.0 + math.exp(2.0))
     assert np.allclose(rho, np.diag([p0, 1.0 - p0]), atol=1e-14)
 
 
 def test_gibbs_extreme_couplings_stay_finite():
-    h = 50.0 * _exchange_with_antisymmetric_term()
+    h = hamiltonian_isodm(IsoDMParams(j=50.0, d=50.0))
     for beta in (1.0, 200.0):
         rho = gibbs(h, beta)
         assert np.all(np.isfinite(rho.view(float)))
@@ -56,7 +49,7 @@ def test_gibbs_extreme_couplings_stay_finite():
 
 
 def test_gibbs_rejects_bad_beta():
-    h = qmat.PAULIS[2]
+    h = PAULIS[2]
     for beta in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(NonFiniteParameter):
             gibbs(h, beta)
@@ -64,18 +57,12 @@ def test_gibbs_rejects_bad_beta():
 
 def test_kron_reference_matrices():
     # All 15 product operators, bit for bit and in their order, against
-    # np.kron of Paulis written out here: sigma_i (x) I, then I (x) sigma_j,
-    # then sigma_i (x) sigma_j row-major.
-    eye = np.eye(2, dtype=complex)
-    paulis = [
-        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    ]
+    # np.kron of the tests' written-out Paulis: sigma_i (x) I, then
+    # I (x) sigma_j, then sigma_i (x) sigma_j row-major.
     expected = (
-        [np.kron(s, eye) for s in paulis]
-        + [np.kron(eye, s) for s in paulis]
-        + [np.kron(si, sj) for si in paulis for sj in paulis]
+        [np.kron(s, I2) for s in PAULIS]
+        + [np.kron(I2, s) for s in PAULIS]
+        + [np.kron(si, sj) for si in PAULIS for sj in PAULIS]
     )
     table = qmat.PAULI_PRODUCTS
     assert table.shape == (15, 4, 4) and table.dtype == complex
