@@ -56,6 +56,13 @@ class MeasureReport:
     branch: str
 
 
+def _trace3(a: np.ndarray) -> float:
+    """``float(a.trace())`` bit for bit: below 8 terms numpy's pairwise-sum loop
+    adds in sequence, after ``0.0 +``, its reduction's +0.0 start."""
+    d = a.diagonal().tolist()
+    return 0.0 + d[0] + d[1] + d[2]
+
+
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
@@ -81,14 +88,14 @@ def report(rho: np.ndarray) -> MeasureReport:
     rho = qmat.validate_state(rho)
     form = decompose(rho)
     tt = form.T @ form.T.T
-    trace_tt = float(tt.trace())
+    trace_tt = _trace3(tt)
     x_norm2 = float(form.x @ form.x)
     if math.sqrt(x_norm2) <= X_DEGENERACY_CUTOFF:
         min_value, branch = trace_tt - float(np.linalg.eigvalsh(tt)[0]), BRANCH_X_ZERO
     else:
         min_value, branch = trace_tt - float(form.x @ tt @ form.x) / x_norm2, BRANCH_X_NONZERO
     s = (form.x[:, None] * form.x + tt) / 4.0
-    trace_s = float(s.trace())
+    trace_s = _trace3(s)
     k = np.linalg.eigvalsh(s).tolist()  # ascending, so k[2] is k_max
     d01, d12, d20 = k[0] - k[1], k[1] - k[2], k[2] - k[0]
     radicand = 2.0 * (d01 * d01 + d12 * d12 + d20 * d20)

@@ -42,9 +42,9 @@ def validate_state(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {m.shape}")
-    # With hs_norm2 <= 4 every entry is finite with modulus <= 2 and nothing
+    # With tr(m^dagger m) <= 4 every entry is finite with modulus <= 2 and nothing
     # below overflows; above 4 an overflow fails a check, so its warning is moot.
-    norm2 = hs_norm2(m)
+    norm2 = float(np.vdot(m, m).real)
     if norm2 <= 4.0:
         guard = contextlib.nullcontext()
     elif not np.isfinite(m).all():
@@ -53,8 +53,9 @@ def validate_state(m: np.ndarray) -> np.ndarray:
         guard = np.errstate(over="ignore", invalid="ignore")
     adjoint = m.conj().T
     with guard:
-        asymmetry = math.sqrt(hs_norm2(m - adjoint))
-        trace = complex(m.trace())
+        skew = m - adjoint
+        asymmetry = math.sqrt(float(np.vdot(skew, skew).real))
+        trace = _trace4(m)
         hermitian_part = (m + adjoint) / 2.0
     if not asymmetry <= STATE_TOL:
         raise InvalidState("matrix is not Hermitian within tolerance")
@@ -65,6 +66,13 @@ def validate_state(m: np.ndarray) -> np.ndarray:
     if norm2 > 4.0 or np.linalg.eigvalsh(hermitian_part)[0] < -STATE_TOL:  # ascending
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
     return hermitian_part
+
+
+def _trace4(m: np.ndarray) -> complex:
+    """``complex(m.trace())`` bit for bit: numpy's pairwise-sum loop adds a 4-term
+    diagonal as (d0 + d1) + (d2 + d3); ``+ 0j`` is its reduction's +0.0 start."""
+    d = m.diagonal().tolist()
+    return d[0] + d[1] + (d[2] + d[3]) + 0j
 
 
 def hs_norm2(a: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Unit tests for the dense linear-algebra layer."""
 
 import hashlib
+import itertools
 import math
 import sys
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincorr import measures, qmat
+from spincorr.bloch import decompose
 from spincorr.errors import InvalidState, NonFiniteParameter
 from spincorr.models import IsoDMParams
 from spincorr.rng import Lcg, gaussian_matrix, random_state
@@ -328,3 +330,34 @@ def test_validate_state_is_a_fixed_point_of_its_output_by_property(seed, rank, s
     assert not np.signbit(once.diagonal().imag).any()
     twice = qmat.validate_state(once)
     assert twice.tobytes() == once.tobytes() and twice.strides == once.strides
+
+
+def test_traces_are_summed_in_numpys_order_bit_for_bit():
+    # qmat._trace4 and measures._trace3 repeat the order of numpy's
+    # pairwise-sum loop in Python; if a numpy build changes that loop, this
+    # fails by name before the output pins fail without saying why.
+    def check(helper, m):
+        for view in (m, np.asfortranarray(m), m.T, m[::-1, ::-1]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = view.trace()
+            assert np.asarray(helper(view), dtype=m.dtype).tobytes() == expected.tobytes(), view
+
+    # 20,000 states with their T T^t and S as report forms them, and 5,000
+    # non-Hermitian matrices (imaginary diagonal parts) across the exponents.
+    rng = Lcg(2024)
+    for i in range(20000):
+        rho = random_state(rng)
+        form = decompose(rho)
+        tt = form.T @ form.T.T
+        check(qmat._trace4, rho)
+        check(measures._trace3, tt)
+        check(measures._trace3, (form.x[:, None] * form.x + tt) / 4.0)
+        if i % 4 == 0:
+            check(qmat._trace4, gaussian_matrix(rng, 4) * 10.0 ** (i % 601 - 300))
+    special = (0.0, -0.0, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324)
+    for diagonal in itertools.product(special, repeat=3):
+        check(measures._trace3, np.diag(diagonal))
+    for diagonal in itertools.product(special, repeat=4):
+        m = np.diag(diagonal).astype(complex)
+        m.imag[range(4), range(4)] = np.roll(diagonal, 1)
+        check(qmat._trace4, m)
