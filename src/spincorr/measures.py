@@ -58,7 +58,7 @@ class MeasureReport:
 
 def _trace3(a: np.ndarray) -> float:
     """``float(a.trace())`` bit for bit: below 8 terms numpy's pairwise-sum loop
-    adds in sequence, after ``0.0 +``, its reduction's +0.0 start."""
+    adds in sequence; the leading ``0.0 +`` is its reduction's +0.0 start."""
     d = a.diagonal().tolist()
     return 0.0 + d[0] + d[1] + d[2]
 
