@@ -334,8 +334,9 @@ def test_validate_state_is_a_fixed_point_of_its_output_by_property(seed, rank, s
 
 def test_traces_are_summed_in_numpys_order_bit_for_bit():
     # qmat._trace4 and measures._trace3 repeat the order of numpy's
-    # pairwise-sum loop in Python; if a numpy build changes that loop, this
-    # fails by name before the output pins fail without saying why.
+    # pairwise-sum loop in Python. If a numpy build changes that loop, this
+    # fails by name; the output pins would miss most such changes, or fail
+    # without saying why.
     def check(helper, m):
         for view in (m, np.asfortranarray(m), m.T, m[::-1, ::-1]):
             with np.errstate(over="ignore", invalid="ignore"):
