@@ -8,13 +8,15 @@ sigma_y (x) sigma_y is row 10. All operations are pure functions.
 :func:`validate_state` is the package's only check of a matrix: it accepts
 any finite 4x4 input or raises :class:`InvalidState`. Each public entry
 validates its input, and a repeat changes nothing: the Hermitian part
-returned validates to itself bit for bit.
+returned validates to itself bit for bit. The package's only LAPACK calls
+are :func:`_eigvalsh`, :func:`_eigh` and :func:`_svdvals`.
 """
 
 import contextlib
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InvalidState
 
@@ -63,7 +65,7 @@ def validate_state(m: np.ndarray) -> np.ndarray:
         raise InvalidState(f"trace is {trace.real:.6g}, expected 1")
     # A state within tolerance has tr(m^dagger m) below 1 + 1e-6, so a value
     # above 4 means a negative eigenvalue; eigvalsh never sees such entries.
-    if norm2 > 4.0 or np.linalg.eigvalsh(hermitian_part)[0] < -STATE_TOL:  # ascending
+    if norm2 > 4.0 or _eigvalsh(hermitian_part)[0] < -STATE_TOL:  # ascending
         raise InvalidState("matrix has a negative eigenvalue beyond tolerance")
     return hermitian_part
 
@@ -73,6 +75,50 @@ def _trace4(m: np.ndarray) -> complex:
     diagonal as (d0 + d1) + (d2 + d3); ``+ 0j`` is its reduction's +0.0 start."""
     d = m.diagonal().tolist()
     return d[0] + d[1] + (d[2] + d[3]) + 0j
+
+
+def _eigenvalues_did_not_converge(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _svd_did_not_converge(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+def _lapack_errstate(on_failure) -> np.errstate:
+    """The error state ``np.linalg`` runs its LAPACK gufuncs under: a failure to
+    converge sets the invalid flag, which calls ``on_failure``. An ``errstate``
+    can be entered only once, so each call takes a fresh one."""
+    return np.errstate(
+        call=on_failure, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
+
+
+# np.linalg.eigvalsh, eigh and svd check and convert their input in Python
+# before they call the gufuncs below, and that costs more than the LAPACK call
+# on a 4x4. The package passes only complex128 4x4 and float64 3x3 arrays,
+# which the gufuncs take as they are, so these helpers call them directly.
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` bit for bit, ascending, for a complex128 4x4
+    or float64 3x3 ``a`` (only its lower triangle is read)."""
+    with _lapack_errstate(_eigenvalues_did_not_converge):
+        return _umath_linalg.eigvalsh_lo(a)
+
+
+def _eigh(a: np.ndarray) -> tuple:
+    """``np.linalg.eigh(a)`` bit for bit as (values, vectors), for a
+    complex128 4x4 or float64 3x3 ``a`` (only its lower triangle is read)."""
+    with _lapack_errstate(_eigenvalues_did_not_converge):
+        return _umath_linalg.eigh_lo(a)
+
+
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(a, compute_uv=False)`` bit for bit, descending, for a
+    complex128 4x4 or float64 3x3 ``a``."""
+    with _lapack_errstate(_svd_did_not_converge):
+        return _umath_linalg.svd(a)
 
 
 def hs_norm2(a: np.ndarray) -> float:
@@ -89,7 +135,7 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     negative ones are clamped to zero. The result is PSD Hermitian and
     squares back to ``m`` within the clamped amount plus 1e-9.
     """
-    values, vectors = np.linalg.eigh(m)
+    values, vectors = _eigh(m)
     np.maximum(values, 0.0, out=values)
     root = (vectors * np.sqrt(values)) @ vectors.conj().T
     return (root + root.conj().T) / 2.0
