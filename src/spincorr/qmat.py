@@ -77,6 +77,15 @@ def _trace4(m: np.ndarray) -> complex:
     return d[0] + d[1] + (d[2] + d[3]) + 0j
 
 
+# np.linalg.eigvalsh, eigh and svd check and convert their input in Python
+# before they call the gufuncs below, and on a 4x4 that costs more than LAPACK.
+# These helpers call the gufuncs directly: on the complex128 4x4 and float64 3x3
+# arrays the package passes, the results are np.linalg's bit for bit. Each call
+# enters a fresh errstate, as np.linalg does (one can be entered only once), so
+# a failure to converge raises numpy's LinAlgError instead of warning.
+_LAPACK_ERRSTATE = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
 def _eigenvalues_did_not_converge(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
@@ -85,39 +94,24 @@ def _svd_did_not_converge(err, flag):
     raise LinAlgError("SVD did not converge")
 
 
-def _lapack_errstate(on_failure) -> np.errstate:
-    """The error state ``np.linalg`` runs its LAPACK gufuncs under: a failure to
-    converge sets the invalid flag, which calls ``on_failure``. An ``errstate``
-    can be entered only once, so each call takes a fresh one."""
-    return np.errstate(
-        call=on_failure, invalid="call", over="ignore", divide="ignore", under="ignore"
-    )
-
-
-# np.linalg.eigvalsh, eigh and svd check and convert their input in Python
-# before they call the gufuncs below, and that costs more than the LAPACK call
-# on a 4x4. The package passes only complex128 4x4 and float64 3x3 arrays,
-# which the gufuncs take as they are, so these helpers call them directly.
-
-
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)`` bit for bit, ascending, for a complex128 4x4
-    or float64 3x3 ``a`` (only its lower triangle is read)."""
-    with _lapack_errstate(_eigenvalues_did_not_converge):
+    """``np.linalg.eigvalsh(a)``, ascending, for a complex128 4x4 or float64
+    3x3 ``a``."""
+    with np.errstate(call=_eigenvalues_did_not_converge, **_LAPACK_ERRSTATE):
         return _umath_linalg.eigvalsh_lo(a)
 
 
 def _eigh(a: np.ndarray) -> tuple:
-    """``np.linalg.eigh(a)`` bit for bit as (values, vectors), for a
-    complex128 4x4 or float64 3x3 ``a`` (only its lower triangle is read)."""
-    with _lapack_errstate(_eigenvalues_did_not_converge):
+    """``np.linalg.eigh(a)`` as (values, vectors), for a complex128 4x4 or
+    float64 3x3 ``a``."""
+    with np.errstate(call=_eigenvalues_did_not_converge, **_LAPACK_ERRSTATE):
         return _umath_linalg.eigh_lo(a)
 
 
 def _svdvals(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.svd(a, compute_uv=False)`` bit for bit, descending, for a
-    complex128 4x4 or float64 3x3 ``a``."""
-    with _lapack_errstate(_svd_did_not_converge):
+    """``np.linalg.svd(a, compute_uv=False)``, descending, for a complex128 4x4
+    or float64 3x3 ``a``."""
+    with np.errstate(call=_svd_did_not_converge, **_LAPACK_ERRSTATE):
         return _umath_linalg.svd(a)
 
 
