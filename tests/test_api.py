@@ -1,7 +1,7 @@
 """The package's public surface, pinned so that adding or removing a public
 name is a deliberate change to this list, and a check that the package
-holds no code that nothing in it uses and no import that its module never
-reads."""
+holds no code that nothing in it uses, no import that its module never
+reads, and one entry to LAPACK's spectra."""
 
 import ast
 import pathlib
@@ -123,3 +123,33 @@ def test_package_holds_no_unused_code():
         if not (module == "__init__" and name in spincorr.__all__)
     ]
     assert unused == []
+
+
+# np.linalg's spectral functions; the package reaches their gufuncs only
+# through qmat's private helpers.
+_SPECTRAL_NAMES = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals"}
+
+
+def test_lapack_is_entered_only_through_qmat():
+    package = pathlib.Path(spincorr.__file__).parent
+    entries = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if ("linalg" in parts[:-1] and parts[-1] in _SPECTRAL_NAMES) or (
+                    "_umath_linalg" in parts and path.stem != "qmat"
+                ):
+                    entries.append(f"{path.stem}: {name}")
+    assert entries == []
+    # The gufunc names are private; numpy 2.4 is the release they were checked on.
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["dependencies"] == ["numpy>=2.4"]
