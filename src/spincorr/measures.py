@@ -78,7 +78,7 @@ def concurrence(rho: np.ndarray) -> float:
     """
     rho = qmat.validate_state(rho)
     root = qmat.mat_sqrt(rho)
-    lambdas = qmat._svdvals(root @ _SPIN_FLIP @ root.conj()).tolist()
+    lambdas = np.linalg.svdvals(root @ _SPIN_FLIP @ root.conj()).tolist()
     return max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
 
 
@@ -91,12 +91,12 @@ def report(rho: np.ndarray) -> MeasureReport:
     trace_tt = _trace3(tt)
     x_norm2 = float(form.x @ form.x)
     if math.sqrt(x_norm2) <= X_DEGENERACY_CUTOFF:
-        min_value, branch = trace_tt - float(qmat._eigvalsh(tt)[0]), BRANCH_X_ZERO
+        min_value, branch = trace_tt - float(np.linalg.eigvalsh(tt)[0]), BRANCH_X_ZERO
     else:
         min_value, branch = trace_tt - float(form.x @ tt @ form.x) / x_norm2, BRANCH_X_NONZERO
     s = (form.x[:, None] * form.x + tt) / 4.0
     trace_s = _trace3(s)
-    k = qmat._eigvalsh(s).tolist()  # ascending, so k[2] is k_max
+    k = np.linalg.eigvalsh(s).tolist()  # ascending, so k[2] is k_max
     d01, d12, d20 = k[0] - k[1], k[1] - k[2], k[2] - k[0]
     radicand = 2.0 * (d01 * d01 + d12 * d12 + d20 * d20)
     return MeasureReport(

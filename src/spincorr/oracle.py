@@ -283,4 +283,4 @@ def ppt_entangled(rho: np.ndarray) -> bool:
     entangled if and only if the partial transpose is negative."""
     rho = qmat.validate_state(rho)
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    return bool(qmat._eigvalsh(pt)[0] < -1e-10)  # ascending
+    return bool(np.linalg.eigvalsh(pt)[0] < -1e-10)  # ascending

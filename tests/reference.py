@@ -4,21 +4,16 @@ None of these is used by the library or the CLI. They rebuild what the
 closed forms shortcut, the long way: a hermiticity check, Hamiltonians of
 the two spin models, Gibbs states by eigendecomposition, partial traces,
 Bloch-form reconstruction, Haar unitaries, the measured state of a local
-projective measurement, a randomized spot check that dephasing is the
+projective measurement and its ``np.kron`` projector algebra, a randomized spot check that dephasing is the
 nearest zero-discord state in a fixed basis, and the dense threshold scan
 that evaluates the gap at every grid point up to the first bracket. Bad
 shapes and non-unit directions raise ``ValueError``, and so does a
 Hamiltonian that is not Hermitian within 1e-10. ``PAULIS`` is the tests'
 one written-out table of sigma_x, sigma_y and sigma_z.
 
-Four of them still run package code. ``post_measurement`` dephases with
-``oracle._dephase``, so the oracle and its reference share one projector
-algebra, which ``test_oracle`` checks bit for bit against ``np.kron``.
-``dense_first_root`` evaluates the gap with ``models._x_gap`` and refines
-with ``models._bisect_root``. ``is_hermitian`` and ``nested_gmod_spotcheck``
-use ``qmat.hs_norm2``, and ``nested_gmod_spotcheck`` and
-``post_measurement`` validate with ``qmat.validate_state``. Random inputs
-come from ``spincorr.rng``.
+Only ``dense_first_root`` still runs package code: it evaluates the gap
+with ``models._x_gap`` and refines with ``models._bisect_root``. Random
+inputs come from ``spincorr.rng``.
 
 The exact references work in ``decimal`` at 50 digits and take float
 arguments at their exact binary values: the X-state entries of both
@@ -34,7 +29,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from spincorr import models, oracle, qmat
+from spincorr import models
 from spincorr.bloch import BlochForm
 from spincorr.errors import NoSignChange, NonFiniteParameter
 from spincorr.models import IsoDMParams, XXZParams
@@ -61,10 +56,14 @@ def _unit_direction(n) -> np.ndarray:
     return n
 
 
+def _hs_norm2(a: np.ndarray) -> float:
+    return float(np.vdot(a, a).real)
+
+
 def is_hermitian(m: np.ndarray, tol: float = _HERMITICITY_TOL) -> bool:
     """Return True iff ``m`` equals its conjugate transpose within ``tol``
     (Hilbert-Schmidt norm)."""
-    return math.sqrt(qmat.hs_norm2(m - m.conj().T)) <= tol
+    return math.sqrt(_hs_norm2(m - m.conj().T)) <= tol
 
 
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
@@ -155,14 +154,24 @@ def reconstruct(form: BlochForm) -> tuple[np.ndarray, bool]:
 def post_measurement(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Apply the local projective measurement along ``n`` to the first qubit.
 
-    The oracle's explicit dephasing (P+ rho P+ + P- rho P-, projectors
-    (I +/- n.sigma)/2 tensored with identity on the second qubit),
-    symmetrized. Idempotent: applying twice equals applying once within
-    1e-12. |n| must be 1 within 1e-9.
+    :func:`kron_dephase` of the Hermitian part of ``rho``, symmetrized.
+    Idempotent: applying twice equals applying once within 1e-12. |n| must
+    be 1 within 1e-9.
     """
-    rho = qmat.validate_state(rho)
-    out = oracle._dephase(rho, _unit_direction(n)[None])[0]
+    rho = np.asarray(rho, dtype=complex)
+    out = kron_dephase((rho + rho.conj().T) / 2.0, _unit_direction(n))
     return (out + out.conj().T) / 2.0
+
+
+def kron_dephase(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The projector algebra spelled out with np.kron: sum over the two signs
+    of (P (x) I) rho (P (x) I), P = (I +/- n.sigma)/2."""
+    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
+    out = np.zeros_like(rho)
+    for sign in (1.0, -1.0):
+        proj = np.kron((I2 + sign * n_sigma) / 2.0, I2)
+        out += proj @ rho @ proj
+    return out
 
 
 def nested_gmod_spotcheck(rho: np.ndarray, n: np.ndarray, k: int, seed: int = 1) -> float:
@@ -174,7 +183,8 @@ def nested_gmod_spotcheck(rho: np.ndarray, n: np.ndarray, k: int, seed: int = 1)
     never undercut the dephased distance by more than roundoff
     (dephasing uses the optimal weights and conditional states).
     """
-    rho = qmat.validate_state(rho)
+    rho = np.asarray(rho, dtype=complex)
+    rho = (rho + rho.conj().T) / 2.0
     n = _unit_direction(n)
     if k <= 0:
         raise ValueError("k must be positive")
@@ -190,7 +200,7 @@ def nested_gmod_spotcheck(rho: np.ndarray, n: np.ndarray, k: int, seed: int = 1)
         candidate = p * np.kron(proj_plus, rho_1) + (1.0 - p) * np.kron(
             proj_minus, rho_2
         )
-        best = min(best, qmat.hs_norm2(rho - candidate))
+        best = min(best, _hs_norm2(rho - candidate))
     return best
 
 

@@ -125,12 +125,12 @@ def test_package_holds_no_unused_code():
     assert unused == []
 
 
-# np.linalg's spectral functions; the package reaches their gufuncs only
-# through qmat's private helpers.
-_SPECTRAL_NAMES = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals"}
+# np.linalg's general-matrix eigensolvers, which the package never needs: every
+# spectrum it takes is of a Hermitian matrix, or a set of singular values.
+_GENERAL_EIGENSOLVERS = {"eig", "eigvals"}
 
 
-def test_lapack_is_entered_only_through_qmat():
+def test_lapack_is_entered_only_through_public_numpy():
     package = pathlib.Path(spincorr.__file__).parent
     entries = []
     for path in sorted(package.glob("*.py")):
@@ -145,11 +145,11 @@ def test_lapack_is_entered_only_through_qmat():
                 continue
             for name in names:
                 parts = name.split(".")
-                if ("linalg" in parts[:-1] and parts[-1] in _SPECTRAL_NAMES) or (
-                    "_umath_linalg" in parts and path.stem != "qmat"
+                if "_umath_linalg" in parts or (
+                    "linalg" in parts[:-1] and parts[-1] in _GENERAL_EIGENSOLVERS
                 ):
                     entries.append(f"{path.stem}: {name}")
     assert entries == []
-    # The gufunc names are private; numpy 2.4 is the release they were checked on.
+    # The output bit pins were checked on numpy 2.4 only, so that is the floor.
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["dependencies"] == ["numpy>=2.4"]

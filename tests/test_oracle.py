@@ -28,7 +28,7 @@ from helpers import (
     spin_flip_average,
     x_zeroed_states,
 )
-from reference import I2, PAULIS, nested_gmod_spotcheck, post_measurement
+from reference import kron_dephase, nested_gmod_spotcheck, post_measurement
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -368,17 +368,6 @@ def test_oracle_results_are_bit_pinned(name):
         assert _pin(result) == min_pin
 
 
-def _kron_dephase(rho, n):
-    """The projector algebra spelled out with np.kron: sum over the two signs
-    of (P (x) I) rho (P (x) I), P = (I +/- n.sigma)/2."""
-    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-    out = np.zeros_like(rho)
-    for sign in (1.0, -1.0):
-        proj = np.kron((I2 + sign * n_sigma) / 2.0, I2)
-        out += proj @ rho @ proj
-    return out
-
-
 def test_blockwise_projectors_match_kron_bit_for_bit():
     """The oracle builds P (x) I without np.kron and measures a whole stack
     of directions in one call; every row of the measured stack, every
@@ -396,7 +385,7 @@ def test_blockwise_projectors_match_kron_bit_for_bit():
         disturbances = oracle._disturbances(rho, dirs)
         assert stacked.shape == (46, 4, 4) and len(disturbances) == 46
         for n, row, disturbance in zip(dirs, stacked, disturbances):
-            reference = _kron_dephase(rho, n)
+            reference = kron_dephase(rho, n)
             assert row.tobytes() == reference.tobytes()
             assert disturbance.hex() == qmat.hs_norm2(rho - reference).hex()
             measured = (reference + reference.conj().T) / 2.0
