@@ -11,7 +11,8 @@ class SpincorrError(Exception):
 
 
 class NonFiniteParameter(SpincorrError):
-    """A numeric parameter is NaN, infinite, or outside its valid range."""
+    """A numeric parameter is NaN, infinite, or not a real number (``bool``
+    is not one)."""
 
 
 class InvalidState(SpincorrError):

@@ -57,8 +57,10 @@ class MeasureReport:
 
 
 def _trace3(a: np.ndarray) -> float:
-    """``float(a.trace())`` bit for bit: below 8 terms numpy's pairwise-sum loop
-    adds in sequence; the leading ``0.0 +`` is its reduction's +0.0 start."""
+    """``float(a.trace())`` bit for bit for a finite diagonal, the only kind
+    ``report`` passes: below 8 terms numpy's pairwise-sum loop adds in
+    sequence; the leading ``0.0 +`` is its reduction's +0.0 start. With two
+    NaN operands the sign of the NaN returned can differ from numpy's."""
     d = a.diagonal().tolist()
     return 0.0 + d[0] + d[1] + d[2]
 

@@ -21,11 +21,11 @@ best is decided by explicit values at both points, and the reported value
 is always explicit. Every decision and every reported bit is therefore the
 one explicit scoring alone would give. The refinement keeps its explicit
 values in a per-call memo keyed by the angles, and a near-tie that misses
-it scores the rest of the sweep and the next sweep's trials ahead in the
-same stacked call. Each explicit value of a near-tie is checked against
-its screen to 5e-15 when it is read, so a value scored ahead but never
-read is never checked, and every result checks it to 1e-12 at the final
-direction; a disagreement raises :class:`OracleMismatch`.
+it scores the rest of the sweep in the same stacked call. Each explicit
+value of a near-tie is checked against its screen to 5e-15 when it is
+read, so a value scored ahead but never read is never checked, and every
+result checks it to 1e-12 at the final direction; a disagreement raises
+:class:`OracleMismatch`.
 
 Measurements act on the first qubit only. Reductions compare by value with
 ties broken by the lowest grid index.
@@ -54,7 +54,8 @@ _FINAL_TOL = 1e-12
 
 def _fibonacci_sphere(n_points: int) -> np.ndarray:
     """Fibonacci sphere lattice: z_i = 1 - (2i+1)/n, golden-angle
-    azimuths phi_i = i * pi * (3 - sqrt(5)). |z_i| <= 1 - 1/n keeps 1 - z_i^2 > 0."""
+    azimuths phi_i = i * pi * (3 - sqrt(5)). |z_i| <= 1 - 1/n keeps 1 - z_i^2 > 0
+    and every z inside the domain of acos."""
     i = np.arange(n_points)
     z = 1.0 - (2.0 * i + 1.0) / n_points
     radius = np.sqrt(1.0 - z * z)
@@ -108,7 +109,7 @@ def _dephase(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 def _disturbances(rho: np.ndarray, dirs: np.ndarray) -> list[float]:
     """Squared Hilbert-Schmidt distance between rho and its measured image,
     for every row of ``dirs``."""
-    return [qmat.hs_norm2(diff) for diff in rho - _dephase(rho, dirs)]
+    return [float(np.vdot(diff, diff).real) for diff in rho - _dephase(rho, dirs)]
 
 
 def _gram(rho: np.ndarray) -> np.ndarray:
@@ -149,11 +150,6 @@ def _xyz(theta: float, phi: float) -> tuple[float, float, float]:
     return math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
 
 
-def _moves(step: float) -> tuple:
-    """The four angle offsets one refinement sweep tries, in order."""
-    return (step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)
-
-
 def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
     """The maximum (``maximize``) or the minimum of the disturbance D,
     found as the maximum of sign * D with sign = +1 or -1.
@@ -169,15 +165,14 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
 
     Explicit values come from a memo keyed by the angles (theta, phi),
     filled one stacked call at a time: a near-tie that misses the memo
-    scores the current point (if its value is unknown), the rest of this
-    sweep's trials and the four trials at step/2 from the same point, which
-    are the next sweep's trials if this sweep keeps its point. Each row
-    keeps every bit of a one-row call. A value is checked against its
-    screen when it is read, in the order one-row scoring would check it;
-    a row scored ahead but never read is never checked.
+    scores the current point (if its value is unknown) and the rest of
+    this sweep's trials. Each row keeps every bit of a one-row call. A
+    value is checked against its screen when it is read, in the order
+    one-row scoring would check it; a row scored ahead but never read is
+    never checked.
     """
     sign = 1.0 if maximize else -1.0
-    screen = _screen(_gram(rho), qmat.hs_norm2(rho))
+    screen = _screen(_gram(rho), float(np.vdot(rho, rho).real))
     # (theta, phi) -> (direction row, D). The angles start from acos and
     # atan2 of a grid row and move by sums, so none is -0.0 and equal keys
     # are equal bits.
@@ -203,7 +198,7 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
     values = [sign * v for v in values]
     pick = int(np.argmax(values))
     x, y, z = rows[pick].tolist()
-    theta, phi = math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x)
+    theta, phi = math.acos(z), math.atan2(y, x)
     best_screen = sign * screen(x, y, z)
     best = values[pick]  # explicit value at the current point; None once unknown
     evaluations = len(GRID_DIRECTIONS)
@@ -211,7 +206,7 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
     sweeps = 0
     while step >= _REFINE_FINAL_STEP and sweeps < _REFINE_MAX_SWEEPS:
         improved = False
-        moves = _moves(step)
+        moves = (step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)
         for i, (d_theta, d_phi) in enumerate(moves):
             t, p = theta + d_theta, phi + d_phi
             trial_screen = sign * screen(*_xyz(t, p))
@@ -222,8 +217,7 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
             else:
                 current = [] if best is not None else [(theta, phi)]
                 if any(key not in memo for key in current + [(t, p)]):
-                    ahead = moves[i:] + _moves(step / 2.0)
-                    score(current + [(theta + dt, phi + dp) for dt, dp in ahead])
+                    score(current + [(theta + dt, phi + dp) for dt, dp in moves[i:]])
                 if best is None:
                     best = read((theta, phi), best_screen)
                 trial = read((t, p), trial_screen)

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for 2x2 and 4x4 operators.
 
-State validation, Hilbert-Schmidt geometry, the principal matrix square
-root, and the package's only operator tables, all read-only: ``PAULIS``
-stacks (sigma_x, sigma_y, sigma_z) and ``PAULI_PRODUCTS`` the 15 products
-sigma_i (x) I, then I (x) sigma_j, then sigma_i (x) sigma_j row-major, so
-sigma_y (x) sigma_y is row 10. All operations are pure functions.
+State validation, the principal matrix square root, and the package's
+only operator tables, all read-only: ``PAULIS`` stacks (sigma_x, sigma_y,
+sigma_z) and ``PAULI_PRODUCTS`` the 15 products sigma_i (x) I, then
+I (x) sigma_j, then sigma_i (x) sigma_j row-major, so sigma_y (x) sigma_y
+is row 10. All operations are pure functions.
 :func:`validate_state` is the package's only check of a matrix: it accepts
 any finite 4x4 input or raises :class:`InvalidState`. Each public entry
 validates its input, and a repeat changes nothing: the Hermitian part
@@ -71,16 +71,13 @@ def validate_state(m: np.ndarray) -> np.ndarray:
 
 
 def _trace4(m: np.ndarray) -> complex:
-    """``complex(m.trace())`` bit for bit: numpy's pairwise-sum loop adds a 4-term
-    diagonal as (d0 + d1) + (d2 + d3); ``+ 0j`` is its reduction's +0.0 start."""
+    """``complex(m.trace())`` bit for bit for a finite diagonal, the only kind
+    :func:`validate_state` passes: numpy's pairwise-sum loop adds a 4-term
+    diagonal as (d0 + d1) + (d2 + d3); ``+ 0j`` is its reduction's +0.0
+    start. With two NaN operands the sign of the NaN returned can differ
+    from numpy's."""
     d = m.diagonal().tolist()
     return d[0] + d[1] + (d[2] + d[3]) + 0j
-
-
-def hs_norm2(a: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt norm tr(A^dagger A) = sum of |entries|^2."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.vdot(a, a).real)
 
 
 def mat_sqrt(m: np.ndarray) -> np.ndarray:

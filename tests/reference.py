@@ -1,11 +1,12 @@
 """Independent references the tests check the package against.
 
 None of these is used by the library or the CLI. They rebuild what the
-closed forms shortcut, the long way: a hermiticity check, Hamiltonians of
-the two spin models, Gibbs states by eigendecomposition, partial traces,
-Bloch-form reconstruction, Haar unitaries, the measured state of a local
-projective measurement and its ``np.kron`` projector algebra, a randomized spot check that dephasing is the
-nearest zero-discord state in a fixed basis, and the dense threshold scan
+closed forms shortcut, the long way: the squared Hilbert-Schmidt norm, a
+hermiticity check, Hamiltonians of the two spin models, Gibbs states by
+eigendecomposition, partial traces, Bloch-form reconstruction, Haar
+unitaries, the measured state of a local projective measurement and its
+``np.kron`` projector algebra, a randomized spot check that dephasing is
+the nearest zero-discord state in a fixed basis, and the dense threshold scan
 that evaluates the gap at every grid point up to the first bracket. Bad
 shapes and non-unit directions raise ``ValueError``, and so does a
 Hamiltonian that is not Hermitian within 1e-10. ``PAULIS`` is the tests'
@@ -56,14 +57,15 @@ def _unit_direction(n) -> np.ndarray:
     return n
 
 
-def _hs_norm2(a: np.ndarray) -> float:
+def hs_norm2(a: np.ndarray) -> float:
+    """Squared Hilbert-Schmidt norm tr(A^dagger A) = sum of |entries|^2."""
     return float(np.vdot(a, a).real)
 
 
 def is_hermitian(m: np.ndarray, tol: float = _HERMITICITY_TOL) -> bool:
     """Return True iff ``m`` equals its conjugate transpose within ``tol``
     (Hilbert-Schmidt norm)."""
-    return math.sqrt(_hs_norm2(m - m.conj().T)) <= tol
+    return math.sqrt(hs_norm2(m - m.conj().T)) <= tol
 
 
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
@@ -200,7 +202,7 @@ def nested_gmod_spotcheck(rho: np.ndarray, n: np.ndarray, k: int, seed: int = 1)
         candidate = p * np.kron(proj_plus, rho_1) + (1.0 - p) * np.kron(
             proj_minus, rho_2
         )
-        best = min(best, _hs_norm2(rho - candidate))
+        best = min(best, hs_norm2(rho - candidate))
     return best
 
 

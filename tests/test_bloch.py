@@ -46,10 +46,10 @@ def _per_operator_bloch(rho):
 
 
 def test_decompose_matches_per_operator_trace_bit_for_bit():
-    # decompose takes all 15 traces in one stacked product. That keeps every
-    # bit of the per-operator traces only while numpy sums a stacked trace
-    # and multiplies a stacked @ the way it does one matrix; a numpy or BLAS
-    # change that breaks it must fail here, not move output bytes.
+    # decompose gathers the four nonzero diagonal terms of each rho @ P and
+    # sums them pairwise. That keeps every bit of the per-operator traces only
+    # while numpy's @ and trace form and sum those terms the same way; a
+    # numpy or BLAS change that breaks it must fail here, not move output bytes.
     rng = Lcg(29)
     states = [random_state(rng) for _ in range(1000)]
     states += [random_product_state(rng) for _ in range(50)]

@@ -30,7 +30,7 @@ from helpers import (
     spin_flip_average,
     x_zeroed_states,
 )
-from reference import I2, PAULIS, post_measurement, random_unitary
+from reference import I2, PAULIS, hs_norm2, post_measurement, random_unitary
 
 
 def test_concurrence_reference_states():
@@ -78,7 +78,7 @@ def test_min_closed_equals_disturbance_along_local_axis():
         rep = report(rho)
         assert rep.branch == BRANCH_X_NONZERO
         x = decompose(rho).x
-        disturbance = qmat.hs_norm2(rho - post_measurement(rho, x / np.linalg.norm(x)))
+        disturbance = hs_norm2(rho - post_measurement(rho, x / np.linalg.norm(x)))
         assert abs(rep.min_value - disturbance) <= 1e-10
 
 

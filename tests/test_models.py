@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spincorr import models, qmat
+from spincorr import models
 from spincorr.bloch import decompose
 from spincorr.errors import ClosedFormMismatch, NoSignChange, NonFiniteParameter
 from spincorr.models import (
@@ -22,7 +22,7 @@ from spincorr.models import (
     thermal_xxz,
 )
 
-from reference import dense_first_root, gibbs, hamiltonian_isodm, hamiltonian_xxz
+from reference import dense_first_root, gibbs, hamiltonian_isodm, hamiltonian_xxz, hs_norm2
 
 LN3_HALF = math.log(3.0) / 2.0
 
@@ -94,20 +94,20 @@ def test_thermal_states_match_gibbs_over_grid():
         for d in (0.0, 1.0, 2.0):
             closed = thermal_isodm(IsoDMParams(j=j, d=d)).matrix
             reference = gibbs(hamiltonian_isodm(IsoDMParams(j=j, d=d)), 1.0)
-            assert math.sqrt(qmat.hs_norm2(closed - reference)) <= 1e-10
+            assert math.sqrt(hs_norm2(closed - reference)) <= 1e-10
         for delta in (-2.0, -1.0, 0.0, 1.0):
             for b in (0.0, 1.0, 2.0):
                 p = XXZParams(j=j, delta=delta, b=b)
                 closed = thermal_xxz(p).matrix
                 reference = gibbs(hamiltonian_xxz(p), 1.0)
-                assert math.sqrt(qmat.hs_norm2(closed - reference)) <= 1e-10
+                assert math.sqrt(hs_norm2(closed - reference)) <= 1e-10
 
 
 def test_thermal_isodm_series_branch_near_zero_coupling():
     p = IsoDMParams(j=1e-7, d=1e-7)
     closed = thermal_isodm(p).matrix
     reference = gibbs(hamiltonian_isodm(p), 1.0)
-    assert math.sqrt(qmat.hs_norm2(closed - reference)) <= 1e-10
+    assert math.sqrt(hs_norm2(closed - reference)) <= 1e-10
 
 
 def test_isodm_marginals_are_maximally_mixed():

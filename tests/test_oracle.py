@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spincorr import cli, oracle, qmat
+from spincorr import cli, oracle
 from spincorr.bloch import decompose
 from spincorr.errors import OracleMismatch
 from spincorr.measures import concurrence, report
@@ -28,7 +28,7 @@ from helpers import (
     spin_flip_average,
     x_zeroed_states,
 )
-from reference import kron_dephase, nested_gmod_spotcheck, post_measurement
+from reference import hs_norm2, kron_dephase, nested_gmod_spotcheck, post_measurement
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -296,13 +296,13 @@ def test_oracle_results_are_reproducible():
 
 def test_nested_spotcheck_never_undercuts_dephasing():
     bell = bell_psi_plus()
-    dephased = qmat.hs_norm2(bell - post_measurement(bell, Z_AXIS))
+    dephased = hs_norm2(bell - post_measurement(bell, Z_AXIS))
     assert nested_gmod_spotcheck(bell, Z_AXIS, k=500) >= dephased - 1e-9
 
     rng = Lcg(43)
     for _ in range(5):
         rho = random_state(rng)
-        dephased = qmat.hs_norm2(rho - post_measurement(rho, Z_AXIS))
+        dephased = hs_norm2(rho - post_measurement(rho, Z_AXIS))
         assert nested_gmod_spotcheck(rho, Z_AXIS, k=200) >= dephased - 1e-9
 
 
@@ -387,7 +387,7 @@ def test_blockwise_projectors_match_kron_bit_for_bit():
         for n, row, disturbance in zip(dirs, stacked, disturbances):
             reference = kron_dephase(rho, n)
             assert row.tobytes() == reference.tobytes()
-            assert disturbance.hex() == qmat.hs_norm2(rho - reference).hex()
+            assert disturbance.hex() == hs_norm2(rho - reference).hex()
             measured = (reference + reference.conj().T) / 2.0
             assert post_measurement(rho, n).tobytes() == measured.tobytes()
 
@@ -415,10 +415,10 @@ def test_gram_matches_explicit_disturbance():
     rng = Lcg(47)
     for rho in [random_state(rng) for _ in range(5)] + [bell_psi_plus(), MIXED]:
         gram = oracle._gram(rho)
-        norm2 = qmat.hs_norm2(rho)
+        norm2 = hs_norm2(rho)
         for n in GRID_DIRECTIONS[::97]:
             screen = 0.5 * (norm2 - n @ gram @ n)
-            assert abs(screen - qmat.hs_norm2(rho - post_measurement(rho, n))) <= 1e-15
+            assert abs(screen - hs_norm2(rho - post_measurement(rho, n))) <= 1e-15
 
 
 def test_corrupted_gram_trips_the_oracle(monkeypatch, capsys):
@@ -451,9 +451,10 @@ def test_final_direction_check_trips_the_oracle(monkeypatch, capsys):
 
 def test_stacked_projector_calls_are_pinned(monkeypatch):
     """The refinement reads near-tie values from a memo filled one stacked
-    call at a time: 300 seeded gmod_oracle calls make 1,404 explicit
-    scoring calls (300 of them the grid's), where one call per near-tie
-    made 4,156."""
+    call at a time, each scoring at most the current point and the four
+    trials of one sweep: 300 seeded gmod_oracle calls make 1,742 explicit
+    scoring calls (300 of them the grid's) of 4,506 rows, where one call
+    per near-tie made 4,156."""
     true_disturbances = oracle._disturbances
     calls = []
 
@@ -463,9 +464,14 @@ def test_stacked_projector_calls_are_pinned(monkeypatch):
 
     monkeypatch.setattr(oracle, "_disturbances", counted)
     rng = Lcg(12345)
+    refinement_calls = []
     for _ in range(300):
+        first = len(calls)
         gmod_oracle(random_state(rng))
-    assert len(calls) == 1404
+        refinement_calls += calls[first + 1:]
+    assert len(calls) == 1742
+    assert sum(calls) == 4506
+    assert max(refinement_calls) <= 5
 
 
 def _scoring_events(monkeypatch, rho):
@@ -508,7 +514,7 @@ def test_rows_scored_ahead_but_never_read_are_never_checked(monkeypatch):
     scored = {row for kind, rows in events if kind == "score" for row in rows}
     read = {rows[0] for kind, rows in events if kind == "read"}
     unread = scored - read - {result.direction.tobytes()}
-    assert len(unread) == 21
+    assert len(unread) == 4
     _corrupt_rows(monkeypatch, unread)
     assert _pin(gmod_oracle(rho)) == _pin(result)
 
@@ -527,7 +533,7 @@ def test_a_row_scored_ahead_is_checked_when_read(monkeypatch):
                 scored_in.setdefault(row, calls)
         elif scored_in[rows[0]] < calls:
             read_later.append(rows[0])
-    assert len(read_later) == 8
+    assert len(read_later) == 5
     _corrupt_rows(monkeypatch, {read_later[0]})
     with pytest.raises(OracleMismatch) as raised:
         gmod_oracle(rho)

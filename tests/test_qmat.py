@@ -18,7 +18,7 @@ from spincorr.models import IsoDMParams
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
 from helpers import bell_psi_plus, ground_product_state, pinned_states
-from reference import I2, PAULIS, gibbs, hamiltonian_isodm, partial_trace
+from reference import I2, PAULIS, gibbs, hamiltonian_isodm, hs_norm2, partial_trace
 
 
 def test_pauli_constants():
@@ -109,24 +109,6 @@ def test_partial_trace_rejects_bad_input():
         partial_trace(np.eye(4, dtype=complex) / 4.0, "C")
 
 
-def test_hs_norm2_reference_values():
-    assert qmat.hs_norm2(np.eye(4, dtype=complex)) == pytest.approx(4.0, abs=1e-15)
-    assert qmat.hs_norm2(qmat.PAULIS[0]) == pytest.approx(2.0, abs=1e-15)
-    assert qmat.hs_norm2(bell_psi_plus() - np.eye(4) / 4.0) == pytest.approx(
-        0.75, abs=1e-15
-    )
-
-
-def test_hs_norm2_expands_like_an_inner_product():
-    rng = Lcg(7)
-    for _ in range(20):
-        a = gaussian_matrix(rng)
-        b = gaussian_matrix(rng)
-        cross = 2.0 * np.trace(a.conj().T @ b).real
-        expanded = qmat.hs_norm2(a) + qmat.hs_norm2(b) + cross
-        assert abs(qmat.hs_norm2(a + b) - expanded) <= 1e-10
-
-
 @pytest.mark.parametrize("dim", [2, 4])
 def test_gaussian_matrix_keeps_the_per_entry_stream(dim):
     """One list of 2 dim^2 normals viewed as complex gives, bit for bit, the
@@ -153,7 +135,7 @@ def test_mat_sqrt_squares_back():
     for _ in range(20):
         rho = random_state(rng)
         root = qmat.mat_sqrt(rho)
-        assert math.sqrt(qmat.hs_norm2(root @ root - rho)) <= 1e-9
+        assert math.sqrt(hs_norm2(root @ root - rho)) <= 1e-9
         assert np.linalg.eigvalsh(root).min() >= -1e-12
 
 
@@ -161,7 +143,7 @@ def test_mat_sqrt_clamps_roundoff_negatives():
     m = np.diag([0.6, 0.4, 5e-11, -5e-11]).astype(complex)
     root = qmat.mat_sqrt(m)
     assert np.linalg.eigvalsh(root).min() >= 0.0
-    assert math.sqrt(qmat.hs_norm2(root @ root - m)) <= 1e-9
+    assert math.sqrt(hs_norm2(root @ root - m)) <= 1e-9
 
 
 def test_gibbs_rejects_non_hermitian():
@@ -270,7 +252,7 @@ def _validation_defects() -> list:
         for _ in range(abs(ulps)):
             a = math.nextafter(a, math.copysign(math.inf, ulps))
         m = np.diag([a, 1.0 - a, 0.0, 0.0]).astype(complex)
-        cases.append((f"hs_norm2 {qmat.hs_norm2(m)!r}", m, negative))
+        cases.append((f"hs_norm2 {hs_norm2(m)!r}", m, negative))
     for side in (-1e-7, 1e-7):
         cases.append((f"not Hermitian at hs_norm2 4{side:+g}",
                       _near_four(4.0 - 1e-6 + side, (0, 3), 1e-3), asymmetric))
@@ -325,7 +307,7 @@ def test_validate_state_is_a_fixed_point_of_its_output_by_property(seed, rank, s
     m = rho + shift * 1e-8 * (high @ high.conj().T - low @ low.conj().T)
     noise = gaussian_matrix(rng, 4)
     noise = noise - noise.conj().T
-    m = m + skew * 1e-8 * noise / (2.0 * math.sqrt(qmat.hs_norm2(noise)))
+    m = m + skew * 1e-8 * noise / (2.0 * math.sqrt(hs_norm2(noise)))
     once = qmat.validate_state(m)
     assert np.array_equal(once, once.conj().T)
     assert not np.signbit(once.diagonal().imag).any()
