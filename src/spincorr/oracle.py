@@ -14,18 +14,17 @@ D(n) = (||rho||^2 - n^T G n)/2 with G_ab = Re tr(rho A_a rho A_b) and
 A_a = sigma_a (x) I. G is built from explicit operator products, never from
 the Bloch form, so it stays independent of the closed forms it checks. One
 screen function scores both the grid scan (on arrays) and the refinement
-(on plain floats); one stacked projector algebra gives the explicit value
-at any set of directions. Grid rows whose screen lies within 1e-14 of the
-best are re-scored explicitly, a refinement trial that close to the current
-best is decided by explicit values at both points, and the reported value
-is always explicit. Every decision and every reported bit is therefore the
-one explicit scoring alone would give. The refinement keeps its explicit
-values in a per-call memo keyed by the angles, and a near-tie that misses
-it scores the rest of the sweep in the same stacked call. Each explicit
-value of a near-tie is checked against its screen to 5e-15 when it is
-read, so a value scored ahead but never read is never checked, and every
-result checks it to 1e-12 at the final direction; a disagreement raises
-:class:`OracleMismatch`.
+(on plain floats); one affine map from directions to projectors, applied in
+one stacked product, gives the explicit value at any set of directions.
+Grid rows whose screen lies within 1e-14 of the best are re-scored
+explicitly, a refinement trial that close to the current best is decided by
+explicit values at both points, and the reported value is always explicit,
+so every decision and every reported bit is the one explicit scoring alone
+would give. The refinement keeps its explicit values in a per-call memo
+keyed by the angles; a near-tie that misses it scores the rest of the sweep
+in the same stacked call. Each explicit value of a near-tie is checked
+against its screen to 5e-15 when it is read, and every result checks it to
+1e-12 at the final direction; a disagreement raises :class:`OracleMismatch`.
 
 Measurements act on the first qubit only. Reductions compare by value with
 ties broken by the lowest grid index.
@@ -40,7 +39,7 @@ from . import qmat
 from .bloch import decompose
 from .errors import OracleMismatch
 from .measures import X_DEGENERACY_CUTOFF
-from .qmat import I2, PAULI_PRODUCTS, PAULIS
+from .qmat import PAULI_PRODUCTS
 
 _REFINE_INITIAL_STEP = 0.1
 _REFINE_FINAL_STEP = 1e-7
@@ -66,8 +65,14 @@ def _fibonacci_sphere(n_points: int) -> np.ndarray:
     return dirs
 
 
-# The scan grid, built once and shared by every oracle call (so read-only).
+# Shared by every oracle call (so read-only): the scan grid, its columns as
+# contiguous rows for the grid screen, and s A_a (s = +/-1, A_a = rows 0-2 of
+# PAULI_PRODUCTS) and I4 as float columns (sign, row, column, re/im).
 GRID_DIRECTIONS = _fibonacci_sphere(2000)
+_GRID_COLUMNS = np.ascontiguousarray(GRID_DIRECTIONS.T)
+_PROJ_TABLE = np.stack((PAULI_PRODUCTS[:3], -PAULI_PRODUCTS[:3]), 1).view(float).reshape(3, 64)
+_PROJ_BASE = np.stack((np.eye(4, dtype=complex),) * 2).view(float).reshape(64)
+_GRID_COLUMNS.flags.writeable = _PROJ_TABLE.flags.writeable = _PROJ_BASE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -83,25 +88,20 @@ class OracleResult:
     evaluations: int
 
 
-# The two projector signs, broadcast over (sign, direction, 2, 2).
-_SIGNS = np.array([1.0, -1.0])[:, None, None, None]
-
-
 def _dephase(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """P+ rho P+ + P- rho P- for the first-qubit projectors
     P = (I +/- n.sigma)/2, for every row n of ``dirs`` (k, 3) at once.
 
-    Both signs and all k blocks P (x) I are placed on the diagonal of one
-    zero array, with no Kronecker product (a product with I2 only multiplies
-    by exact ones and zeros), and applied in one stacked product. Each of
-    the k rows keeps every bit, signed zeros included, of the one-direction
-    np.kron algebra.
+    All 2k projectors P (x) I are one affine map of the directions, applied
+    in one stacked product. Each row keeps every bit, signed zeros included,
+    of the kron algebra (I2 + s n.sigma)/2 (x) I2: a table column holds at
+    most one nonzero (+/-1) and signed zeros add exactly to a nonzero, so
+    each sum is s n_a or a zero; adding the base (1 or 0.0) rounds once, as
+    I2 + ... does, and makes every zero +0.0; the halving comes last there
+    too, so a subnormal n_a halves alike, even where it halves to zero.
     """
-    n = dirs[:, :, None, None]
-    n_sigma = n[:, 0] * PAULIS[0] + n[:, 1] * PAULIS[1] + n[:, 2] * PAULIS[2]
-    proj = np.zeros((2, len(dirs), 2, 2, 2, 2), dtype=complex)
-    proj[..., 0, :, 0] = proj[..., 1, :, 1] = (I2 + _SIGNS * n_sigma) / 2.0
-    proj = proj.reshape(2, len(dirs), 4, 4)
+    proj = ((dirs @ _PROJ_TABLE + _PROJ_BASE) / 2.0).view(complex)
+    proj = proj.reshape(len(dirs), 2, 4, 4).transpose(1, 0, 2, 3)
     m = proj @ rho @ proj
     return (0.0 + m[0]) + m[1]
 
@@ -189,7 +189,7 @@ def _extremize(rho: np.ndarray, maximize: bool) -> OracleResult:
         _check(n, value, sign * signed_screen)
         return sign * value
 
-    grid_screen = sign * screen(*GRID_DIRECTIONS.T)
+    grid_screen = sign * screen(*_GRID_COLUMNS)
     near = np.flatnonzero(grid_screen >= grid_screen.max() - _TIE_MARGIN)
     rows = GRID_DIRECTIONS[near]
     values = _disturbances(rho, rows)

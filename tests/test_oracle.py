@@ -188,6 +188,9 @@ def test_fibonacci_grid_shape_and_norms():
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
     assert GRID_DIRECTIONS[0, 2] == pytest.approx(1.0 - 1.0 / 2000.0, abs=1e-12)
     assert not GRID_DIRECTIONS.flags.writeable
+    assert oracle._GRID_COLUMNS.tobytes() == GRID_DIRECTIONS.T.tobytes()
+    for table in (oracle._GRID_COLUMNS, oracle._PROJ_TABLE, oracle._PROJ_BASE):
+        assert not table.flags.writeable
 
 
 def test_fibonacci_grid_bytes_are_pinned():
@@ -368,22 +371,35 @@ def test_oracle_results_are_bit_pinned(name):
         assert _pin(result) == min_pin
 
 
-def test_blockwise_projectors_match_kron_bit_for_bit():
-    """The oracle builds P (x) I without np.kron and measures a whole stack
-    of directions in one call; every row of the measured stack, every
-    disturbance and every measured state keep every bit (signed zeros
-    included) of the one-direction np.kron algebra."""
-    axes = np.vstack((np.eye(3), -np.eye(3)))
+def test_projector_table_matches_kron_bit_for_bit():
+    """The oracle maps directions to P (x) I through one table, without
+    np.kron, and measures a whole stack of directions in one call; every row
+    of the measured stack, every disturbance and every measured state keep
+    every bit (signed zeros included) of the one-direction np.kron algebra.
+    The edge rows hold signed zeros, subnormal components (5e-324 halves to
+    a signed zero) and n_z one ulp below 1 in size; the full grid on I/4 is
+    the stack of the all-tie path."""
+    below_one = 1.0 - 2.0**-53
+    edges = [
+        [0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [-0.0, -1.0, -0.0],
+        [5e-324, 0.0, 1.0], [-5e-324, -0.0, -1.0], [0.0, -5e-324, 1.0],
+        [1e-310, -1e-310, 1.0], [-1e-310, 0.0, -1.0],
+        [1e-8, 0.0, below_one], [-1e-8, 0.0, -below_one], [1e-8, -0.0, -below_one],
+    ]
+    edges = np.vstack((edges, np.eye(3), -np.eye(3)))
     rng = Lcg(51)
     states = [random_state(rng) for _ in range(300)]
     states += [MIXED, bell_psi_plus(), thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix]
+    stacks = []
     for rho in states:
         dirs = np.array([[rng.normal() for _ in range(3)] for _ in range(40)])
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        dirs = np.vstack((dirs, axes))
+        stacks.append((rho, np.vstack((dirs, edges))))
+    stacks.append((MIXED, GRID_DIRECTIONS))
+    for rho, dirs in stacks:
         stacked = oracle._dephase(rho, dirs)
         disturbances = oracle._disturbances(rho, dirs)
-        assert stacked.shape == (46, 4, 4) and len(disturbances) == 46
+        assert stacked.shape == (len(dirs), 4, 4) and len(disturbances) == len(dirs)
         for n, row, disturbance in zip(dirs, stacked, disturbances):
             reference = kron_dephase(rho, n)
             assert row.tobytes() == reference.tobytes()
