@@ -88,20 +88,27 @@ class OracleResult:
     evaluations: int
 
 
-def _dephase(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """P+ rho P+ + P- rho P- for the first-qubit projectors
-    P = (I +/- n.sigma)/2, for every row n of ``dirs`` (k, 3) at once.
+def _projectors(dirs: np.ndarray) -> np.ndarray:
+    """The first-qubit projectors P (x) I, P = (I + s n.sigma)/2, for both
+    signs s = +1, -1 and every row n of ``dirs`` (k, 3): a (2, k, 4, 4) stack.
 
-    All 2k projectors P (x) I are one affine map of the directions, applied
-    in one stacked product. Each row keeps every bit, signed zeros included,
-    of the kron algebra (I2 + s n.sigma)/2 (x) I2: a table column holds at
-    most one nonzero (+/-1) and signed zeros add exactly to a nonzero, so
-    each sum is s n_a or a zero; adding the base (1 or 0.0) rounds once, as
-    I2 + ... does, and makes every zero +0.0; the halving comes last there
-    too, so a subnormal n_a halves alike, even where it halves to zero.
+    All 2k projectors are one affine map of the directions. The diagonal of
+    block (i, j) keeps every bit, signed zeros included, of entry (i, j) of
+    the kron algebra's factor (I2 + s n.sigma)/2, and every other entry is
+    +0.0: a table column holds at most one nonzero (+/-1) and signed zeros
+    add exactly to a nonzero, so each sum is s n_a or a zero; adding the
+    base (1 or 0.0) rounds once, as I2 + ... does, and makes every zero
+    +0.0; the halving comes last there too, so a subnormal n_a halves
+    alike, even where it halves to zero.
     """
     proj = ((dirs @ _PROJ_TABLE + _PROJ_BASE) / 2.0).view(complex)
-    proj = proj.reshape(len(dirs), 2, 4, 4).transpose(1, 0, 2, 3)
+    return proj.reshape(len(dirs), 2, 4, 4).transpose(1, 0, 2, 3)
+
+
+def _dephase(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """P+ rho P+ + P- rho P- for the first-qubit projectors of every row of
+    ``dirs`` (k, 3) at once, in one stacked product."""
+    proj = _projectors(dirs)
     m = proj @ rho @ proj
     return (0.0 + m[0]) + m[1]
 

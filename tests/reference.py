@@ -165,6 +165,20 @@ def post_measurement(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
+def tensor_projectors(n: np.ndarray) -> np.ndarray:
+    """P (x) I for the kron algebra's P = (I2 + s n.sigma)/2, s = +1 then -1,
+    as a (2, 4, 4) stack: entry (i, j) of P, bit for bit, on the diagonal
+    of block (i, j), and +0.0 everywhere else. np.kron has the same values
+    but multiplies by the entries of I2, and those complex products give
+    some zeros a sign the factor does not hold, so its bytes are no
+    reference for zero signs."""
+    n_sigma = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
+    out = np.zeros((2, 4, 4), dtype=complex)
+    for proj, sign in zip(out, (1.0, -1.0)):
+        proj[0::2, 0::2] = proj[1::2, 1::2] = (I2 + sign * n_sigma) / 2.0
+    return out
+
+
 def kron_dephase(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     """The projector algebra spelled out with np.kron: sum over the two signs
     of (P (x) I) rho (P (x) I), P = (I +/- n.sigma)/2."""

@@ -28,7 +28,13 @@ from helpers import (
     spin_flip_average,
     x_zeroed_states,
 )
-from reference import hs_norm2, kron_dephase, nested_gmod_spotcheck, post_measurement
+from reference import (
+    hs_norm2,
+    kron_dephase,
+    nested_gmod_spotcheck,
+    post_measurement,
+    tensor_projectors,
+)
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -376,9 +382,11 @@ def test_projector_table_matches_kron_bit_for_bit():
     np.kron, and measures a whole stack of directions in one call; every row
     of the measured stack, every disturbance and every measured state keep
     every bit (signed zeros included) of the one-direction np.kron algebra.
-    The edge rows hold signed zeros, subnormal components (5e-324 halves to
-    a signed zero) and n_z one ulp below 1 in size; the full grid on I/4 is
-    the stack of the all-tie path."""
+    Every projector keeps every bit of that algebra's 2x2 factor, compared
+    by its own bytes: the stacked product can map a -0.0 and a +0.0 entry
+    to the same output. The edge rows hold signed zeros, subnormal
+    components (5e-324 halves to a signed zero) and n_z one ulp below 1 in
+    size; the full grid on I/4 is the stack of the all-tie path."""
     below_one = 1.0 - 2.0**-53
     edges = [
         [0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [-0.0, -1.0, -0.0],
@@ -397,10 +405,13 @@ def test_projector_table_matches_kron_bit_for_bit():
         stacks.append((rho, np.vstack((dirs, edges))))
     stacks.append((MIXED, GRID_DIRECTIONS))
     for rho, dirs in stacks:
+        projectors = oracle._projectors(dirs).transpose(1, 0, 2, 3)
         stacked = oracle._dephase(rho, dirs)
         disturbances = oracle._disturbances(rho, dirs)
+        assert projectors.shape == (len(dirs), 2, 4, 4)
         assert stacked.shape == (len(dirs), 4, 4) and len(disturbances) == len(dirs)
-        for n, row, disturbance in zip(dirs, stacked, disturbances):
+        for n, proj, row, disturbance in zip(dirs, projectors, stacked, disturbances):
+            assert proj.tobytes() == tensor_projectors(n).tobytes()
             reference = kron_dephase(rho, n)
             assert row.tobytes() == reference.tobytes()
             assert disturbance.hex() == hs_norm2(rho - reference).hex()

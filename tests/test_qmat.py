@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincorr import measures, qmat
+from spincorr import measures, oracle, qmat
 from spincorr.bloch import decompose
 from spincorr.errors import InvalidState, NonFiniteParameter
 from spincorr.models import IsoDMParams
 from spincorr.rng import Lcg, gaussian_matrix, random_state
 
-from helpers import bell_psi_plus, ground_product_state, pinned_states
+from helpers import MIXED, bell_psi_plus, ground_product_state, pinned_states
 from reference import I2, PAULIS, gibbs, hamiltonian_isodm, hs_norm2, partial_trace
 
 
@@ -313,6 +314,98 @@ def test_validate_state_is_a_fixed_point_of_its_output_by_property(seed, rank, s
     assert not np.signbit(once.diagonal().imag).any()
     twice = qmat.validate_state(once)
     assert twice.tobytes() == once.tobytes() and twice.strides == once.strides
+
+
+def _count_eigvalsh(monkeypatch) -> list:
+    """Make np.linalg.eigvalsh record each call in the returned list."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    return calls
+
+
+def test_validate_state_remembers_only_the_last_input_that_passed(monkeypatch):
+    # A refused input is checked in full every time and never remembered; a
+    # repeat of the input that passed returns its bytes as a new writable
+    # array; and neither the returned array nor the input, changed in place,
+    # changes what a later call returns.
+    calls = _count_eigvalsh(monkeypatch)
+    good = random_state(Lcg(71))
+    bad = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
+    first = qmat.validate_state(good)
+    for _ in range(2):
+        with pytest.raises(InvalidState) as info:
+            qmat.validate_state(bad)
+        assert str(info.value) == "matrix has a negative eigenvalue beyond tolerance"
+    second = qmat.validate_state(good)
+    assert len(calls) == 3
+    assert second.tobytes() == first.tobytes() == good.tobytes()
+    assert second.strides == first.strides and second.flags.writeable
+    assert not np.shares_memory(first, second) and not np.shares_memory(second, good)
+    first[0, 0] = second[0, 0] = 7.0
+    assert qmat.validate_state(good).tobytes() == good.tobytes()
+    changed = good.copy()
+    assert qmat.validate_state(changed).tobytes() == good.tobytes()
+    assert len(calls) == 3
+    changed *= 2.0
+    with pytest.raises(InvalidState) as info:
+        qmat.validate_state(changed)
+    assert str(info.value) == "trace is 2, expected 1"
+    changed[:] = MIXED
+    assert qmat.validate_state(changed).tobytes() == MIXED.tobytes()
+    assert len(calls) == 4
+    assert qmat.validate_state(good).tobytes() == good.tobytes() and len(calls) == 5
+
+
+def test_validate_state_memo_is_safe_across_threads():
+    # The memo is one tuple, read once and rebound in one step, so threads
+    # that validate different states never get each other's result. With
+    # the key and the result in two names, rebound one after the other, it
+    # fails in most runs: four threads per state meet in the gap between.
+    states = [random_state(Lcg(83 + i)) for i in range(2)] * 4
+    start = threading.Barrier(len(states))
+    wrong = []
+
+    def work(rho):
+        start.wait(timeout=60)
+        for _ in range(2000):
+            if qmat.validate_state(rho).tobytes() != rho.tobytes():
+                wrong.append(rho)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(rho,)) for rho in states]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_one_full_validation_per_report(monkeypatch):
+    # report validates its input, and decompose and concurrence validate it
+    # again; only the first check takes a spectrum, beside the spectrum of S.
+    qmat.validate_state(MIXED)
+    calls = _count_eigvalsh(monkeypatch)
+    measures.report(random_state(Lcg(73)))
+    assert len(calls) == 2
+
+
+def test_one_full_validation_per_verified_state(monkeypatch):
+    # The four public calls verify makes per state validate it 7 times; one
+    # check takes a spectrum, beside report's S and the partial transpose.
+    rho = random_state(Lcg(79))
+    qmat.validate_state(MIXED)
+    calls = _count_eigvalsh(monkeypatch)
+    measures.report(rho)
+    oracle.min_oracle(rho)
+    oracle.gmod_oracle(rho)
+    oracle.ppt_entangled(rho)
+    assert len(calls) == 3
 
 
 def test_traces_are_summed_in_numpys_order_bit_for_bit():
