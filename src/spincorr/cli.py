@@ -17,12 +17,12 @@ flag that a call would ignore is refused (exit 3).
 Exit codes: 0 success, 1 verification failure, 2 invalid state file,
 3 bad arguments, 4 output I/O failure, 5 no root bracket.
 
-Numbers are printed with 12 significant digits (scientific notation below
-1e-4) so output is byte-deterministic and diffable. CSV files are written
-to a temporary file and renamed into place, so no partial file survives an
-error. An optional ``--config`` file supplies ``key=value`` defaults
-(keys are the subcommand's long flag names, values pass the flags' checks);
-explicit flags win on conflict.
+Numbers print with 12 significant digits, scientific below 1e-4, but with every
+integer digit from 1e12 up and 13 digits when rounding carries; ``critical``
+prints 9 decimals. CSV files are written to a temporary file and renamed into
+place, so no partial file survives an error. An optional ``--config`` file
+supplies ``key=value`` defaults (keys are the subcommand's long flag names,
+values pass the flags' checks); explicit flags win on conflict.
 """
 
 import argparse
@@ -61,13 +61,14 @@ _MODEL_FLAGS = tuple(  # every params field, j first
 
 
 def fmt12(value: float) -> str:
-    """Format with 12 significant digits; scientific below 1e-4 magnitude."""
+    """12 significant digits (13 on a carry, all integer digits from 1e12); %.11e below 1e-4."""
     if value == 0.0:
         return "0.000000000000"
     if abs(value) < 1e-4:
         return f"{value:.11e}"
     decimals = max(0, 11 - math.floor(math.log10(abs(value))))
-    return f"{value:.{decimals}f}"
+    # As f"{value:.{decimals}f}": one PyOS_double_to_string call, but no spec string to build.
+    return "%.*f" % (decimals, value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,10 +328,11 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
     measure = getattr(models, f"measures_{args.model}")
     lines = [CSV_HEADER]
     for j in np.linspace(args.j_start, args.j_end, args.j_steps).tolist():
+        j_text = fmt12(j)
         for label, values in members:
             pipe = measure(make_params(j, **values)).pipeline
             row = (pipe.concurrence, pipe.min_value, pipe.gmod_lower, pipe.gmod_exact)
-            lines.append(",".join((fmt12(j), label, *map(fmt12, row))))
+            lines.append(",".join((j_text, label, *map(fmt12, row))))
 
     tmp_path = args.out + ".tmp"
     try:

@@ -58,16 +58,17 @@ BISECT_WIDTH = 1e-9
 
 class _ModelParams:
     """Base of the params dataclasses: the exchange ``j`` comes first and
-    the model's secondary parameters follow it. Every field must be a
-    finite real number (``bool`` is not one) and is stored as a Python
-    float, which keeps numpy scalars such as ``np.float32`` from carrying
-    single precision into the closed forms."""
+    the model's secondary parameters follow it. Every field must be a finite
+    real number (``bool`` is not one) and is stored as a Python float: an
+    exact float as given, anything else converted, so numpy scalars such as
+    ``np.float32`` carry no single precision into the closed forms."""
 
     def __post_init__(self):
-        # The names fields(self) gives, without the tuple it builds per call:
-        # the params classes declare no ClassVar or InitVar pseudo-fields.
+        # fields(self)'s names without its per-call tuple: no ClassVar or InitVar fields here.
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
+            if type(value) is float and math.isfinite(value):
+                continue  # float(value) is value, which __init__ stored
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             try:
                 number = float(value) if real else math.nan

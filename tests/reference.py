@@ -7,7 +7,8 @@ eigendecomposition, partial traces, Bloch-form reconstruction, Haar
 unitaries, the measured state of a local projective measurement and its
 ``np.kron`` projector algebra, a randomized spot check that dephasing is
 the nearest zero-discord state in a fixed basis, and the dense threshold scan
-that evaluates the gap at every grid point up to the first bracket. Bad
+that evaluates the gap at every grid point up to the first bracket, and
+``fmt12`` as a format-spec f-string per number. Bad
 shapes and non-unit directions raise ``ValueError``, and so does a
 Hamiltonian that is not Hermitian within 1e-10. ``PAULIS`` is the tests'
 one written-out table of sigma_x, sigma_y and sigma_z.
@@ -243,6 +244,17 @@ def dense_first_root(label: str, entries, p) -> float:
         f"{label} threshold at {at}: no sign change over j in "
         f"[{models.SCAN_RANGE[0]:g}, {models.SCAN_RANGE[1]:g}]"
     )
+
+
+def fmt12_fstring(value: float) -> str:
+    """``cli.fmt12`` written with a format spec built per number: 12
+    significant digits, fixed from 1e-4 up, scientific below."""
+    if value == 0.0:
+        return "0.000000000000"
+    if abs(value) < 1e-4:
+        return f"{value:.11e}"
+    decimals = max(0, 11 - math.floor(math.log10(abs(value))))
+    return f"{value:.{decimals}f}"
 
 
 _DIGITS = 50

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -16,6 +17,8 @@ import pytest
 from spincorr import cli, measures, models, oracle
 from spincorr.errors import ClosedFormMismatch
 from spincorr.rng import Lcg, random_state
+
+from reference import fmt12_fstring
 
 BELL_STATE_TEXT = """\
 # (|01> + |10>)/sqrt(2), row-major 're im' pairs
@@ -150,6 +153,22 @@ def test_fmt12_reference_strings():
     # From 1e12 up there are no decimals left to give.
     assert cli.fmt12(1.5e12) == "1500000000000"
     assert cli.fmt12(-2.5e13) == "-25000000000000"
+
+
+def test_fmt12_matches_the_format_spec_reference_byte_for_byte():
+    """Rounding carries, the 1e-4 boundary, powers of ten one ulp either
+    side, the largest and smallest floats, and 4,000 seeded magnitudes
+    from 1e-6 to 1e15 of either sign."""
+    edges = [0.9999999999996, 99999.9999999996, 1e-4, 1.5e12, 1e300, 5e-324, -0.0]
+    edges += [math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), sys.float_info.max]
+    for power in range(-4, 16):
+        p = 10.0**power
+        edges += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    rng = Lcg(30)
+    draws = [10.0 ** (21.0 * rng.uniform() - 6.0) for _ in range(4000)]
+    for value in edges + draws:
+        for signed in (value, -value):
+            assert cli.fmt12(signed) == fmt12_fstring(signed), signed.hex()
 
 
 def test_measures_model_point(capsys):
@@ -882,6 +901,22 @@ CONTRACT_DIGESTS = [
         None,
     ),
 ]
+
+
+# sha256 of an isodm sweep CSV beside the contract: two-field params, the
+# complex coherence, XZero rows, and each grid j shared by three members.
+ISODM_SWEEP = ("sweep", "--model", "isodm", "--series", "0,1,2.5",
+               "--j-start", "-3", "--j-end", "3", "--j-steps", "61")
+ISODM_SWEEP_CSV_SHA256 = "874f388b6e4ea58c91b8289b5d3e45d02e2c8607cf55e08fa34bd12bffe89b40"
+
+
+def test_isodm_sweep_is_byte_pinned(tmp_path, capsys):
+    out_path = tmp_path / "f.csv"
+    code, out, err = run_cli(capsys, *ISODM_SWEEP, "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    data = out_path.read_bytes()
+    assert data.count(b"\n") == 1 + 61 * 3
+    assert hashlib.sha256(data).hexdigest() == ISODM_SWEEP_CSV_SHA256
 
 
 @pytest.mark.parametrize(

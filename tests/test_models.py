@@ -448,11 +448,17 @@ def test_critical_xxz_switches_concurrence_below_threshold():
     assert measures_xxz(XXZParams(j=j_c + 0.01, delta=-2.0, b=0.0)).c_closed == 0.0
 
 
+class _FloatSubclass(float):
+    """A float that is not exactly ``float``: it must be stored converted."""
+
+
 @pytest.mark.parametrize(
     "value, accepted",
     [
         (np.int64(1), True),
         (np.float32(1.0), True),
+        pytest.param(np.float64(1.0), True, id="float64"),
+        pytest.param(_FloatSubclass(1.0), True, id="float-subclass"),
         (True, False),
         (math.nan, False),
         (math.inf, False),
@@ -478,6 +484,17 @@ def test_parameters_must_be_finite_reals(value, accepted):
         critical_coupling_isodm(value)
     with pytest.raises(NonFiniteParameter):
         critical_coupling_xxz(value, 0.0)
+
+
+def test_parameters_keep_an_exact_float_as_given():
+    """An exact float is stored as the object passed, -0.0 with its sign;
+    a numpy -0.0 is converted to a float and keeps its sign too."""
+    p = XXZParams(j=-0.0, delta=-0.0, b=-0.0)
+    assert [math.copysign(1.0, v) for v in (p.j, p.delta, p.b)] == [-1.0] * 3
+    q = IsoDMParams(j=np.float64(-0.0), d=-0.0)
+    assert type(q.j) is float and math.copysign(1.0, q.j) == math.copysign(1.0, q.d) == -1.0
+    value = 0.1 + 0.2
+    assert XXZParams(j=value, b=value).j is value
 
 
 def test_xxz_branch_follows_the_pipeline_at_the_marginal_cutoff():
