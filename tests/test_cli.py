@@ -14,6 +14,7 @@ import tomllib
 import numpy as np
 import pytest
 
+import spincorr
 from spincorr import cli, measures, models, oracle
 from spincorr.errors import ClosedFormMismatch
 from spincorr.rng import Lcg, random_state
@@ -117,13 +118,21 @@ def run_cli(capsys, *argv):
 
 
 def run_module(cwd, *argv):
-    """Run ``python -m spincorr`` in ``cwd``; returns (code, stdout, stderr)."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    """Run ``python -m spincorr`` in ``cwd``; returns (code, stdout, stderr).
+
+    The subprocess imports the ``spincorr`` this process imported (the
+    checkout's ``src``, or an installed copy), not whatever else is on its
+    path."""
+    return _run_python(cwd, "-m", "spincorr", *argv)
+
+
+def _run_python(cwd, *argv):
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
     result = subprocess.run(
-        [sys.executable, "-m", "spincorr", *argv],
+        [sys.executable, *argv],
         cwd=cwd,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
@@ -627,6 +636,15 @@ VERIFY_FAILURES = {
         [_NONLOCALITY, _DISCORD, _WITNESS, _LOWER_BOUND],
         _fail_stdout(_VIOLATED, list(_VIOLATIONS.values())),
     ),
+    # Every state is PPT-entangled, so a concurrence of 2e-8 agrees with the
+    # witness at WITNESS_CUTOFF = 1e-8 and one of 5e-9 does not.
+    "witness-cutoff": (
+        [(measures, "report", {1: _replace(concurrence=2e-8), 4: _replace(concurrence=5e-9)})],
+        _fail_stdout(
+            {**_SUMMARY, "ppt": "ppt/concurrence disagreements    = 1"},
+            ["violation: witness disagreement at states: 4"],
+        ),
+    ),
     # States 3 and 7 deviate by exactly 0.5: the first one is reported.
     "tie": (
         [
@@ -766,6 +784,9 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys):
 
 
 def test_module_entrypoint_subprocess(tmp_path):
+    # The subprocess runs the package under test, wherever that is.
+    code, out, _ = _run_python(tmp_path, "-c", "import spincorr; print(spincorr.__file__)")
+    assert (code, os.path.realpath(out.rstrip("\n"))) == (0, os.path.realpath(spincorr.__file__))
     code, out, _ = run_module(tmp_path, "critical", "--model", "isodm", "--d", "0")
     assert code == 0
     assert out == "0.549306144\n"

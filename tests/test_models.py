@@ -110,6 +110,16 @@ def test_thermal_isodm_series_branch_near_zero_coupling():
     assert math.sqrt(hs_norm2(closed - reference)) <= 1e-10
 
 
+def test_sinhc_switches_to_its_series_at_1e_minus_6():
+    # The two forms differ in the last bit for about a quarter of these x,
+    # so a switch moved tenfold either way fails.
+    rng = np.random.default_rng(1604)
+    below = rng.uniform(0.0, 1e-6, 1000).tolist()
+    above = (10.0 ** rng.uniform(-6.0, -4.0, 1000)).tolist()
+    assert [models._sinhc(x) for x in below] == [1.0 + x * x / 6.0 for x in below]
+    assert [models._sinhc(x) for x in above] == [math.sinh(x) / x for x in above]
+
+
 def test_isodm_marginals_are_maximally_mixed():
     form = decompose(thermal_isodm(IsoDMParams(j=1.3, d=0.8)).matrix)
     assert np.max(np.abs(form.x)) <= 1e-15
@@ -546,6 +556,23 @@ def test_cross_check_guard_trips_on_wrong_closed_form(monkeypatch):
     # isodm marginals are maximally mixed, so the XZero value is the one checked.
     with pytest.raises(ClosedFormMismatch, match="closed nonlocality"):
         _x_report(e, n, 0.9, "test")
+    # The guard holds at 1e-10 from both sides: a closed C or N 2e-10 off
+    # raises, one 5e-11 off does not. C = (2/Z) gap moves with the gap.
+    gap = models._x_gap
+    for off in (2e-10, -2e-10, 5e-11, -5e-11):
+        shifted = (
+            ("concurrence", lambda entries: gap(entries) + entries[4] * off / 2.0, n),
+            ("nonlocality", gap, n + off),
+        )
+        for what, shifted_gap, n_closed in shifted:
+            with monkeypatch.context() as m:
+                m.setattr(models, "_x_gap", shifted_gap)
+                if abs(off) > 1e-10:
+                    with pytest.raises(ClosedFormMismatch, match=f"closed {what}"):
+                        _x_report(e, n_closed, n_closed, "test")
+                else:
+                    rep = _x_report(e, n_closed, n_closed, "test")
+                    assert max(rep.c_deviation, rep.n_deviation) == pytest.approx(5e-11, rel=1e-4)
     rep = _x_report(e, 0.9, n, "test")
     assert rep.n_closed == n
     rep = _x_report(e, n, n, "test")
