@@ -11,8 +11,9 @@ external library's generator. Definition:
 - standard normals: Box-Muller on two uniforms, cosine branch returned
   first, sine branch cached for the next call
 - complex standard normal: real part drawn first, then imaginary part
-- random density matrix: G G^dagger / tr(G G^dagger) with G filled
-  row-major from complex standard normals
+- random two-qubit state: the 4x4 density matrix G G^dagger / tr(G G^dagger),
+  G 4x4 filled row-major from complex standard normals, then its
+  Hermitian part
 """
 
 import math
@@ -54,19 +55,12 @@ class Lcg:
         return radius * math.cos(angle)
 
 
-def gaussian_matrix(rng: Lcg, dim: int = 4) -> np.ndarray:
-    """dim x dim matrix of independent complex standard normals, row-major,
-    each real part drawn before its imaginary part."""
-    parts = [rng.normal() for _ in range(2 * dim * dim)]
-    return np.array(parts).view(complex).reshape(dim, dim)
-
-
-def random_state(rng: Lcg, dim: int = 4) -> np.ndarray:
-    """Random density matrix G G^dagger / tr(G G^dagger).
+def random_state(rng: Lcg) -> np.ndarray:
+    """Random 4x4 two-qubit density matrix G G^dagger / tr(G G^dagger).
 
     Full-rank with probability one, Hermitian, unit trace, PSD.
     """
-    g = gaussian_matrix(rng, dim)
+    g = np.array([rng.normal() for _ in range(32)]).view(complex).reshape(4, 4)
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return (rho + rho.conj().T) / 2.0

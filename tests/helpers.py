@@ -6,7 +6,7 @@ from spincorr.bloch import BlochForm, decompose
 from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
 from spincorr.rng import Lcg, random_state
 
-from reference import PAULIS, reconstruct
+from reference import PAULIS, random_qubit_state, reconstruct
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 MIXED.flags.writeable = False
@@ -28,7 +28,7 @@ def ground_product_state() -> np.ndarray:
 
 def random_product_state(rng: Lcg) -> np.ndarray:
     """Tensor product of two independent random single-qubit states."""
-    return np.kron(random_state(rng, dim=2), random_state(rng, dim=2))
+    return np.kron(random_qubit_state(rng), random_qubit_state(rng))
 
 
 def spin_flip_average(rho: np.ndarray) -> np.ndarray:

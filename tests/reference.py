@@ -15,7 +15,11 @@ one written-out table of sigma_x, sigma_y and sigma_z.
 
 Only ``dense_first_root`` still runs package code: it evaluates the gap
 with ``models._x_gap`` and refines with ``models._bisect_root``. Random
-inputs come from ``spincorr.rng``.
+inputs come from the ``spincorr.rng.Lcg`` stream through two generators the
+package does not need: ``gaussian_matrix(rng, dim)``, a dim x dim matrix of
+complex standard normals, and ``random_qubit_state(rng)``, a random 2x2
+density matrix drawn the way ``spincorr.rng.random_state`` draws its 4x4
+state.
 
 The exact references work in ``decimal`` at 50 digits and take float
 arguments at their exact binary values: the X-state entries of both
@@ -35,7 +39,7 @@ from spincorr import models
 from spincorr.bloch import BlochForm
 from spincorr.errors import NoSignChange, NonFiniteParameter
 from spincorr.models import IsoDMParams, XXZParams
-from spincorr.rng import Lcg, gaussian_matrix, random_state
+from spincorr.rng import Lcg
 
 _DIRECTION_TOL = 1e-9
 _HERMITICITY_TOL = 1e-10
@@ -122,6 +126,25 @@ def hamiltonian_xxz(p: XXZParams) -> np.ndarray:
     exchange = np.kron(sx, sx) + np.kron(sy, sy) + (1.0 + p.delta) * np.kron(sz, sz)
     field = np.kron(sz, I2) + np.kron(I2, sz)
     return 0.5 * (p.j * exchange + p.b * field)
+
+
+def gaussian_matrix(rng: Lcg, dim: int) -> np.ndarray:
+    """dim x dim matrix of independent complex standard normals, row-major,
+    each real part drawn before its imaginary part."""
+    parts = [rng.normal() for _ in range(2 * dim * dim)]
+    return np.array(parts).view(complex).reshape(dim, dim)
+
+
+def random_qubit_state(rng: Lcg) -> np.ndarray:
+    """Random 2x2 density matrix G G^dagger / tr(G G^dagger), the qubit
+    analogue of ``spincorr.rng.random_state``.
+
+    Full-rank with probability one, Hermitian, unit trace, PSD.
+    """
+    g = gaussian_matrix(rng, 2)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return (rho + rho.conj().T) / 2.0
 
 
 def random_unitary(rng: Lcg, dim: int = 2) -> np.ndarray:
@@ -212,8 +235,8 @@ def nested_gmod_spotcheck(rho: np.ndarray, n: np.ndarray, k: int, seed: int = 1)
     best = math.inf
     for _ in range(k):
         p = rng.uniform()
-        rho_1 = random_state(rng, dim=2)
-        rho_2 = random_state(rng, dim=2)
+        rho_1 = random_qubit_state(rng)
+        rho_2 = random_qubit_state(rng)
         candidate = p * np.kron(proj_plus, rho_1) + (1.0 - p) * np.kron(
             proj_minus, rho_2
         )

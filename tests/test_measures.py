@@ -19,7 +19,7 @@ from spincorr.measures import (
 )
 from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
 from spincorr.oracle import gmod_oracle, min_oracle, ppt_entangled
-from spincorr.rng import Lcg, gaussian_matrix, random_state
+from spincorr.rng import Lcg, random_state
 
 from helpers import (
     MIXED,
@@ -30,7 +30,7 @@ from helpers import (
     spin_flip_average,
     x_zeroed_states,
 )
-from reference import I2, PAULIS, hs_norm2, post_measurement, random_unitary
+from reference import I2, PAULIS, gaussian_matrix, hs_norm2, post_measurement, random_unitary
 
 
 def test_concurrence_reference_states():

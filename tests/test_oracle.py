@@ -334,6 +334,21 @@ def test_ppt_flips_at_the_thermal_threshold():
     assert ppt_entangled(thermal_isodm(IsoDMParams(j=j_c + 0.01, d=0.0)).matrix)
 
 
+def test_ppt_cutoff_is_held_from_both_sides():
+    """The Werner state p |psi-><psi-| + (1 - p) I/4 with p = (1 + 4g)/3 has
+    smallest partial-transpose eigenvalue -g: g = 2e-10 lies below the
+    -1e-10 cutoff and g = 5e-11 above it, so the cutoff x10 or /10 flips
+    one of the two."""
+    psi_minus = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+    def werner(g):
+        p = (1.0 + 4.0 * g) / 3.0
+        return p * np.outer(psi_minus, psi_minus) + (1.0 - p) * np.eye(4) / 4.0
+
+    assert ppt_entangled(werner(2e-10))
+    assert not ppt_entangled(werner(5e-11))
+
+
 def test_ppt_agrees_with_concurrence_on_random_states():
     rng = Lcg(45)
     for _ in range(1000):
@@ -474,6 +489,50 @@ def test_final_direction_check_trips_the_oracle(monkeypatch, capsys):
     assert err.startswith("verification failure: ")
     assert len(err.splitlines()) == 1 and "the final direction" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extremize, state, screen_calls",
+    [
+        (gmod_oracle, lambda: random_state(Lcg(49)), 143),
+        (min_oracle, lambda: spin_flip_average(random_state(Lcg(61))), 159),
+    ],
+    ids=["gmod", "min"],
+)
+def test_final_direction_tolerance_is_held_from_both_sides(
+    monkeypatch, extremize, state, screen_calls
+):
+    """Shifting only the screen's last call, the final-direction check, by
+    2e-12 trips the 1e-12 tolerance, and by 5e-13 leaves every bit of the
+    result: the tolerance x10 or /10 flips one of the two."""
+    true_screen = oracle._screen
+    calls = []
+    delta, shifted_call = 0.0, None  # read by ``shifted`` at call time
+
+    def shifted_screen(gram, norm2):
+        screen = true_screen(gram, norm2)
+
+        def shifted(*xyz):
+            calls.append(None)
+            value = screen(*xyz)
+            return value + delta if len(calls) == shifted_call else value
+
+        return shifted
+
+    monkeypatch.setattr(oracle, "_screen", shifted_screen)
+    expected = extremize(state())
+    assert len(calls) == screen_calls
+    calls.clear()
+    delta, shifted_call = 2e-12, screen_calls
+    with pytest.raises(OracleMismatch, match="the final direction"):
+        extremize(state())
+    assert len(calls) == screen_calls
+    calls.clear()
+    delta = 5e-13
+    result = extremize(state())
+    assert len(calls) == screen_calls
+    assert result.value.hex() == expected.value.hex()
+    assert result.direction.tobytes() == expected.direction.tobytes()
 
 
 def test_stacked_projector_calls_are_pinned(monkeypatch):

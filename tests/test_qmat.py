@@ -16,10 +16,19 @@ from spincorr import measures, oracle, qmat
 from spincorr.bloch import decompose
 from spincorr.errors import InvalidState, NonFiniteParameter
 from spincorr.models import IsoDMParams
-from spincorr.rng import Lcg, gaussian_matrix, random_state
+from spincorr.rng import Lcg, random_state
 
 from helpers import MIXED, bell_psi_plus, ground_product_state, pinned_states
-from reference import I2, PAULIS, gibbs, hamiltonian_isodm, hs_norm2, partial_trace
+from reference import (
+    I2,
+    PAULIS,
+    gaussian_matrix,
+    gibbs,
+    hamiltonian_isodm,
+    hs_norm2,
+    partial_trace,
+    random_qubit_state,
+)
 
 
 def test_pauli_constants():
@@ -85,8 +94,8 @@ def test_kron_reference_matrices():
 def test_partial_trace_product_state_roundtrip():
     rng = Lcg(5)
     for _ in range(20):
-        rho_a = random_state(rng, dim=2)
-        rho_b = random_state(rng, dim=2)
+        rho_a = random_qubit_state(rng)
+        rho_b = random_qubit_state(rng)
         joint = np.kron(rho_a, rho_b)
         assert np.max(np.abs(partial_trace(joint, "B") - rho_a)) <= 1e-12
         assert np.max(np.abs(partial_trace(joint, "A") - rho_b)) <= 1e-12
@@ -113,9 +122,11 @@ def test_partial_trace_rejects_bad_input():
 @pytest.mark.parametrize("dim", [2, 4])
 def test_gaussian_matrix_keeps_the_per_entry_stream(dim):
     """One list of 2 dim^2 normals viewed as complex gives, bit for bit, the
-    matrix filled row-major with one complex(re, im) draw per entry."""
+    matrix filled row-major with one complex(re, im) draw per entry. At dim 4
+    the package's random_state is, bit for bit, the Hermitian part of
+    G G^dagger / tr(G G^dagger) built from that G: its documented draw order."""
     for seed in (1, 7, 42, 2**64 - 1):
-        rng, reference_rng = Lcg(seed), Lcg(seed)
+        rng, reference_rng, state_rng = Lcg(seed), Lcg(seed), Lcg(seed)
         for _ in range(3):
             expected = np.empty((dim, dim), dtype=complex)
             for i in range(dim):
@@ -124,6 +135,11 @@ def test_gaussian_matrix_keeps_the_per_entry_stream(dim):
             g = gaussian_matrix(rng, dim)
             assert g.shape == (dim, dim) and g.dtype == complex
             assert g.tobytes() == expected.tobytes()
+            if dim == 4:
+                rho = g @ g.conj().T
+                rho /= np.trace(rho).real
+                rho = (rho + rho.conj().T) / 2.0
+                assert random_state(state_rng).tobytes() == rho.tobytes()
 
 
 def test_mat_sqrt_diagonal_reference():
