@@ -5,9 +5,9 @@ Four subcommands cover the workflows:
 - ``measures``: the correlation measures of one state, either a model
   point (``--model --j ...``) or a density matrix read from a text file
   (``--state``).
-- ``sweep``: a deterministic CSV of measures over an exchange-coupling
-  grid for one or more series of secondary parameters.
-- ``critical``: the exchange threshold where concurrence turns on.
+- ``sweep``: a deterministic CSV of measures over a grid of the exchange
+  coupling j for one or more series of secondary parameters; no ``--j``.
+- ``critical``: the exchange threshold where concurrence turns on; no ``--j``.
 - ``verify``: the brute-force oracle suite on seeded random states.
 
 Both spin models share one path: the fields of a model's params dataclass
@@ -178,7 +178,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p_measures.add_argument("--state", help="density-matrix text file (16 're im' lines)")
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over an exchange grid")
-    add_model_flags(p_sweep)
+    add_model_flags(p_sweep, exchange=False)
     p_sweep.add_argument("--j-start", type=_finite, default=-5.0, help="grid start (default -5)")
     p_sweep.add_argument("--j-end", type=_finite, default=5.0, help="grid end (default 5)")
     p_sweep.add_argument("--j-steps", type=int, default=201, help="grid points (default 201)")
@@ -235,9 +235,9 @@ def _print_measures(rep: measures.MeasureReport, q_paper: float | None) -> None:
 
 
 def _refuse(args: argparse.Namespace, parser: _Parser, flags, why: str) -> None:
-    """Exit 3 when one of ``flags`` is given (also from a config file)."""
+    """Exit 3 when one of ``flags``, all the subcommand's own, is given (also by config)."""
     for flag in flags:
-        if getattr(args, flag, None) is not None:
+        if getattr(args, flag) is not None:
             parser.error(f"--{flag} {why}")
 
 
@@ -311,7 +311,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
         parser.error(f"--j-start must be below --j-end, got {args.j_start} >= {args.j_end}")
     if not math.isfinite(args.j_end - args.j_start):
         parser.error(f"--j-end - --j-start must be finite, got {args.j_end} - {args.j_start}")
-    _refuse(args, parser, ("j",), "is not used by sweep: the grid sets j")
     if args.series is None:
         members = [(_series_label(secondary), secondary)]
     else:

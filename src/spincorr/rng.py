@@ -28,7 +28,7 @@ _MASK64 = (1 << 64) - 1
 class Lcg:
     """64-bit linear congruential generator with the documented constants."""
 
-    def __init__(self, seed: int = 1):
+    def __init__(self, seed: int):
         self.state = seed & _MASK64
         self._spare_normal: float | None = None
 

@@ -1,7 +1,7 @@
 """The package's public surface, pinned so that adding or removing a public
-name is a deliberate change to this list, and a check that the package
-holds no code that nothing in it uses, no import that its module never
-reads, and one entry to LAPACK's spectra."""
+name is a deliberate change to this list, a check that neither the package
+nor its tests hold code that nothing in them uses or an import that its
+module never reads, and one entry to LAPACK's spectra."""
 
 import ast
 import pathlib
@@ -104,25 +104,36 @@ def _unread_imports(tree):
     return imported - read
 
 
-def test_package_holds_no_unused_code():
-    package = pathlib.Path(spincorr.__file__).parent
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+def _unused_code(directory):
+    """'module.name' for each module-level name in the ``*.py`` files of
+    ``directory`` that none of them reads, dunder names apart, and
+    'module.name (import)' for each top-level import its module never reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))}
     referenced = set().union(*map(_referenced_names, trees.values()))
     unused = [
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in sorted(_module_level_names(tree))
-        if name not in referenced
-        and name not in spincorr.__all__
-        and not (name.startswith("__") and name.endswith("__"))
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     ]
-    unused += [
+    return unused + [
         f"{module}.{name} (import)"
         for module, tree in trees.items()
         for name in sorted(_unread_imports(tree))
-        if not (module == "__init__" and name in spincorr.__all__)
     ]
-    assert unused == []
+
+
+def test_package_holds_no_unused_code():
+    # __init__ imports the public names for __all__, which reads them as strings.
+    exported = {f"__init__.{name} (import)" for name in spincorr.__all__}
+    unused = _unused_code(pathlib.Path(spincorr.__file__).parent)
+    assert [entry for entry in unused if entry not in exported] == []
+
+
+def test_tests_hold_no_unused_code():
+    # pytest reads the test_* functions by name.
+    unused = _unused_code(pathlib.Path(__file__).parent)
+    assert [entry for entry in unused if not entry.split(".")[1].startswith("test_")] == []
 
 
 # np.linalg's general-matrix eigensolvers, which the package never needs: every

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import itertools
 import math
 import os
@@ -67,15 +68,14 @@ options:
   --state STATE        density-matrix text file (16 're im' lines)
 """,
     "sweep": """\
-usage: spincorr sweep [-h] [--model {isodm,xxz}] [--j J] [--d D]
-                      [--delta DELTA] [--b B] [--config CONFIG]
-                      [--j-start J_START] [--j-end J_END] [--j-steps J_STEPS]
-                      [--series SERIES] [--out OUT]
+usage: spincorr sweep [-h] [--model {isodm,xxz}] [--d D] [--delta DELTA]
+                      [--b B] [--config CONFIG] [--j-start J_START]
+                      [--j-end J_END] [--j-steps J_STEPS] [--series SERIES]
+                      [--out OUT]
 
 options:
   -h, --help           show this help message and exit
   --model {isodm,xxz}  spin model
-  --j J                exchange coupling J/kT
   --d D                DM coupling D/kT (isodm)
   --delta DELTA        anisotropy (xxz)
   --b B                field B/kT (xxz)
@@ -579,14 +579,14 @@ def _flip(entangled):
     return not entangled
 
 
-def _lower_above_exact(rep):
-    return dataclasses.replace(rep, gmod_lower=rep.gmod_exact + 1e-9)
+def _lower_above_exact(delta):
+    return lambda rep: dataclasses.replace(rep, gmod_lower=rep.gmod_exact + delta)
 
 
 _NONLOCALITY = (oracle, "min_oracle", {4: _shift(0.01)})
 _DISCORD = (oracle, "gmod_oracle", {1: _shift(-0.002)})
 _WITNESS = (oracle, "ppt_entangled", {2: _flip, 5: _flip})
-_LOWER_BOUND = (measures, "report", {6: _lower_above_exact})
+_LOWER_BOUND = (measures, "report", {6: _lower_above_exact(1e-9)})
 # verify --seed 3 --count 8 passes unedited; these lines are its summary.
 _SUMMARY = {
     "min": "max |min_closed - min_oracle|    = 2.77555756156e-17 (state 0)",
@@ -608,9 +608,9 @@ _VIOLATIONS = {
 }
 
 
-def _fail_stdout(summary, violations):
+def _verify_stdout(summary, violations):
     lines = ["verify: seed=3 count=8 grid=2000", *summary.values(), *violations]
-    return "\n".join(lines + ["result: FAIL"]) + "\n"
+    return "\n".join(lines + [f"result: {'FAIL' if violations else 'PASS'}"]) + "\n"
 
 
 # (edited results, expected stdout); taken from the CLI before its gate loop
@@ -618,29 +618,29 @@ def _fail_stdout(summary, violations):
 VERIFY_FAILURES = {
     "nonlocality": (
         [_NONLOCALITY],
-        _fail_stdout({**_SUMMARY, "min": _VIOLATED["min"]}, [_VIOLATIONS["min"]]),
+        _verify_stdout({**_SUMMARY, "min": _VIOLATED["min"]}, [_VIOLATIONS["min"]]),
     ),
     "discord": (
         [_DISCORD],
-        _fail_stdout({**_SUMMARY, "gmod": _VIOLATED["gmod"]}, [_VIOLATIONS["gmod"]]),
+        _verify_stdout({**_SUMMARY, "gmod": _VIOLATED["gmod"]}, [_VIOLATIONS["gmod"]]),
     ),
     "witness": (
         [_WITNESS],
-        _fail_stdout({**_SUMMARY, "ppt": _VIOLATED["ppt"]}, [_VIOLATIONS["ppt"]]),
+        _verify_stdout({**_SUMMARY, "ppt": _VIOLATED["ppt"]}, [_VIOLATIONS["ppt"]]),
     ),
     "lower-bound": (
         [_LOWER_BOUND],
-        _fail_stdout({**_SUMMARY, "lower": _VIOLATED["lower"]}, [_VIOLATIONS["lower"]]),
+        _verify_stdout({**_SUMMARY, "lower": _VIOLATED["lower"]}, [_VIOLATIONS["lower"]]),
     ),
     "all-four": (
         [_NONLOCALITY, _DISCORD, _WITNESS, _LOWER_BOUND],
-        _fail_stdout(_VIOLATED, list(_VIOLATIONS.values())),
+        _verify_stdout(_VIOLATED, list(_VIOLATIONS.values())),
     ),
     # Every state is PPT-entangled, so a concurrence of 2e-8 agrees with the
     # witness at WITNESS_CUTOFF = 1e-8 and one of 5e-9 does not.
     "witness-cutoff": (
         [(measures, "report", {1: _replace(concurrence=2e-8), 4: _replace(concurrence=5e-9)})],
-        _fail_stdout(
+        _verify_stdout(
             {**_SUMMARY, "ppt": "ppt/concurrence disagreements    = 1"},
             ["violation: witness disagreement at states: 4"],
         ),
@@ -651,7 +651,7 @@ VERIFY_FAILURES = {
             (measures, "report", {3: _replace(min_value=1.0), 7: _replace(min_value=1.0)}),
             (oracle, "min_oracle", {3: _replace(value=0.5), 7: _replace(value=0.5)}),
         ],
-        _fail_stdout(
+        _verify_stdout(
             {**_SUMMARY, "min": "max |min_closed - min_oracle|    = 0.500000000000 (state 3)"},
             ["violation: nonlocality oracle deviation 0.500000000000 exceeds 0.0001 at state 3"],
         ),
@@ -666,6 +666,26 @@ def test_verify_reports_each_violation(monkeypatch, capsys, case):
         _edit_results_at(monkeypatch, module, name, edits)
     code, out, err = run_cli(capsys, "verify", "--seed", "3", "--count", "8")
     assert (code, out, err) == (1, expected, "")
+
+
+# The lower-bound gate LOWER_BOUND_TOL = 1e-12 from both sides: state 6 of
+# the same run with gmod_lower raised above gmod_exact by 2e-12 fails and by
+# 5e-13 passes, so the gate moved tenfold either way changes one outcome.
+_EXCESS = "max (gmod_lower - gmod_exact)    = {} (state 6)"
+LOWER_BOUND_GATE = {  # excess: (exit code, stdout)
+    "2e-12": (1, _verify_stdout(
+        {**_SUMMARY, "lower": _EXCESS.format("2.00000085937e-12")},
+        ["violation: lower bound exceeds exact discord by 2.00000085937e-12 at state 6"],
+    )),
+    "5e-13": (0, _verify_stdout({**_SUMMARY, "lower": _EXCESS.format("4.99999347481e-13")}, [])),
+}
+
+
+@pytest.mark.parametrize("excess", sorted(LOWER_BOUND_GATE))
+def test_verify_lower_bound_gate_is_its_tolerance(monkeypatch, capsys, excess):
+    _edit_results_at(monkeypatch, measures, "report", {6: _lower_above_exact(float(excess))})
+    code, out, err = run_cli(capsys, "verify", "--seed", "3", "--count", "8")
+    assert (code, out, err) == (*LOWER_BOUND_GATE[excess], "")
 
 
 def test_verify_bad_count(capsys):
@@ -826,6 +846,12 @@ def test_help_text_is_pinned(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run_cli(capsys, *([command] if command else []), "-h")
     assert (code, out, err) == (0, HELP_TEXT[command], "")
+
+
+def test_generator_seed_has_no_default_but_the_cli_flag_does(capsys):
+    assert inspect.signature(Lcg).parameters["seed"].default is inspect.Parameter.empty
+    code, out, _ = run_cli(capsys, "verify", "--count", "1")
+    assert code == 0 and out.splitlines()[0] == "verify: seed=1 count=1 grid=2000"
 
 
 def test_seed_must_fit_the_generator_state(capsys):

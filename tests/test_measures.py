@@ -17,7 +17,7 @@ from spincorr.measures import (
     concurrence,
     report,
 )
-from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
+from spincorr.models import IsoDMParams, thermal_isodm
 from spincorr.oracle import gmod_oracle, min_oracle, ppt_entangled
 from spincorr.rng import Lcg, random_state
 
