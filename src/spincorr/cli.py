@@ -33,11 +33,10 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import measures, models, oracle
+# numpy, measures, oracle and rng are imported by the handlers that use them,
+# so critical, -h and usage errors run without numpy.
+from . import models
 from .errors import InvalidState, NoSignChange, SpincorrError
-from .rng import Lcg, random_state
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -202,7 +201,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     return parser, {name: (handlers[name], p) for name, p in sub.choices.items()}
 
 
-def _load_state_file(path: str) -> np.ndarray:
+def _load_state_file(path: str) -> "np.ndarray":
     """Parse a 4x4 matrix from a text file; ``measures.report`` validates it.
 
     Format: 16 whitespace-separated 're im' pairs in row-major order,
@@ -221,10 +220,12 @@ def _load_state_file(path: str) -> np.ndarray:
         nums = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise InvalidState(f"state file has a non-numeric entry: {exc}")
+    import numpy as np
+
     return np.array(nums).view(complex).reshape(4, 4)
 
 
-def _print_measures(rep: measures.MeasureReport, q_paper: float | None) -> None:
+def _print_measures(rep, q_paper: float | None) -> None:
     print(f"C = {fmt12(rep.concurrence)}")
     print(f"N = {fmt12(rep.min_value)}")
     print(f"Q = {fmt12(rep.gmod_lower)}")
@@ -255,6 +256,8 @@ def _secondary_params(args: argparse.Namespace, parser: _Parser) -> dict:
 
 
 def _cmd_measures(args: argparse.Namespace, parser: _Parser) -> int:
+    from . import measures
+
     if args.state is not None:
         _refuse(args, parser, ("model", *_MODEL_FLAGS), "and --state: give one, not both")
         try:
@@ -323,6 +326,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
             f"above the limit of {MAX_SWEEP_ROWS}"
         )
 
+    import numpy as np
+
     make_params = _PARAMS[args.model]
     measure = getattr(models, f"measures_{args.model}")
     lines = [CSV_HEADER]
@@ -360,6 +365,9 @@ def _cmd_critical(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
+    from . import measures, oracle
+    from .rng import Lcg, random_state
+
     seed, count = args.seed, args.count
     if count < 1:
         parser.error(f"--count must be a positive integer, got {count}")

@@ -44,11 +44,8 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from . import measures
+# numpy and measures are imported where used: the critical search needs neither.
 from .errors import ClosedFormMismatch, NonFiniteParameter, NoSignChange
-from .measures import BRANCH_X_ZERO, MeasureReport
 
 CROSS_CHECK_TOL = 1e-10
 SCAN_RANGE = (-50.0, 50.0)
@@ -110,7 +107,7 @@ class ClosedFormState:
     """
 
     entries: dict
-    matrix: np.ndarray
+    matrix: "np.ndarray"
 
 
 def _sinhc(x: float) -> float:
@@ -153,9 +150,11 @@ def _xxz_entries(j: float, p: XXZParams) -> tuple[float, float, float, float, fl
     return delta_plus, epsilon, delta_minus, kappa, delta_plus + delta_minus + 2.0 * epsilon
 
 
-def _x_matrix(e: tuple) -> np.ndarray:
+def _x_matrix(e: tuple) -> "np.ndarray":
     """The unit-trace X-state of entries e = (rho00, rho11, rho33, rho12, Z),
     with its structural zeros exactly zero."""
+    import numpy as np
+
     r00, r11, r33, r12, z = e
     matrix = np.zeros((4, 4), dtype=complex)
     matrix[0, 0] = r00
@@ -210,7 +209,7 @@ class ModelReport:
     c_closed: float
     n_closed: float
     q_paper: float
-    pipeline: MeasureReport
+    pipeline: "measures.MeasureReport"
     c_deviation: float
     n_deviation: float
     q_deviation: float
@@ -225,9 +224,11 @@ def _x_report(e: tuple, n_x_nonzero: float, n_x_zero: float, label: str) -> Mode
     is checked and reported, so the closed form and the pipeline never
     split a point near |x| = 1e-9 between two branches.
     """
+    from . import measures
+
     c_closed = (2.0 / e[4]) * max(0.0, _x_gap(e))
     pipeline = measures.report(_x_matrix(e))
-    n_closed = n_x_zero if pipeline.branch == BRANCH_X_ZERO else n_x_nonzero
+    n_closed = n_x_zero if pipeline.branch == measures.BRANCH_X_ZERO else n_x_nonzero
     c_dev = abs(c_closed - pipeline.concurrence)
     n_dev = abs(n_closed - pipeline.min_value)
     checks = (("concurrence", c_closed, c_dev), ("nonlocality", n_closed, n_dev))
@@ -291,8 +292,10 @@ def _bisect_root(entries, p: _ModelParams, lo: float, hi: float, f_lo: float) ->
 
 @functools.lru_cache(maxsize=4)
 def _scan_grid(lo: float, hi: float, points: int) -> tuple:
-    """The ascending uniform scan grid, built once per (range, points)."""
-    return tuple(np.linspace(lo, hi, points).tolist())
+    """The ascending uniform scan grid, built once per (range, points), by
+    the arithmetic of ``np.linspace``: lo + i * step, and hi as the last point."""
+    step = (hi - lo) / (points - 1)
+    return (*(i * step + lo for i in range(points - 1)), hi)
 
 
 def _first_root(label: str, entries, p: _ModelParams, walk_to: float) -> float:

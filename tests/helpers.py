@@ -1,7 +1,13 @@
-"""Shared builders for the test suite: reference states and seeded streams."""
+"""Shared builders for the test suite: reference states, seeded streams and
+fresh Python processes."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import spincorr
 from spincorr.bloch import BlochForm, decompose
 from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
 from spincorr.rng import Lcg, random_state
@@ -69,3 +75,22 @@ def pinned_states() -> list:
         states.append(thermal_xxz(XXZParams(j=float(j), delta=1.0, b=0.0)).matrix)
     states += [MIXED, bell_psi_plus()]
     return states
+
+
+def run_python(cwd, *argv):
+    """Run ``python *argv`` in ``cwd``; returns (code, stdout, stderr).
+
+    The subprocess imports the ``spincorr`` this process imported (the
+    checkout's ``src``, or an installed copy), not whatever else is on its
+    path."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(spincorr.__file__)))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return result.returncode, result.stdout, result.stderr

@@ -9,6 +9,8 @@ import tomllib
 
 import spincorr
 
+from helpers import run_python
+
 PUBLIC_NAMES = [
     "BlochForm",
     "ClosedFormMismatch",
@@ -44,14 +46,46 @@ def test_public_names_are_pinned():
     assert all(hasattr(spincorr, name) for name in PUBLIC_NAMES)
 
 
+def test_public_names_resolve_lazily_to_their_home_objects(tmp_path):
+    script = """if True:
+        import importlib, sys
+        import spincorr
+        # Each submodule is resolved on its own: in this order none of them
+        # is imported by one resolved before it.
+        for sub in ["errors", "models", "qmat", "rng", "bloch", "measures", "oracle"]:
+            assert f"spincorr.{sub}" not in sys.modules, sub
+            assert getattr(spincorr, sub) is sys.modules[f"spincorr.{sub}"], sub
+        for name in spincorr.__all__:
+            home = importlib.import_module(getattr(spincorr, name).__module__)
+            assert getattr(spincorr, name) is getattr(home, name), name
+        # Nothing is cached: a replaced binding is the one the package gives.
+        report = spincorr.measures.report
+        spincorr.measures.report = stand_in = lambda rho: rho
+        assert spincorr.report is stand_in
+        spincorr.measures.report = report
+        try:
+            spincorr.no_such_name
+        except AttributeError as exc:
+            assert str(exc) == "module 'spincorr' has no attribute 'no_such_name'", exc
+        else:
+            raise AssertionError("no AttributeError")
+        star = {}
+        exec("from spincorr import *", star)
+        del star["__builtins__"]
+        assert sorted(star) == spincorr.__all__, sorted(star)
+        assert all(star[name] is getattr(spincorr, name) for name in star)
+    """
+    assert run_python(tmp_path, "-c", script) == (0, "", "")
+
+
 def test_version_is_read_from_the_package():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     config = tomllib.loads(pyproject.read_text())
     assert "version" not in config["project"]
     assert config["project"]["dynamic"] == ["version"]
     assert config["tool"]["setuptools"]["dynamic"] == {"version": {"attr": "spincorr.__version__"}}
-    # setuptools reads a literal without importing the package, whose numpy
-    # import an isolated build does not have.
+    # setuptools reads a literal without importing the package, so an isolated
+    # build needs none of its runtime dependencies.
     init = ast.parse(pathlib.Path(spincorr.__file__).read_text())
     (value,) = [
         node.value
@@ -124,8 +158,11 @@ def _unused_code(directory):
 
 
 def test_package_holds_no_unused_code():
-    # __init__ imports the public names for __all__, which reads them as strings.
-    exported = {f"__init__.{name} (import)" for name in spincorr.__all__}
+    # __init__ names the public names as strings, in __all__ and its name table.
+    exported = {
+        f"{getattr(spincorr, name).__module__.rpartition('.')[2]}.{name}"
+        for name in spincorr.__all__
+    }
     unused = _unused_code(pathlib.Path(spincorr.__file__).parent)
     assert [entry for entry in unused if entry not in exported] == []
 

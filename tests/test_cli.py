@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -8,7 +9,6 @@ import itertools
 import math
 import os
 import pathlib
-import subprocess
 import sys
 import tomllib
 
@@ -20,6 +20,7 @@ from spincorr import cli, measures, models, oracle
 from spincorr.errors import ClosedFormMismatch
 from spincorr.rng import Lcg, random_state
 
+from helpers import run_python
 from reference import fmt12_fstring
 
 BELL_STATE_TEXT = """\
@@ -118,26 +119,8 @@ def run_cli(capsys, *argv):
 
 
 def run_module(cwd, *argv):
-    """Run ``python -m spincorr`` in ``cwd``; returns (code, stdout, stderr).
-
-    The subprocess imports the ``spincorr`` this process imported (the
-    checkout's ``src``, or an installed copy), not whatever else is on its
-    path."""
-    return _run_python(cwd, "-m", "spincorr", *argv)
-
-
-def _run_python(cwd, *argv):
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    result = subprocess.run(
-        [sys.executable, *argv],
-        cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    return result.returncode, result.stdout, result.stderr
+    """Run ``python -m spincorr`` in ``cwd``; returns (code, stdout, stderr)."""
+    return run_python(cwd, "-m", "spincorr", *argv)
 
 
 UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
@@ -805,7 +788,7 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys):
 
 def test_module_entrypoint_subprocess(tmp_path):
     # The subprocess runs the package under test, wherever that is.
-    code, out, _ = _run_python(tmp_path, "-c", "import spincorr; print(spincorr.__file__)")
+    code, out, _ = run_python(tmp_path, "-c", "import spincorr; print(spincorr.__file__)")
     assert (code, os.path.realpath(out.rstrip("\n"))) == (0, os.path.realpath(spincorr.__file__))
     code, out, _ = run_module(tmp_path, "critical", "--model", "isodm", "--d", "0")
     assert code == 0
@@ -816,6 +799,29 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert [line for line in err.splitlines() if "error:" in line] == [
         "spincorr: error: unrecognized arguments: --bogus"
     ]
+
+
+def test_critical_help_and_usage_errors_load_no_numpy(tmp_path):
+    calls = [  # (argv, exit code, numpy loaded after the call)
+        (["critical", "--model", "isodm", "--d", "2"], 0, False),
+        (["critical", "--model", "isodm", "--d", "10"], 5, False),
+        (["critical", "--model", "xxz", "--delta", "-3"], 0, False),
+        (["-h"], 0, False),
+        (["critical", "--model", "isodm", "--bogus"], 3, False),
+        (["measures", "--model", "xxz", "--j", "-5", "--delta", "1", "--b", "0"], 0, True),
+    ]
+    script = f"""if True:
+        import sys
+        import spincorr
+        import spincorr.cli
+        seen = [("import", None, "numpy" in sys.modules)]
+        for argv in {[argv for argv, _, _ in calls]!r}:
+            seen.append((argv, spincorr.cli.main(argv), "numpy" in sys.modules))
+        print(seen)
+    """
+    code, out, _ = run_python(tmp_path, "-c", script)
+    assert code == 0
+    assert ast.literal_eval(out.splitlines()[-1]) == [("import", None, False), *calls]
 
 
 def test_console_script_runs_main(monkeypatch, capsys):

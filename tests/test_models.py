@@ -267,6 +267,14 @@ def test_critical_isodm_stable_under_scan_refinement(monkeypatch):
             assert abs(a - b) <= 1e-6
 
 
+@pytest.mark.parametrize("points", [2001, 4001, 10001])
+def test_scan_grid_is_linspace_bit_for_bit(points):
+    # Grid steps 0.05 down to 0.01: the range the critical docstrings' proofs cover.
+    grid = models._scan_grid(-50.0, 50.0, points)
+    expected = np.linspace(-50.0, 50.0, points).tolist()
+    assert list(map(float.hex, grid)) == list(map(float.hex, expected))
+
+
 def test_critical_xxz_reference_values():
     assert abs(critical_coupling_xxz(0.0, 0.0) - LN3_HALF) <= 2e-9
     assert abs(critical_coupling_xxz(-2.0, 0.0) - (-LN3_HALF)) <= 2e-9
