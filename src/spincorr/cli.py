@@ -71,7 +71,7 @@ def fmt12(value: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit with the documented code 3.
+    """ArgumentParser that maps argparse's exit status 2 (usage errors) to code 3.
 
     A token that starts with '-' and a digit, '-.' and a digit, '-inf' or
     '-nan' (any case) is a value such as ``-1e-3``, ``-1:0`` or ``-inf``,
@@ -83,10 +83,8 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_ARGS)
+    def exit(self, status=0, message=None):
+        super().exit(EXIT_BAD_ARGS if status == 2 else status, message)
 
 
 def _finite(text: str) -> float:

@@ -118,6 +118,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_csv(capsys, csv_path, *argv):
+    """``run_cli`` and the bytes of the CSV at ``csv_path`` (None when there is
+    none), which it then deletes."""
+    code, out, err = run_cli(capsys, *argv)
+    csv = csv_path.read_bytes() if csv_path.exists() else None
+    if csv is not None:
+        csv_path.unlink()
+    return code, out, err, csv
+
+
 def run_module(cwd, *argv):
     """Run ``python -m spincorr`` in ``cwd``; returns (code, stdout, stderr)."""
     return run_python(cwd, "-m", "spincorr", *argv)
@@ -286,25 +296,7 @@ def test_state_file_within_tolerance_is_used_through_its_hermitian_part(tmp_path
     ]
 
 
-def test_measures_state_file_errors(tmp_path, capsys):
-    trace_two = tmp_path / "trace2.txt"
-    write_state_file(trace_two, np.diag([0.5, 0.5, 0.5, 0.5]))
-    code, _, err = run_cli(capsys, "measures", "--state", str(trace_two))
-    assert code == 2 and "invalid state" in err
-
-    short = tmp_path / "short.txt"
-    short.write_text("0 0 1 0\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "measures", "--state", str(short))
-    assert code == 2 and "32 numbers" in err
-
-    garbled = tmp_path / "garbled.txt"
-    garbled.write_text(" ".join(["0"] * 31) + " oops\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "measures", "--state", str(garbled))
-    assert code == 2 and "non-numeric" in err
-
-    code, _, err = run_cli(capsys, "measures", "--state", str(tmp_path / "nope.txt"))
-    assert code == 2 and "cannot read" in err
-
+def test_measures_state_file_errors(tmp_path):
     # A 1e308 off-diagonal pair overflows the sums of a check; the file is
     # refused by the check that fails, with no warning printed before it.
     for name, partner, message in (
@@ -317,23 +309,6 @@ def test_measures_state_file_errors(tmp_path, capsys):
         code, out, err = run_module(tmp_path, "measures", "--state", name)
         assert (code, out, err) == (2, "", f"invalid state: {message}\n")
         assert "Warning" not in err and "Traceback" not in err
-
-
-def test_measures_bad_arguments(tmp_path, capsys):
-    assert run_cli(capsys, "measures", "--model", "isodm")[0] == 3  # no --j
-    assert run_cli(capsys, "measures", "--model", "isodm", "--j", "nan")[0] == 3
-    # Every flag given is checked, also one the chosen model does not use.
-    assert run_cli(capsys, "measures", "--model", "isodm", "--j", "1", "--b", "nan")[0] == 3
-    assert run_cli(capsys, "measures")[0] == 3  # neither model nor state
-    state = tmp_path / "bell.txt"
-    state.write_text(BELL_STATE_TEXT, encoding="utf-8")
-    code, _, err = run_cli(
-        capsys, "measures", "--state", str(state), "--model", "isodm"
-    )
-    assert code == 3 and "not both" in err
-    assert run_cli(capsys, "measures", "--model", "heisenberg", "--j", "1")[0] == 3
-    assert run_cli(capsys, "measures", "--model", "isodm", "--j", "1", "--frob")[0] == 3
-    assert run_cli(capsys)[0] == 3  # missing subcommand
 
 
 def test_sweep_csv_format_and_determinism(tmp_path, capsys):
@@ -408,37 +383,6 @@ def test_sweep_model_flags_match_their_series_member(tmp_path, capsys, model, fl
     assert csv["flags"] == csv["series"]
 
 
-def test_sweep_bad_arguments(tmp_path, capsys):
-    out = str(tmp_path / "x.csv")
-    base = ("sweep", "--model", "isodm", "--out", out)
-    assert run_cli(capsys, *base, "--j-steps", "1")[0] == 3
-    assert run_cli(capsys, *base, "--j-start", "2", "--j-end", "1")[0] == 3
-    assert run_cli(capsys, "sweep", "--model", "isodm")[0] == 3  # no --out
-    assert run_cli(capsys, "sweep", "--out", out)[0] == 3  # no --model
-    assert run_cli(capsys, *base, "--series", "abc")[0] == 3
-    code, _, err = run_cli(capsys, *base, "--series", "nan")
-    assert code == 3 and "must be finite" in err
-    code, _, err = run_cli(
-        capsys, "sweep", "--model", "xxz", "--out", out, "--series", "0:inf"
-    )
-    assert code == 3 and "must be finite" in err
-    assert run_cli(capsys, "sweep", "--model", "xxz", "--out", out, "--series", "1")[0] == 3
-    # The row limit counts every series member.
-    code, _, err = run_cli(capsys, *base, "--j-steps", "500001", "--series", "0,1")
-    assert code == 3 and err.endswith("= 1000002 rows, above the limit of 1000000\n")
-    # The member shape comes from the params fields after j.
-    for model, series, wording in (
-        ("xxz", "0:1:2", "xxz series member must be delta:b, got '0:1:2'"),
-        ("isodm", "1:2", "isodm series member must be d, got '1:2'"),
-        ("isodm", "0,,1", "empty series member"),
-        ("isodm", "0,", "empty series member"),
-    ):
-        code, stdout, err = run_cli(
-            capsys, "sweep", "--model", model, "--out", out, "--series", series
-        )
-        assert (code, stdout, err.splitlines()[-1]) == (3, "", f"spincorr sweep: error: {wording}")
-
-
 def test_sweep_refuses_a_span_that_overflows(tmp_path):
     # Both ends are finite, but --j-end minus --j-start is not a float.
     code, out, err = run_module(
@@ -495,25 +439,11 @@ def test_sweep_refuses_more_rows_than_the_limit(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_sweep_io_failure(tmp_path, capsys):
-    missing_dir = tmp_path / "not-here" / "x.csv"
-    code, _, err = run_cli(
-        capsys, "sweep", "--model", "isodm", "--j-steps", "2", "--out", str(missing_dir)
-    )
-    assert code == 4 and "cannot write CSV" in err
-
-
 def test_critical_output(capsys):
     code, out, err = run_cli(capsys, "critical", "--model", "isodm", "--d", "0")
     assert code == 0 and out == "0.549306144\n"
     code, out, err = run_cli(capsys, "critical", "--model", "xxz", "--delta", "0", "--b", "2")
     assert code == 0 and out == "0.549306144\n"  # threshold ignores the field
-    code, out, err = run_cli(capsys, "critical", "--model", "isodm", "--d", "10")
-    assert code == 5 and out == "" and "no bracket" in err
-    # Here abs(nu) overflows from finite parts in a window of j > 0; the
-    # scan reads that as a positive gap, not as an OverflowError.
-    code, out, err = run_cli(capsys, "critical", "--model", "isodm", "--d", "685.85")
-    assert code == 5 and out == "" and err.startswith("no bracket: ")
 
 
 def test_verify_small_run_and_determinism(capsys):
@@ -671,11 +601,6 @@ def test_verify_lower_bound_gate_is_its_tolerance(monkeypatch, capsys, excess):
     assert (code, out, err) == (*LOWER_BOUND_GATE[excess], "")
 
 
-def test_verify_bad_count(capsys):
-    assert run_cli(capsys, "verify", "--count", "0")[0] == 3
-    assert run_cli(capsys, "verify", "--count", "-3")[0] == 3
-
-
 def test_config_file_supplies_defaults(tmp_path, capsys):
     config = tmp_path / "point.cfg"
     config.write_text("model=isodm\nj=1\nd=0  # comment\n\n", encoding="utf-8")
@@ -699,28 +624,6 @@ def test_config_flags_win_on_conflict(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--count", "2", "--config", str(verify_cfg))
     assert code == 0
     assert out.splitlines()[0] == "verify: seed=1 count=2 grid=2000"
-
-
-def test_config_rejects_bad_content(tmp_path, capsys):
-    unknown = tmp_path / "unknown.cfg"
-    unknown.write_text("model=isodm\nj=1\nfrobnicate=1\n", encoding="utf-8")
-    assert run_cli(capsys, "measures", "--config", str(unknown))[0] == 3
-
-    malformed = tmp_path / "malformed.cfg"
-    malformed.write_text("model=isodm\nj 1\n", encoding="utf-8")
-    assert run_cli(capsys, "measures", "--config", str(malformed))[0] == 3
-
-    non_numeric = tmp_path / "nonnumeric.cfg"
-    non_numeric.write_text("model=isodm\nj=one\n", encoding="utf-8")
-    assert run_cli(capsys, "measures", "--config", str(non_numeric))[0] == 3
-
-    assert run_cli(capsys, "measures", "--config", str(tmp_path / "nope.cfg"))[0] == 3
-
-    not_utf8 = tmp_path / "binary.cfg"
-    not_utf8.write_bytes(b"\xff\xfe\x00")
-    code, out, err = run_cli(capsys, "verify", "--config", str(not_utf8))
-    assert (code, out) == (3, "")
-    assert err.splitlines()[-1] == f"spincorr verify: error: cannot read config file: {UTF8_ERROR}"
 
 
 def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
@@ -770,20 +673,14 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys):
         ),
     ]
 
-    def call(argv):
-        if csv.exists():
-            csv.unlink()
-        code, out, err = run_cli(capsys, *argv)
-        return code, out, err, csv.read_bytes() if csv.exists() else None
-
     assert cli._build_parser() is cli._build_parser()
     for sequence in sequences:
         cli._build_parser.cache_clear()
-        shared = [call(argv) for argv, _ in sequence]
+        shared = [run_cli_csv(capsys, csv, *argv) for argv, _ in sequence]
         for (argv, code), result in zip(sequence, shared):
             assert result[0] == code
             cli._build_parser.cache_clear()
-            assert call(argv) == result
+            assert run_cli_csv(capsys, csv, *argv) == result
 
 
 def test_module_entrypoint_subprocess(tmp_path):
@@ -861,38 +758,12 @@ def test_generator_seed_has_no_default_but_the_cli_flag_does(capsys):
 
 
 def test_seed_must_fit_the_generator_state(capsys):
-    for seed in ("-1", "18446744073709551616", "18446744073709551617", "1.5"):
-        code, out, err = run_cli(capsys, "verify", "--seed", seed, "--count", "1")
-        assert code == 3 and out == ""
-        assert err.splitlines()[-1].startswith("spincorr verify: error: argument --seed")
+    # The refused seeds are rows of ERROR_EXITS.
     code, out, _ = run_cli(
         capsys, "verify", "--seed", "18446744073709551615", "--count", "1"
     )
     assert code == 0
     assert out.splitlines()[0] == "verify: seed=18446744073709551615 count=1 grid=2000"
-
-
-@pytest.mark.parametrize(
-    "command, content",
-    [
-        ("verify", "model=isodm\n"),  # a key of another subcommand
-        ("sweep", "model=isodm\nser=0\n"),  # a prefix of --series
-        ("measures", "model=isodm\nj=1\nconfig=other.cfg\n"),
-        ("measures", "model=isodm\nj=1\nhelp=1\n"),
-        ("measures", "model=isodm\nj=nan\n"),
-        ("measures", "model=isodm\nj=1\nb=inf\n"),
-        ("verify", "seed=-1\n"),
-        ("verify", "count=2\nseed=18446744073709551616\n"),
-    ],
-)
-def test_config_values_pass_the_flag_checks(tmp_path, capsys, command, content):
-    config = tmp_path / "bad.cfg"
-    config.write_text(content, encoding="utf-8")
-    out_path = tmp_path / "s.csv"
-    extra = ["--out", str(out_path)] if command == "sweep" else []
-    code, out, err = run_cli(capsys, command, "--config", str(config), *extra)
-    assert code == 3 and out == "" and not out_path.exists()
-    assert ": error: " in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -920,18 +791,10 @@ def test_config_call_matches_flag_call(tmp_path, capsys, config_text, flags):
     command = flags[0]
     out_path = tmp_path / "s.csv"
     extra = ["--out", str(out_path)] if command == "sweep" else []
-
-    def call(*argv):
-        result = run_cli(capsys, *argv, *extra)
-        csv = out_path.read_bytes() if out_path.exists() else None
-        if csv is not None:
-            out_path.unlink()
-        return result, csv
-
-    from_config = call(command, "--config", str(config))
-    assert from_config == call(*flags)
-    assert from_config[0][0] == 0
-    assert (from_config[1] is not None) == (command == "sweep")
+    from_config = run_cli_csv(capsys, out_path, command, "--config", str(config), *extra)
+    assert from_config == run_cli_csv(capsys, out_path, *flags, *extra)
+    assert from_config[0] == 0
+    assert (from_config[3] is not None) == (command == "sweep")
 
 
 # sha256 of the stdout and of the CSV of the byte-contract commands (each
@@ -987,48 +850,192 @@ def test_contract_outputs_are_byte_pinned(tmp_path, capsys, argv, stdout_sha256,
     assert csv == csv_sha256
 
 
-# Model flags that a call would ignore, each as a flag and as a config key.
-REFUSED_MODEL_FLAGS = [
-    ("critical", "--model", "isodm", "--d", "0", "--j", "3"),
-    ("measures", "--state", "STATE", "--model", "isodm"),
-    ("measures", "--state", "STATE", "--j", "3"),
-    ("measures", "--state", "STATE", "--d", "7"),
-    ("measures", "--state", "STATE", "--delta", "1"),
-    ("measures", "--state", "STATE", "--b", "1"),
-    ("measures", "--model", "isodm", "--j", "1", "--delta", "0"),
-    ("measures", "--model", "isodm", "--j", "1", "--b", "2"),
-    ("measures", "--model", "xxz", "--j", "1", "--d", "0"),
-    ("sweep", "--model", "isodm", "--b", "1"),
-    ("sweep", "--model", "xxz", "--d", "1"),
-    ("sweep", "--model", "isodm", "--j", "1"),
-    ("sweep", "--model", "isodm", "--series", "0,2", "--d", "1"),
-    ("sweep", "--model", "xxz", "--series", "0:0", "--delta", "1"),
-    ("sweep", "--model", "xxz", "--series", "0:0", "--b", "1"),
-    ("critical", "--model", "isodm", "--delta", "1"),
-    ("critical", "--model", "xxz", "--d", "3"),
-]
+# The files every error-exit call finds in its working directory.
+ERROR_FILES = {
+    "bell.txt": BELL_STATE_TEXT.encode(),
+    "trace2.txt": b"0.5 0 " + b"0 0 0 0 0 0 0 0 0.5 0 " * 3,  # diag(0.5, 0.5, 0.5, 0.5)
+    "short.txt": b"0 0 1 0\n",
+    "garbled.txt": b"0 " * 31 + b"oops\n",
+    "unknown.cfg": b"model=isodm\nj=1\nfrobnicate=1\n",
+    "malformed.cfg": b"model=isodm\nj 1\n",
+    "nonnumeric.cfg": b"model=isodm\nj=one\n",
+    "binary.cfg": b"\xff\xfe\x00",
+    "dir.csv/kept": b"",  # dir.csv is a directory
+}
+
+# Every documented error exit that a call reaches in-process, as argv: (exit
+# code, error line, twin). A twin runs the call again with its last flag and
+# value moved into a config file as flag=value, and expects the same stderr.
+ERROR_EXITS = {
+    "": (3, "the following arguments are required: command", False),
+    "measures": (3, "--model is required (or give --state)", False),
+    "measures --model isodm": (3, "--j is required", False),
+    "measures --model isodm --j nan": (3, "argument --j: must be finite, got 'nan'", True),
+    # Every flag given is checked, also one the chosen model does not use.
+    "measures --model isodm --j 1 --b nan": (3, "argument --b: must be finite, got 'nan'", True),
+    "measures --j 1 --model heisenberg":
+        (3, "argument --model: invalid choice: 'heisenberg' (choose from 'isodm', 'xxz')", True),
+    "measures --model isodm --j 1 --frob": (3, "unrecognized arguments: --frob", False),
+    "measures --state trace2.txt": (2, "invalid state: trace is 2, expected 1", False),
+    "measures --state short.txt":
+        (2, "invalid state: state file must hold 16 're im' pairs (32 numbers), got 4", False),
+    "measures --state garbled.txt": (2, "invalid state: state file has a non-numeric entry: "
+                                        "could not convert string to float: 'oops'", False),
+    "measures --state nope.txt": (2, "invalid state: cannot read state file: "
+                                     "[Errno 2] No such file or directory: 'nope.txt'", False),
+    "measures --config unknown.cfg": (3, "unknown config key 'frobnicate' for measures", False),
+    "measures --config malformed.cfg": (3, "config line 2 is not key=value: 'j 1'", False),
+    "measures --config nonnumeric.cfg": (3, "argument --j: not a number: 'one'", False),
+    "measures --config nope.cfg":
+        (3, "cannot read config file: [Errno 2] No such file or directory: 'nope.cfg'", False),
+    "verify --config binary.cfg": (3, f"cannot read config file: {UTF8_ERROR}", False),
+    "sweep --model isodm": (3, "--out is required", False),
+    "sweep --out s.csv": (3, "--model is required", False),
+    "sweep --model isodm --out s.csv --j-steps 1": (3, "--j-steps must be at least 2, got 1", True),
+    "sweep --model isodm --out s.csv --j-start 2 --j-end 1":
+        (3, "--j-start must be below --j-end, got 2.0 >= 1.0", True),
+    "sweep --model isodm --out s.csv --series abc":
+        (3, "series member 'abc': not a number: 'abc'", True),
+    "sweep --model isodm --out s.csv --series nan":
+        (3, "series member 'nan': must be finite, got 'nan'", True),
+    "sweep --model xxz --out s.csv --series 0:inf":
+        (3, "series member '0:inf': must be finite, got 'inf'", True),
+    # The member shape comes from the params fields after j.
+    "sweep --model xxz --out s.csv --series 1":
+        (3, "xxz series member must be delta:b, got '1'", True),
+    "sweep --model xxz --out s.csv --series 0:1:2":
+        (3, "xxz series member must be delta:b, got '0:1:2'", True),
+    "sweep --model isodm --out s.csv --series 1:2":
+        (3, "isodm series member must be d, got '1:2'", True),
+    "sweep --model isodm --out s.csv --series 0,,1": (3, "empty series member", True),
+    "sweep --model isodm --out s.csv --series 0,": (3, "empty series member", True),
+    # The row limit counts every series member.
+    "sweep --model isodm --out s.csv --j-steps 500001 --series 0,1":
+        (3, "--j-steps 500001 x 2 series = 1000002 rows, above the limit of 1000000", True),
+    # The temporary file cannot be made, or cannot replace a directory.
+    "sweep --model isodm --j-steps 2 --out not-here/x.csv":
+        (4, "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'", True),
+    "sweep --model isodm --j-steps 2 --out dir.csv":
+        (4, "cannot write CSV: [Errno 21] Is a directory: 'dir.csv.tmp' -> 'dir.csv'", True),
+    "critical --model isodm --d 10":
+        (5, "no bracket: isodm threshold at d=10: no sign change over j in [-50, 50]", True),
+    # Here abs(nu) overflows from finite parts in a window of j > 0; the
+    # scan reads that as a positive gap, not as an OverflowError.
+    "critical --model isodm --d 685.85":
+        (5, "no bracket: isodm threshold at d=685.85: no sign change over j in [-50, 50]", True),
+    "verify --count 0": (3, "--count must be a positive integer, got 0", True),
+    "verify --count -3": (3, "--count must be a positive integer, got -3", True),
+    "verify --count 1 --seed -1": (3, "argument --seed: must be in [0, 2**64 - 1], got -1", True),
+    "verify --count 1 --seed 18446744073709551616":
+        (3, "argument --seed: must be in [0, 2**64 - 1], got 18446744073709551616", True),
+    "verify --count 1 --seed 18446744073709551617":
+        (3, "argument --seed: must be in [0, 2**64 - 1], got 18446744073709551617", True),
+    "verify --count 1 --seed 1.5": (3, "argument --seed: not an integer: '1.5'", True),
+}
 
 
-@pytest.mark.parametrize("argv", REFUSED_MODEL_FLAGS, ids=" ".join)
+def config_twin(argv):
+    """``argv`` with its last flag and value moved into twin.cfg, and the files to write."""
+    *head, flag, value = argv
+    twin = f"{flag[2:]}={value}\n".encode()
+    return [*head, "--config", "twin.cfg"], {**ERROR_FILES, "twin.cfg": twin}
+
+
+def assert_error_exit(tmp_path, capsys, monkeypatch, argv, files, code, line):
+    """Run ``argv`` in ``tmp_path`` holding ``files``: it exits ``code``,
+    prints nothing on stdout, makes or removes no file, and prints on stderr
+    the one ``line``, for exit 3 after the usage block of its parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(content)
+    made = sorted(tmp_path.rglob("*"))
+    if code == 3:
+        # The top-level parser reports a missing subcommand and arguments
+        # that no parser takes.
+        command = "" if not argv or line.startswith("unrecognized arguments: ") else argv[0]
+        usage = HELP_TEXT[command].split("\n\n")[0]
+        prog = f"spincorr {command}".rstrip()
+        line = f"{usage}\n{prog}: error: {line}"
+    assert run_cli(capsys, *argv) == (code, "", line + "\n")
+    assert sorted(tmp_path.rglob("*")) == made
+
+
+def _error_exit_calls():
+    """Each ERROR_EXITS row as flags, and then as its config twin."""
+    for argv, (code, line, twin) in ERROR_EXITS.items():
+        yield pytest.param(argv.split(), ERROR_FILES, code, line, id=argv or "no command")
+        if twin:
+            yield pytest.param(*config_twin(argv.split()), code, line, id=f"config: {argv}")
+
+
+@pytest.mark.parametrize("argv, files, code, line", _error_exit_calls())
+def test_error_exits(tmp_path, capsys, monkeypatch, argv, files, code, line):
+    assert_error_exit(tmp_path, capsys, monkeypatch, argv, files, code, line)
+
+
+# Model flags that a call would ignore (STATE is a state file), as
+# argv: error line, or (line as a flag, line as a config key).
+REFUSED_MODEL_FLAGS = {
+    "critical --model isodm --d 0 --j 3":
+        ("unrecognized arguments: --j 3", "unknown config key 'j' for critical"),
+    "measures --state STATE --model isodm": "--model and --state: give one, not both",
+    "measures --state STATE --j 3": "--j and --state: give one, not both",
+    "measures --state STATE --d 7": "--d and --state: give one, not both",
+    "measures --state STATE --delta 1": "--delta and --state: give one, not both",
+    "measures --state STATE --b 1": "--b and --state: give one, not both",
+    "measures --model isodm --j 1 --delta 0": "--delta is not a parameter of isodm",
+    "measures --model isodm --j 1 --b 2": "--b is not a parameter of isodm",
+    "measures --model xxz --j 1 --d 0": "--d is not a parameter of xxz",
+    "sweep --model isodm --b 1": "--b is not a parameter of isodm",
+    "sweep --model xxz --d 1": "--d is not a parameter of xxz",
+    "sweep --model isodm --j 1": ("ambiguous option: --j could match --j-start, --j-end, --j-steps",
+                                  "unknown config key 'j' for sweep"),
+    "sweep --model isodm --series 0,2 --d 1":
+        "--d is not used with --series: each member sets it",
+    "sweep --model xxz --series 0:0 --delta 1":
+        "--delta is not used with --series: each member sets it",
+    "sweep --model xxz --series 0:0 --b 1":
+        "--b is not used with --series: each member sets it",
+    "critical --model isodm --delta 1": "--delta is not a parameter of isodm",
+    "critical --model xxz --d 3": "--d is not a parameter of xxz",
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_MODEL_FLAGS)
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
-def test_ignored_model_flags_are_refused(tmp_path, capsys, argv, via_config):
-    state = tmp_path / "bell.txt"
-    state.write_text(BELL_STATE_TEXT, encoding="utf-8")
-    out_path = tmp_path / "s.csv"
-    argv = [str(state) if arg == "STATE" else arg for arg in argv]
-    if via_config:  # the last flag moves into a config file
-        config = tmp_path / "run.cfg"
-        config.write_text(f"{argv[-2][2:]}={argv[-1]}\n", encoding="utf-8")
-        argv = argv[:-2] + ["--config", str(config)]
-    extra = ["--out", str(out_path)] if argv[0] == "sweep" else []
-    code, out, err = run_cli(capsys, *argv, *extra)
-    assert (code, out) == (3, "") and not out_path.exists()
-    assert "Traceback" not in err
-    # Usage line and error prefix name the subcommand, as argparse's errors
-    # for its flags do; argparse names the top level for an unknown flag.
-    last = err.splitlines()[-1]
-    prog = "spincorr" if "unrecognized arguments" in last else f"spincorr {argv[0]}"
-    assert err.startswith(f"usage: {prog} [-h] ") and last.startswith(f"{prog}: error: ")
+def test_ignored_model_flags_are_refused(tmp_path, capsys, monkeypatch, argv, via_config):
+    lines = REFUSED_MODEL_FLAGS[argv]
+    line = lines if isinstance(lines, str) else lines[via_config]
+    argv, files = argv.replace("STATE", "bell.txt").split(), ERROR_FILES
+    if via_config:
+        argv, files = config_twin(argv)
+    extra = ["--out", "s.csv"] if argv[0] == "sweep" else []
+    assert_error_exit(tmp_path, capsys, monkeypatch, argv + extra, files, 3, line)
+
+
+# Config contents that fail as their flags would: (command, content): error line.
+CONFIG_VALUE_ERRORS = {
+    ("verify", "model=isodm\n"): "unknown config key 'model' for verify",  # another subcommand's
+    ("sweep", "model=isodm\nser=0\n"): "unknown config key 'ser' for sweep",  # a prefix of --series
+    ("measures", "model=isodm\nj=1\nconfig=other.cfg\n"):
+        "unknown config key 'config' for measures",
+    ("measures", "model=isodm\nj=1\nhelp=1\n"): "unknown config key 'help' for measures",
+    ("measures", "model=isodm\nj=nan\n"): "argument --j: must be finite, got 'nan'",
+    ("measures", "model=isodm\nj=1\nb=inf\n"): "argument --b: must be finite, got 'inf'",
+    ("verify", "seed=-1\n"): "argument --seed: must be in [0, 2**64 - 1], got -1",
+    ("verify", "count=2\nseed=18446744073709551616\n"):
+        "argument --seed: must be in [0, 2**64 - 1], got 18446744073709551616",
+}
+
+
+@pytest.mark.parametrize("command, content", CONFIG_VALUE_ERRORS)
+def test_config_values_pass_the_flag_checks(tmp_path, capsys, monkeypatch, command, content):
+    argv = [command, "--config", "bad.cfg", *(["--out", "s.csv"] if command == "sweep" else [])]
+    files = {**ERROR_FILES, "bad.cfg": content.encode()}
+    line = CONFIG_VALUE_ERRORS[command, content]
+    assert_error_exit(tmp_path, capsys, monkeypatch, argv, files, 3, line)
 
 
 # A negative value in scientific notation, or one that is not a plain
@@ -1051,17 +1058,9 @@ NON_FINITE_VALUES = ("-inf", "-nan", "-Infinity")
 def test_negative_values_parse_like_the_equals_form(tmp_path, capsys, argv):
     out_path = tmp_path / "f.csv"
     extra = ["--out", str(out_path)] if argv[0] == "sweep" else []
-
-    def call(*args):
-        result = run_cli(capsys, *args, *extra)
-        csv = out_path.read_bytes() if out_path.exists() else None
-        if csv is not None:
-            out_path.unlink()
-        return result, csv
-
-    spaced = call(*argv)
-    assert spaced == call(*argv[:-2], f"{argv[-2]}={argv[-1]}")
-    (code, out, err), csv = spaced
+    spaced = run_cli_csv(capsys, out_path, *argv, *extra)
+    assert spaced == run_cli_csv(capsys, out_path, *argv[:-2], f"{argv[-2]}={argv[-1]}", *extra)
+    code, out, err, csv = spaced
     if argv[-1] == "-1x":
         assert (code, out) == (3, "")
         assert err.splitlines()[-1].endswith("argument --j: not a number: '-1x'")
