@@ -19,13 +19,16 @@ Exit codes: 0 success, 1 verification failure, 2 invalid state file,
 
 Numbers print with 12 significant digits, scientific below 1e-4, but with every
 integer digit from 1e12 up and 13 digits when rounding carries; ``critical``
-prints 9 decimals. CSV files are written to a temporary file and renamed into
-place, so no partial file survives an error. An optional ``--config`` file
-supplies ``key=value`` defaults (keys are the subcommand's long flag names,
-values pass the flags' checks); explicit flags win on conflict.
+prints 9 decimals. ``sweep`` writes each CSV row to ``<out>.tmp`` as it is
+computed, so memory does not grow with the rows and an unwritable ``--out``
+exits 4 before the first row; the file is renamed into place at the end, or
+removed on any error. An optional ``--config`` file supplies ``key=value``
+defaults (keys are the subcommand's long flag names, values pass the flags'
+checks); explicit flags win on conflict.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -328,26 +331,23 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
 
     make_params = _PARAMS[args.model]
     measure = getattr(models, f"measures_{args.model}")
-    lines = [CSV_HEADER]
-    for j in np.linspace(args.j_start, args.j_end, args.j_steps).tolist():
-        j_text = fmt12(j)
-        for label, values in members:
-            pipe = measure(make_params(j, **values)).pipeline
-            row = (pipe.concurrence, pipe.min_value, pipe.gmod_lower, pipe.gmod_exact)
-            lines.append(",".join((j_text, label, *map(fmt12, row))))
-
     tmp_path = args.out + ".tmp"
     try:
         with open(tmp_path, "w", encoding="ascii", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(CSV_HEADER + "\n")
+            for j in np.linspace(args.j_start, args.j_end, args.j_steps).tolist():
+                j_text = fmt12(j)
+                for label, values in members:
+                    pipe = measure(make_params(j, **values)).pipeline
+                    row = (pipe.concurrence, pipe.min_value, pipe.gmod_lower, pipe.gmod_exact)
+                    fh.write(",".join((j_text, label, *map(fmt12, row))) + "\n")
         os.replace(tmp_path, args.out)
     except OSError as exc:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
         print(f"cannot write CSV: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:  # the file is still there on every exit but a completed os.replace
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
     return EXIT_OK
 
 

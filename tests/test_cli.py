@@ -468,16 +468,18 @@ def test_sweep_cap_verify_is_byte_pinned(capsys):
 
 def _edit_results_at(monkeypatch, module, name, edits):
     """Wrap ``module.name`` so that its result at call ``i`` (state ``i`` of
-    a verify run) is replaced by ``edits[i](result)``."""
+    a verify run, row ``i`` of a sweep) is replaced by ``edits[i](result)``.
+    Returns the call counter: its ``next`` value is the number of calls made."""
     real = getattr(module, name)
     calls = itertools.count()
 
-    def wrapper(rho):
-        result = real(rho)
+    def wrapper(arg):
+        result = real(arg)
         edit = edits.get(next(calls))
         return result if edit is None else edit(result)
 
     monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def _replace(**changes):
@@ -494,6 +496,13 @@ def _flip(entangled):
 
 def _lower_above_exact(delta):
     return lambda rep: dataclasses.replace(rep, gmod_lower=rep.gmod_exact + delta)
+
+
+def _raise(error):
+    def edit(result):
+        raise error
+
+    return edit
 
 
 _NONLOCALITY = (oracle, "min_oracle", {4: _shift(0.01)})
@@ -973,6 +982,34 @@ def _error_exit_calls():
 @pytest.mark.parametrize("argv, files, code, line", _error_exit_calls())
 def test_error_exits(tmp_path, capsys, monkeypatch, argv, files, code, line):
     assert_error_exit(tmp_path, capsys, monkeypatch, argv, files, code, line)
+
+
+def test_unwritable_sweep_exits_before_the_first_row(tmp_path, capsys, monkeypatch):
+    calls = _edit_results_at(monkeypatch, models, "measures_isodm", {})
+    argv = "sweep --model isodm --j-steps 20001 --out not-here/x.csv".split()
+    line = "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'"
+    assert_error_exit(tmp_path, capsys, monkeypatch, argv, {}, 4, line)
+    assert next(calls) == 0
+
+
+def test_a_sweep_row_that_fails_verification_leaves_no_file(tmp_path, capsys, monkeypatch):
+    error = ClosedFormMismatch("injected at row 3")
+    _edit_results_at(monkeypatch, models, "measures_isodm", {2: _raise(error)})
+    argv = "sweep --model isodm --j-steps 5 --out s.csv".split()
+    line = "verification failure: injected at row 3"
+    assert_error_exit(tmp_path, capsys, monkeypatch, argv, {}, 1, line)
+
+
+def test_an_unexpected_sweep_error_propagates_and_keeps_the_old_csv(tmp_path, capsys, monkeypatch):
+    error = RuntimeError("injected at row 3")
+    _edit_results_at(monkeypatch, models, "measures_isodm", {2: _raise(error)})
+    out = tmp_path / "s.csv"
+    out.write_bytes(b"old bytes\n")
+    with pytest.raises(RuntimeError, match="injected at row 3"):
+        cli.main(["sweep", "--model", "isodm", "--j-steps", "5", "--out", str(out)])
+    assert capsys.readouterr() == ("", "")
+    assert sorted(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"old bytes\n"
 
 
 # Model flags that a call would ignore (STATE is a state file), as
