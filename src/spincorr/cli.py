@@ -309,6 +309,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
     secondary = _secondary_params(args, parser)
     if args.out is None:
         parser.error("--out is required")
+    if not os.path.basename(args.out):  # else <out>.tmp would be a file named .tmp
+        parser.error(f"--out must name a file, got {args.out!r}")
     if args.j_steps < 2:
         parser.error(f"--j-steps must be at least 2, got {args.j_steps}")
     if not args.j_start < args.j_end:

@@ -173,70 +173,51 @@ def test_fmt12_matches_the_format_spec_reference_byte_for_byte():
             assert cli.fmt12(signed) == fmt12_fstring(signed), signed.hex()
 
 
-def test_measures_model_point(capsys):
-    code, out, err = run_cli(
-        capsys, "measures", "--model", "isodm", "--j", "1", "--d", "0"
-    )
-    assert code == 0 and err == ""
-    assert out.splitlines() == [
+# stdout of measures at model points; each exits 0 with empty stderr.
+MEASURES_OUTPUT = {
+    "measures --model isodm --j 1 --d 0": [
         "C = 0.422469188455",
         "N = 0.189099867478",
         "Q = 0.0945499337388",
         "Q_paper = 0.0945499337388",
         "D_exact = 0.0945499337388",
         "branch = XZero",
-    ]
-
-
-def test_measures_xxz_zero_coupling(capsys):
-    code, out, err = run_cli(
-        capsys, "measures", "--model", "xxz", "--j", "0", "--delta", "1", "--b", "3"
-    )
-    assert code == 0
-    assert out.splitlines() == [
+    ],
+    "measures --model xxz --j 0 --delta 1 --b 3": [
         "C = 0.000000000000",
         "N = 0.000000000000",
         "Q = 0.000000000000",
         "Q_paper = 0.000000000000",
         "D_exact = 0.000000000000",
         "branch = XNonzero",
-    ]
-
-
-def test_measures_xxz_zero_field_positive_anisotropy(capsys):
+    ],
     # Q_paper = n_closed/2 uses the zero-field closed form
     # (kappa/Z)^2 + t3^2 here; the other lines are pipeline values.
-    code, out, err = run_cli(
-        capsys, "measures", "--model", "xxz", "--j", "-5", "--delta", "1", "--b", "0"
-    )
-    assert code == 0 and err == ""
-    assert out.splitlines() == [
+    "measures --model xxz --j -5 --delta 1 --b 0": [
         "C = 0.000000000000",
         "N = 0.246656279576",
         "Q = 2.81821612919e-06",
         "Q_paper = 0.123328139788",
         "D_exact = 2.81821612919e-06",
         "branch = XZero",
-    ]
-
-
-def test_measures_xxz_at_the_marginal_cutoff(capsys):
+    ],
     # The entries put |x_z| just above 1e-9 while the Bloch decomposition
     # puts |x| at or below it; the closed form follows the pipeline's branch.
-    code, out, err = run_cli(
-        capsys,
-        "measures", "--model", "xxz", "--j", "2", "--delta", "3",
-        "--b", "2.243189458650676e-05",
-    )
-    assert code == 0 and err == ""
-    assert out.splitlines() == [
+    "measures --model xxz --j 2 --delta 3 --b 2.243189458650676e-05": [
         "C = 0.963852469804",
         "N = 0.482206715007",
         "Q = 0.232295865822",
         "Q_paper = 0.241103357503",
         "D_exact = 0.232295865822",
         "branch = XZero",
-    ]
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", MEASURES_OUTPUT)
+def test_measures_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out.splitlines(), err) == (0, MEASURES_OUTPUT[argv], "")
 
 
 def test_measures_state_file(tmp_path, capsys):
@@ -294,21 +275,6 @@ def test_state_file_within_tolerance_is_used_through_its_hermitian_part(tmp_path
         "D_exact = 0.0544927073166",
         "branch = XNonzero",
     ]
-
-
-def test_measures_state_file_errors(tmp_path):
-    # A 1e308 off-diagonal pair overflows the sums of a check; the file is
-    # refused by the check that fails, with no warning printed before it.
-    for name, partner, message in (
-        ("hermitian.txt", 1e308, "matrix has a negative eigenvalue beyond tolerance"),
-        ("skew.txt", -1e308, "matrix is not Hermitian within tolerance"),
-    ):
-        huge = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        huge[0, 1], huge[1, 0] = 1e308, partner
-        write_state_file(tmp_path / name, huge)
-        code, out, err = run_module(tmp_path, "measures", "--state", name)
-        assert (code, out, err) == (2, "", f"invalid state: {message}\n")
-        assert "Warning" not in err and "Traceback" not in err
 
 
 def test_sweep_csv_format_and_determinism(tmp_path, capsys):
@@ -383,20 +349,6 @@ def test_sweep_model_flags_match_their_series_member(tmp_path, capsys, model, fl
     assert csv["flags"] == csv["series"]
 
 
-def test_sweep_refuses_a_span_that_overflows(tmp_path):
-    # Both ends are finite, but --j-end minus --j-start is not a float.
-    code, out, err = run_module(
-        tmp_path, "sweep", "--model", "isodm", "--j-start=-1e308", "--j-end", "1e308",
-        "--j-steps", "3", "--out", "f.csv",
-    )
-    assert (code, out) == (3, "")
-    assert "Warning" not in err and "Traceback" not in err
-    assert err.splitlines()[-1] == (
-        "spincorr sweep: error: --j-end - --j-start must be finite, got 1e+308 - -1e+308"
-    )
-    assert not (tmp_path / "f.csv").exists() and not (tmp_path / "f.csv.tmp").exists()
-
-
 def test_state_file_parses_to_exact_bits(tmp_path):
     values = random_state(Lcg(2026)).ravel()
     values[0] = complex(-0.0, 0.0)
@@ -409,13 +361,6 @@ def test_state_file_parses_to_exact_bits(tmp_path):
     assert cli._load_state_file(str(path)).tobytes() == expected.tobytes()
 
 
-def test_non_utf8_state_file_is_an_invalid_state(tmp_path):
-    (tmp_path / "state.txt").write_bytes(b"\xff\xfe\x00")
-    code, out, err = run_module(tmp_path, "measures", "--state", "state.txt")
-    assert (code, out) == (2, "")
-    assert err == f"invalid state: cannot read state file: {UTF8_ERROR}\n"
-
-
 def test_state_file_with_a_byte_order_mark(tmp_path, capsys):
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
     plain.write_text(BELL_STATE_TEXT, encoding="utf-8")
@@ -423,20 +368,6 @@ def test_state_file_with_a_byte_order_mark(tmp_path, capsys):
     expected = run_cli(capsys, "measures", "--state", str(plain))
     assert expected[0] == 0
     assert run_cli(capsys, "measures", "--state", str(marked)) == expected
-
-
-def test_sweep_refuses_more_rows_than_the_limit(tmp_path):
-    # Checked before the grid is allocated: numpy cannot allocate this many.
-    code, out, err = run_module(
-        tmp_path, "sweep", "--model", "isodm", "--j-steps", "10000000000000", "--out", "x.csv"
-    )
-    assert (code, out) == (3, "")
-    assert "Traceback" not in err
-    assert err.splitlines()[-1] == (
-        "spincorr sweep: error: --j-steps 10000000000000 x 1 series = 10000000000000 rows, "
-        "above the limit of 1000000"
-    )
-    assert not (tmp_path / "x.csv").exists()
 
 
 def test_critical_output(capsys):
@@ -610,56 +541,6 @@ def test_verify_lower_bound_gate_is_its_tolerance(monkeypatch, capsys, excess):
     assert (code, out, err) == (*LOWER_BOUND_GATE[excess], "")
 
 
-def test_config_file_supplies_defaults(tmp_path, capsys):
-    config = tmp_path / "point.cfg"
-    config.write_text("model=isodm\nj=1\nd=0  # comment\n\n", encoding="utf-8")
-    code, from_config, _ = run_cli(capsys, "measures", "--config", str(config))
-    assert code == 0
-    _, from_flags, _ = run_cli(
-        capsys, "measures", "--model", "isodm", "--j", "1", "--d", "0"
-    )
-    assert from_config == from_flags
-
-
-def test_config_flags_win_on_conflict(tmp_path, capsys):
-    config = tmp_path / "point.cfg"
-    config.write_text("model=isodm\nj=1\nd=0\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "measures", "--config", str(config), "--j", "0")
-    assert code == 0
-    assert out.splitlines()[0] == "C = 0.000000000000"
-
-    verify_cfg = tmp_path / "verify.cfg"
-    verify_cfg.write_text("count=5\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "verify", "--count", "2", "--config", str(verify_cfg))
-    assert code == 0
-    assert out.splitlines()[0] == "verify: seed=1 count=2 grid=2000"
-
-
-def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
-    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
-    plain.write_text("model=isodm\nj=1\nd=0\n", encoding="utf-8")
-    marked.write_text("model=isodm\nj=1\nd=0\n", encoding="utf-8-sig")
-    expected = run_cli(capsys, "measures", "--config", str(plain))
-    assert expected[0] == 0
-    assert run_cli(capsys, "measures", "--config", str(marked)) == expected
-
-
-def test_config_with_dashed_keys_and_verify(tmp_path, capsys):
-    config = tmp_path / "verify.cfg"
-    config.write_text("seed=3\ncount=2\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "verify", "--config", str(config))
-    assert code == 0
-    assert out.splitlines()[0] == "verify: seed=3 count=2 grid=2000"
-
-    sweep_cfg = tmp_path / "sweep.cfg"
-    out_path = tmp_path / "s.csv"
-    sweep_cfg.write_text("model=isodm\nj-steps=3\nj-start=0\nj-end=1\nd=0\n")
-    code = cli.main(["sweep", "--config", str(sweep_cfg), "--out", str(out_path)])
-    capsys.readouterr()
-    assert code == 0
-    assert len(out_path.read_text().splitlines()) == 4
-
-
 def test_cached_parser_leaks_no_state(tmp_path, capsys):
     """``main`` reuses one parser per process: a call made after another one
     prints, writes and returns exactly what it does on a freshly built
@@ -744,15 +625,6 @@ def test_console_script_runs_main(monkeypatch, capsys):
     assert capsys.readouterr().out == "0.549306144\n"
 
 
-def test_internal_error_maps_to_verification_exit(monkeypatch, capsys):
-    def broken(d):
-        raise ClosedFormMismatch("injected for the error-path test")
-
-    monkeypatch.setattr(models, "critical_coupling_isodm", broken)
-    code, _, err = run_cli(capsys, "critical", "--model", "isodm", "--d", "0")
-    assert code == 1 and "verification failure" in err
-
-
 @pytest.mark.parametrize("command", sorted(HELP_TEXT), ids=lambda c: c or "spincorr")
 def test_help_text_is_pinned(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "80")
@@ -775,32 +647,39 @@ def test_seed_must_fit_the_generator_state(capsys):
     assert out.splitlines()[0] == "verify: seed=18446744073709551615 count=1 grid=2000"
 
 
-@pytest.mark.parametrize(
-    "config_text, flags",
-    [
-        (
-            "model=isodm\nj=-1.5\nd=2\n",
-            ("measures", "--model", "isodm", "--j", "-1.5", "--d", "2"),
-        ),
-        (
-            "model=xxz\nseries=0:0, 1:-2\nj_start=-1\nj-end=1\nj-steps=4\n",
-            ("sweep", "--model", "xxz", "--series", "0:0, 1:-2", "--j-start", "-1",
-             "--j-end", "1", "--j-steps", "4"),
-        ),
-        (
-            "model=xxz\ndelta=-0.5\nb=3\n",
-            ("critical", "--model", "xxz", "--delta", "-0.5", "--b", "3"),
-        ),
-        ("seed=5\ncount=2\n", ("verify", "--seed", "5", "--count", "2")),
-    ],
-)
-def test_config_call_matches_flag_call(tmp_path, capsys, config_text, flags):
+# Calls given a config file, as case: (file text, flags beside --config, the
+# flag call that must exit 0 and print and write the same). Flags win.
+CONFIG_CALLS = {
+    "measures": ("model=isodm\nj=-1.5\nd=2\n", (),
+                 ("measures", "--model", "isodm", "--j", "-1.5", "--d", "2")),
+    "measures-comments": ("model=isodm\nj=1\nd=0  # comment\n\n", (),
+                          ("measures", "--model", "isodm", "--j", "1", "--d", "0")),
+    "measures-byte-order-mark": ("\ufeffmodel=isodm\nj=1\nd=0\n", (),
+                                 ("measures", "--model", "isodm", "--j", "1", "--d", "0")),
+    "measures-flag-wins": ("model=isodm\nj=1\nd=0\n", ("--j", "0"),
+                           ("measures", "--model", "isodm", "--j", "0", "--d", "0")),
+    "sweep": ("model=xxz\nseries=0:0, 1:-2\nj_start=-1\nj-end=1\nj-steps=4\n", (),
+              ("sweep", "--model", "xxz", "--series", "0:0, 1:-2", "--j-start", "-1",
+               "--j-end", "1", "--j-steps", "4")),
+    "sweep-dashed-keys": ("model=isodm\nj-steps=3\nj-start=0\nj-end=1\nd=0\n", (),
+                          ("sweep", "--model", "isodm", "--j-steps", "3", "--j-start", "0",
+                           "--j-end", "1", "--d", "0")),
+    "critical": ("model=xxz\ndelta=-0.5\nb=3\n", (),
+                 ("critical", "--model", "xxz", "--delta", "-0.5", "--b", "3")),
+    "verify": ("seed=5\ncount=2\n", (), ("verify", "--seed", "5", "--count", "2")),
+    "verify-flag-wins": ("count=5\n", ("--count", "2"), ("verify", "--count", "2")),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_CALLS)
+def test_config_call_matches_flag_call(tmp_path, capsys, case):
+    config_text, beside, flags = CONFIG_CALLS[case]
     config = tmp_path / "run.cfg"
     config.write_text(config_text, encoding="utf-8")
     command = flags[0]
     out_path = tmp_path / "s.csv"
     extra = ["--out", str(out_path)] if command == "sweep" else []
-    from_config = run_cli_csv(capsys, out_path, command, "--config", str(config), *extra)
+    from_config = run_cli_csv(capsys, out_path, command, "--config", str(config), *beside, *extra)
     assert from_config == run_cli_csv(capsys, out_path, *flags, *extra)
     assert from_config[0] == 0
     assert (from_config[3] is not None) == (command == "sweep")
@@ -859,22 +738,41 @@ def test_contract_outputs_are_byte_pinned(tmp_path, capsys, argv, stdout_sha256,
     assert csv == csv_sha256
 
 
+# diag(0.25, 0.25, 0.25, 0.25) with entry (0, 1) set to 1e308 and entry
+# (1, 0) to the value given.
+_HUGE_PAIR = (b"0.25 0 1e308 0 0 0 0 0\n%s 0 0.25 0 0 0 0 0\n"
+              b"0 0 0 0 0.25 0 0 0\n0 0 0 0 0 0 0.25 0\n")
+
 # The files every error-exit call finds in its working directory.
 ERROR_FILES = {
     "bell.txt": BELL_STATE_TEXT.encode(),
     "trace2.txt": b"0.5 0 " + b"0 0 0 0 0 0 0 0 0.5 0 " * 3,  # diag(0.5, 0.5, 0.5, 0.5)
     "short.txt": b"0 0 1 0\n",
     "garbled.txt": b"0 " * 31 + b"oops\n",
+    "binary.txt": b"\xff\xfe\x00",
+    "huge-hermitian.txt": _HUGE_PAIR % b"1e308",
+    "huge-skew.txt": _HUGE_PAIR % b"-1e308",
     "unknown.cfg": b"model=isodm\nj=1\nfrobnicate=1\n",
     "malformed.cfg": b"model=isodm\nj 1\n",
     "nonnumeric.cfg": b"model=isodm\nj=one\n",
     "binary.cfg": b"\xff\xfe\x00",
+    "other-command.cfg": b"model=isodm\n",
+    "prefix.cfg": b"model=isodm\nser=0\n",  # ser is a prefix of --series
+    "nested.cfg": b"model=isodm\nj=1\nconfig=other.cfg\n",
+    "help.cfg": b"model=isodm\nj=1\nhelp=1\n",
+    "nan.cfg": b"model=isodm\nj=nan\n",
+    "inf.cfg": b"model=isodm\nj=1\nb=inf\n",
+    "negative-seed.cfg": b"seed=-1\n",
+    "big-seed.cfg": b"count=2\nseed=18446744073709551616\n",
+    ".tmp": b"",
     "dir.csv/kept": b"",  # dir.csv is a directory
+    "dir.csv/.tmp": b"",
 }
 
 # Every documented error exit that a call reaches in-process, as argv: (exit
 # code, error line, twin). A twin runs the call again with its last flag and
-# value moved into a config file as flag=value, and expects the same stderr.
+# value moved into a config file as flag=value, and expects the same stderr,
+# or, where twin is a string, that error line.
 ERROR_EXITS = {
     "": (3, "the following arguments are required: command", False),
     "measures": (3, "--model is required (or give --state)", False),
@@ -885,6 +783,15 @@ ERROR_EXITS = {
     "measures --j 1 --model heisenberg":
         (3, "argument --model: invalid choice: 'heisenberg' (choose from 'isodm', 'xxz')", True),
     "measures --model isodm --j 1 --frob": (3, "unrecognized arguments: --frob", False),
+    # A model flag that the call would ignore is refused.
+    "measures --state bell.txt --model isodm": (3, "--model and --state: give one, not both", True),
+    "measures --state bell.txt --j 3": (3, "--j and --state: give one, not both", True),
+    "measures --state bell.txt --d 7": (3, "--d and --state: give one, not both", True),
+    "measures --state bell.txt --delta 1": (3, "--delta and --state: give one, not both", True),
+    "measures --state bell.txt --b 1": (3, "--b and --state: give one, not both", True),
+    "measures --model isodm --j 1 --delta 0": (3, "--delta is not a parameter of isodm", True),
+    "measures --model isodm --j 1 --b 2": (3, "--b is not a parameter of isodm", True),
+    "measures --model xxz --j 1 --d 0": (3, "--d is not a parameter of xxz", True),
     "measures --state trace2.txt": (2, "invalid state: trace is 2, expected 1", False),
     "measures --state short.txt":
         (2, "invalid state: state file must hold 16 're im' pairs (32 numbers), got 4", False),
@@ -892,17 +799,56 @@ ERROR_EXITS = {
                                         "could not convert string to float: 'oops'", False),
     "measures --state nope.txt": (2, "invalid state: cannot read state file: "
                                      "[Errno 2] No such file or directory: 'nope.txt'", False),
+    "measures --state binary.txt":
+        (2, f"invalid state: cannot read state file: {UTF8_ERROR}", False),
+    # The 1e308 pair overflows the sums of a check; the file is refused by the
+    # check that fails, with no warning (an error under pytest) before it.
+    "measures --state huge-hermitian.txt":
+        (2, "invalid state: matrix has a negative eigenvalue beyond tolerance", False),
+    "measures --state huge-skew.txt": (2, "invalid state: matrix is not Hermitian within tolerance",
+                                       False),
     "measures --config unknown.cfg": (3, "unknown config key 'frobnicate' for measures", False),
     "measures --config malformed.cfg": (3, "config line 2 is not key=value: 'j 1'", False),
     "measures --config nonnumeric.cfg": (3, "argument --j: not a number: 'one'", False),
     "measures --config nope.cfg":
         (3, "cannot read config file: [Errno 2] No such file or directory: 'nope.cfg'", False),
     "verify --config binary.cfg": (3, f"cannot read config file: {UTF8_ERROR}", False),
+    # A config key is a long flag of the subcommand, spelled out; its value
+    # passes the flag's checks.
+    "verify --config other-command.cfg": (3, "unknown config key 'model' for verify", False),
+    "sweep --config prefix.cfg --out s.csv": (3, "unknown config key 'ser' for sweep", False),
+    "measures --config nested.cfg": (3, "unknown config key 'config' for measures", False),
+    "measures --config help.cfg": (3, "unknown config key 'help' for measures", False),
+    "measures --config nan.cfg": (3, "argument --j: must be finite, got 'nan'", False),
+    "measures --config inf.cfg": (3, "argument --b: must be finite, got 'inf'", False),
+    "verify --config negative-seed.cfg":
+        (3, "argument --seed: must be in [0, 2**64 - 1], got -1", False),
+    "verify --config big-seed.cfg":
+        (3, "argument --seed: must be in [0, 2**64 - 1], got 18446744073709551616", False),
     "sweep --model isodm": (3, "--out is required", False),
+    # <out>.tmp would be a file named .tmp, truncated and then removed.
+    "sweep --model isodm --j-steps 2 --out=": (3, "--out must name a file, got ''", False),
+    "sweep --model isodm --j-steps 2 --out dir.csv/":
+        (3, "--out must name a file, got 'dir.csv/'", True),
     "sweep --out s.csv": (3, "--model is required", False),
+    "sweep --model isodm --out s.csv --b 1": (3, "--b is not a parameter of isodm", True),
+    "sweep --model xxz --out s.csv --d 1": (3, "--d is not a parameter of xxz", True),
+    # The grid sets j: as a flag --j abbreviates three, as a key it is unknown.
+    "sweep --model isodm --out s.csv --j 1":
+        (3, "ambiguous option: --j could match --j-start, --j-end, --j-steps",
+         "unknown config key 'j' for sweep"),
+    "sweep --model isodm --out s.csv --series 0,2 --d 1":
+        (3, "--d is not used with --series: each member sets it", True),
+    "sweep --model xxz --out s.csv --series 0:0 --delta 1":
+        (3, "--delta is not used with --series: each member sets it", True),
+    "sweep --model xxz --out s.csv --series 0:0 --b 1":
+        (3, "--b is not used with --series: each member sets it", True),
     "sweep --model isodm --out s.csv --j-steps 1": (3, "--j-steps must be at least 2, got 1", True),
     "sweep --model isodm --out s.csv --j-start 2 --j-end 1":
         (3, "--j-start must be below --j-end, got 2.0 >= 1.0", True),
+    # Both ends are finite, but --j-end minus --j-start is not a float.
+    "sweep --model isodm --out s.csv --j-start=-1e308 --j-end 1e308":
+        (3, "--j-end - --j-start must be finite, got 1e+308 - -1e+308", True),
     "sweep --model isodm --out s.csv --series abc":
         (3, "series member 'abc': not a number: 'abc'", True),
     "sweep --model isodm --out s.csv --series nan":
@@ -918,14 +864,22 @@ ERROR_EXITS = {
         (3, "isodm series member must be d, got '1:2'", True),
     "sweep --model isodm --out s.csv --series 0,,1": (3, "empty series member", True),
     "sweep --model isodm --out s.csv --series 0,": (3, "empty series member", True),
-    # The row limit counts every series member.
+    # The row limit counts every series member, and is checked before the
+    # grid is allocated: numpy cannot allocate 1e13 points.
     "sweep --model isodm --out s.csv --j-steps 500001 --series 0,1":
         (3, "--j-steps 500001 x 2 series = 1000002 rows, above the limit of 1000000", True),
+    "sweep --model isodm --out s.csv --j-steps 10000000000000":
+        (3, "--j-steps 10000000000000 x 1 series = 10000000000000 rows, "
+            "above the limit of 1000000", True),
     # The temporary file cannot be made, or cannot replace a directory.
     "sweep --model isodm --j-steps 2 --out not-here/x.csv":
         (4, "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'", True),
     "sweep --model isodm --j-steps 2 --out dir.csv":
         (4, "cannot write CSV: [Errno 21] Is a directory: 'dir.csv.tmp' -> 'dir.csv'", True),
+    "critical --model isodm --d 0 --j 3":
+        (3, "unrecognized arguments: --j 3", "unknown config key 'j' for critical"),
+    "critical --model isodm --delta 1": (3, "--delta is not a parameter of isodm", True),
+    "critical --model xxz --d 3": (3, "--d is not a parameter of xxz", True),
     "critical --model isodm --d 10":
         (5, "no bracket: isodm threshold at d=10: no sign change over j in [-50, 50]", True),
     # Here abs(nu) overflows from finite parts in a window of j > 0; the
@@ -976,7 +930,8 @@ def _error_exit_calls():
     for argv, (code, line, twin) in ERROR_EXITS.items():
         yield pytest.param(argv.split(), ERROR_FILES, code, line, id=argv or "no command")
         if twin:
-            yield pytest.param(*config_twin(argv.split()), code, line, id=f"config: {argv}")
+            twin_line = line if twin is True else twin
+            yield pytest.param(*config_twin(argv.split()), code, twin_line, id=f"config: {argv}")
 
 
 @pytest.mark.parametrize("argv, files, code, line", _error_exit_calls())
@@ -1000,6 +955,16 @@ def test_a_sweep_row_that_fails_verification_leaves_no_file(tmp_path, capsys, mo
     assert_error_exit(tmp_path, capsys, monkeypatch, argv, {}, 1, line)
 
 
+def test_internal_error_maps_to_verification_exit(tmp_path, capsys, monkeypatch):
+    def broken(d):
+        raise ClosedFormMismatch("injected for the error-path test")
+
+    monkeypatch.setattr(models, "critical_coupling_isodm", broken)
+    argv = "critical --model isodm --d 0".split()
+    line = "verification failure: injected for the error-path test"
+    assert_error_exit(tmp_path, capsys, monkeypatch, argv, {}, 1, line)
+
+
 def test_an_unexpected_sweep_error_propagates_and_keeps_the_old_csv(tmp_path, capsys, monkeypatch):
     error = RuntimeError("injected at row 3")
     _edit_results_at(monkeypatch, models, "measures_isodm", {2: _raise(error)})
@@ -1010,69 +975,6 @@ def test_an_unexpected_sweep_error_propagates_and_keeps_the_old_csv(tmp_path, ca
     assert capsys.readouterr() == ("", "")
     assert sorted(tmp_path.iterdir()) == [out]
     assert out.read_bytes() == b"old bytes\n"
-
-
-# Model flags that a call would ignore (STATE is a state file), as
-# argv: error line, or (line as a flag, line as a config key).
-REFUSED_MODEL_FLAGS = {
-    "critical --model isodm --d 0 --j 3":
-        ("unrecognized arguments: --j 3", "unknown config key 'j' for critical"),
-    "measures --state STATE --model isodm": "--model and --state: give one, not both",
-    "measures --state STATE --j 3": "--j and --state: give one, not both",
-    "measures --state STATE --d 7": "--d and --state: give one, not both",
-    "measures --state STATE --delta 1": "--delta and --state: give one, not both",
-    "measures --state STATE --b 1": "--b and --state: give one, not both",
-    "measures --model isodm --j 1 --delta 0": "--delta is not a parameter of isodm",
-    "measures --model isodm --j 1 --b 2": "--b is not a parameter of isodm",
-    "measures --model xxz --j 1 --d 0": "--d is not a parameter of xxz",
-    "sweep --model isodm --b 1": "--b is not a parameter of isodm",
-    "sweep --model xxz --d 1": "--d is not a parameter of xxz",
-    "sweep --model isodm --j 1": ("ambiguous option: --j could match --j-start, --j-end, --j-steps",
-                                  "unknown config key 'j' for sweep"),
-    "sweep --model isodm --series 0,2 --d 1":
-        "--d is not used with --series: each member sets it",
-    "sweep --model xxz --series 0:0 --delta 1":
-        "--delta is not used with --series: each member sets it",
-    "sweep --model xxz --series 0:0 --b 1":
-        "--b is not used with --series: each member sets it",
-    "critical --model isodm --delta 1": "--delta is not a parameter of isodm",
-    "critical --model xxz --d 3": "--d is not a parameter of xxz",
-}
-
-
-@pytest.mark.parametrize("argv", REFUSED_MODEL_FLAGS)
-@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
-def test_ignored_model_flags_are_refused(tmp_path, capsys, monkeypatch, argv, via_config):
-    lines = REFUSED_MODEL_FLAGS[argv]
-    line = lines if isinstance(lines, str) else lines[via_config]
-    argv, files = argv.replace("STATE", "bell.txt").split(), ERROR_FILES
-    if via_config:
-        argv, files = config_twin(argv)
-    extra = ["--out", "s.csv"] if argv[0] == "sweep" else []
-    assert_error_exit(tmp_path, capsys, monkeypatch, argv + extra, files, 3, line)
-
-
-# Config contents that fail as their flags would: (command, content): error line.
-CONFIG_VALUE_ERRORS = {
-    ("verify", "model=isodm\n"): "unknown config key 'model' for verify",  # another subcommand's
-    ("sweep", "model=isodm\nser=0\n"): "unknown config key 'ser' for sweep",  # a prefix of --series
-    ("measures", "model=isodm\nj=1\nconfig=other.cfg\n"):
-        "unknown config key 'config' for measures",
-    ("measures", "model=isodm\nj=1\nhelp=1\n"): "unknown config key 'help' for measures",
-    ("measures", "model=isodm\nj=nan\n"): "argument --j: must be finite, got 'nan'",
-    ("measures", "model=isodm\nj=1\nb=inf\n"): "argument --b: must be finite, got 'inf'",
-    ("verify", "seed=-1\n"): "argument --seed: must be in [0, 2**64 - 1], got -1",
-    ("verify", "count=2\nseed=18446744073709551616\n"):
-        "argument --seed: must be in [0, 2**64 - 1], got 18446744073709551616",
-}
-
-
-@pytest.mark.parametrize("command, content", CONFIG_VALUE_ERRORS)
-def test_config_values_pass_the_flag_checks(tmp_path, capsys, monkeypatch, command, content):
-    argv = [command, "--config", "bad.cfg", *(["--out", "s.csv"] if command == "sweep" else [])]
-    files = {**ERROR_FILES, "bad.cfg": content.encode()}
-    line = CONFIG_VALUE_ERRORS[command, content]
-    assert_error_exit(tmp_path, capsys, monkeypatch, argv, files, 3, line)
 
 
 # A negative value in scientific notation, or one that is not a plain
