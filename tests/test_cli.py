@@ -771,8 +771,7 @@ ERROR_FILES = {
 
 # Every documented error exit that a call reaches in-process, as argv: (exit
 # code, error line, twin). A twin runs the call again with its last flag and
-# value moved into a config file as flag=value, and expects the same stderr,
-# or, where twin is a string, that error line.
+# value moved into a config file as flag=value, and expects the same stderr.
 ERROR_EXITS = {
     "": (3, "the following arguments are required: command", False),
     "measures": (3, "--model is required (or give --state)", False),
@@ -783,15 +782,6 @@ ERROR_EXITS = {
     "measures --j 1 --model heisenberg":
         (3, "argument --model: invalid choice: 'heisenberg' (choose from 'isodm', 'xxz')", True),
     "measures --model isodm --j 1 --frob": (3, "unrecognized arguments: --frob", False),
-    # A model flag that the call would ignore is refused.
-    "measures --state bell.txt --model isodm": (3, "--model and --state: give one, not both", True),
-    "measures --state bell.txt --j 3": (3, "--j and --state: give one, not both", True),
-    "measures --state bell.txt --d 7": (3, "--d and --state: give one, not both", True),
-    "measures --state bell.txt --delta 1": (3, "--delta and --state: give one, not both", True),
-    "measures --state bell.txt --b 1": (3, "--b and --state: give one, not both", True),
-    "measures --model isodm --j 1 --delta 0": (3, "--delta is not a parameter of isodm", True),
-    "measures --model isodm --j 1 --b 2": (3, "--b is not a parameter of isodm", True),
-    "measures --model xxz --j 1 --d 0": (3, "--d is not a parameter of xxz", True),
     "measures --state trace2.txt": (2, "invalid state: trace is 2, expected 1", False),
     "measures --state short.txt":
         (2, "invalid state: state file must hold 16 're im' pairs (32 numbers), got 4", False),
@@ -831,18 +821,6 @@ ERROR_EXITS = {
     "sweep --model isodm --j-steps 2 --out dir.csv/":
         (3, "--out must name a file, got 'dir.csv/'", True),
     "sweep --out s.csv": (3, "--model is required", False),
-    "sweep --model isodm --out s.csv --b 1": (3, "--b is not a parameter of isodm", True),
-    "sweep --model xxz --out s.csv --d 1": (3, "--d is not a parameter of xxz", True),
-    # The grid sets j: as a flag --j abbreviates three, as a key it is unknown.
-    "sweep --model isodm --out s.csv --j 1":
-        (3, "ambiguous option: --j could match --j-start, --j-end, --j-steps",
-         "unknown config key 'j' for sweep"),
-    "sweep --model isodm --out s.csv --series 0,2 --d 1":
-        (3, "--d is not used with --series: each member sets it", True),
-    "sweep --model xxz --out s.csv --series 0:0 --delta 1":
-        (3, "--delta is not used with --series: each member sets it", True),
-    "sweep --model xxz --out s.csv --series 0:0 --b 1":
-        (3, "--b is not used with --series: each member sets it", True),
     "sweep --model isodm --out s.csv --j-steps 1": (3, "--j-steps must be at least 2, got 1", True),
     "sweep --model isodm --out s.csv --j-start 2 --j-end 1":
         (3, "--j-start must be below --j-end, got 2.0 >= 1.0", True),
@@ -876,10 +854,6 @@ ERROR_EXITS = {
         (4, "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'", True),
     "sweep --model isodm --j-steps 2 --out dir.csv":
         (4, "cannot write CSV: [Errno 21] Is a directory: 'dir.csv.tmp' -> 'dir.csv'", True),
-    "critical --model isodm --d 0 --j 3":
-        (3, "unrecognized arguments: --j 3", "unknown config key 'j' for critical"),
-    "critical --model isodm --delta 1": (3, "--delta is not a parameter of isodm", True),
-    "critical --model xxz --d 3": (3, "--d is not a parameter of xxz", True),
     "critical --model isodm --d 10":
         (5, "no bracket: isodm threshold at d=10: no sign change over j in [-50, 50]", True),
     # Here abs(nu) overflows from finite parts in a window of j > 0; the
@@ -930,8 +904,7 @@ def _error_exit_calls():
     for argv, (code, line, twin) in ERROR_EXITS.items():
         yield pytest.param(argv.split(), ERROR_FILES, code, line, id=argv or "no command")
         if twin:
-            twin_line = line if twin is True else twin
-            yield pytest.param(*config_twin(argv.split()), code, twin_line, id=f"config: {argv}")
+            yield pytest.param(*config_twin(argv.split()), code, line, id=f"config: {argv}")
 
 
 @pytest.mark.parametrize("argv, files, code, line", _error_exit_calls())
@@ -975,6 +948,46 @@ def test_an_unexpected_sweep_error_propagates_and_keeps_the_old_csv(tmp_path, ca
     assert capsys.readouterr() == ("", "")
     assert sorted(tmp_path.iterdir()) == [out]
     assert out.read_bytes() == b"old bytes\n"
+
+
+# Model flags that a call would ignore (STATE is a state file), as
+# argv: error line, or (line as a flag, line as a config key).
+REFUSED_MODEL_FLAGS = {
+    "critical --model isodm --d 0 --j 3":
+        ("unrecognized arguments: --j 3", "unknown config key 'j' for critical"),
+    "measures --state STATE --model isodm": "--model and --state: give one, not both",
+    "measures --state STATE --j 3": "--j and --state: give one, not both",
+    "measures --state STATE --d 7": "--d and --state: give one, not both",
+    "measures --state STATE --delta 1": "--delta and --state: give one, not both",
+    "measures --state STATE --b 1": "--b and --state: give one, not both",
+    "measures --model isodm --j 1 --delta 0": "--delta is not a parameter of isodm",
+    "measures --model isodm --j 1 --b 2": "--b is not a parameter of isodm",
+    "measures --model xxz --j 1 --d 0": "--d is not a parameter of xxz",
+    "sweep --model isodm --b 1": "--b is not a parameter of isodm",
+    "sweep --model xxz --d 1": "--d is not a parameter of xxz",
+    "sweep --model isodm --j 1": ("ambiguous option: --j could match --j-start, --j-end, --j-steps",
+                                  "unknown config key 'j' for sweep"),
+    "sweep --model isodm --series 0,2 --d 1":
+        "--d is not used with --series: each member sets it",
+    "sweep --model xxz --series 0:0 --delta 1":
+        "--delta is not used with --series: each member sets it",
+    "sweep --model xxz --series 0:0 --b 1":
+        "--b is not used with --series: each member sets it",
+    "critical --model isodm --delta 1": "--delta is not a parameter of isodm",
+    "critical --model xxz --d 3": "--d is not a parameter of xxz",
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_MODEL_FLAGS)
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_ignored_model_flags_are_refused(tmp_path, capsys, monkeypatch, argv, via_config):
+    lines = REFUSED_MODEL_FLAGS[argv]
+    line = lines if isinstance(lines, str) else lines[via_config]
+    argv, files = argv.replace("STATE", "bell.txt").split(), ERROR_FILES
+    if via_config:
+        argv, files = config_twin(argv)
+    extra = ["--out", "s.csv"] if argv[0] == "sweep" else []
+    assert_error_exit(tmp_path, capsys, monkeypatch, argv + extra, files, 3, line)
 
 
 # A negative value in scientific notation, or one that is not a plain
