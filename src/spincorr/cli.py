@@ -30,6 +30,7 @@ checks); explicit flags win on conflict.
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import math
 import os
@@ -335,6 +336,11 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
     measure = getattr(models, f"measures_{args.model}")
     tmp_path = args.out + ".tmp"
     try:
+        # os.replace refuses a directory, only after the last row; it replaces a symlink to one.
+        if os.path.isdir(args.out) and not os.path.islink(args.out):
+            raise IsADirectoryError(
+                errno.EISDIR, os.strerror(errno.EISDIR), tmp_path, None, args.out
+            )
         with open(tmp_path, "w", encoding="ascii", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for j in np.linspace(args.j_start, args.j_end, args.j_steps).tolist():

@@ -95,33 +95,12 @@ class XXZParams(_ModelParams):
     b: float = 0.0
 
 
-@dataclass(frozen=True)
-class ClosedFormState:
-    """A thermal state assembled from its closed-form entries.
-
-    ``entries`` maps entry names to values: mu, omega, nu, Z for the
-    isodm model; delta_plus, delta_minus, epsilon, kappa, Z for the xxz
-    model. ``matrix`` is the unit-trace 4x4 state with the X pattern
-    exact (structural zeros are exactly zero). Z is the matrix trace of
-    the unnormalized entries.
-    """
-
-    entries: dict
-    matrix: "np.ndarray"
-
-
 def _sinhc(x: float) -> float:
     """sinh(x)/x with a series fallback near the removable singularity;
     below 1e-6 the series' next term, x**4/120, is under half an ulp of 1."""
     if abs(x) < 1e-6:
         return 1.0 + x * x / 6.0
     return math.sinh(x) / x
-
-
-# Entry names in X-state order (rho00, rho11, rho33, rho12, Z); isodm has
-# rho00 = rho33 = mu, so its entries dict holds mu once.
-_ISODM_NAMES = ("mu", "omega", "mu", "nu", "Z")
-_XXZ_NAMES = ("delta_plus", "epsilon", "delta_minus", "kappa", "Z")
 
 
 def _isodm_entries(j: float, p: IsoDMParams) -> tuple[float, float, float, complex, float]:
@@ -177,18 +156,16 @@ def _x_gap(e: tuple) -> float:
     return rho12 - math.sqrt(e[0] * e[2])
 
 
-def thermal_isodm(p: IsoDMParams) -> ClosedFormState:
-    """Closed-form thermal state of the isodm model (equals the Gibbs state
-    of its Hamiltonian at beta = 1 within 1e-10)."""
-    e = _isodm_entries(p.j, p)
-    return ClosedFormState(entries=dict(zip(_ISODM_NAMES, e)), matrix=_x_matrix(e))
+def thermal_isodm(p: IsoDMParams) -> "np.ndarray":
+    """The closed-form isodm thermal state, within 1e-10 of the Gibbs state at beta = 1:
+    a unit-trace 4x4 matrix, X pattern exact (structural zeros are exactly zero)."""
+    return _x_matrix(_isodm_entries(p.j, p))
 
 
-def thermal_xxz(p: XXZParams) -> ClosedFormState:
-    """Closed-form thermal state of the xxz model (equals the Gibbs state
-    of its Hamiltonian at beta = 1 within 1e-10). All entries are real."""
-    e = _xxz_entries(p.j, p)
-    return ClosedFormState(entries=dict(zip(_XXZ_NAMES, e)), matrix=_x_matrix(e))
+def thermal_xxz(p: XXZParams) -> "np.ndarray":
+    """The closed-form xxz thermal state, within 1e-10 of the Gibbs state at beta = 1: a
+    unit-trace 4x4 matrix of real entries, X pattern exact (structural zeros are exactly zero)."""
+    return _x_matrix(_xxz_entries(p.j, p))
 
 
 @dataclass(frozen=True)

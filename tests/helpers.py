@@ -70,9 +70,9 @@ def pinned_states() -> list:
     rng = Lcg(41)
     states = [random_state(rng) for _ in range(1000)]
     for j in np.linspace(-20.0, 20.0, 201):
-        states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)).matrix)
-        states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)).matrix)
-        states.append(thermal_xxz(XXZParams(j=float(j), delta=1.0, b=0.0)).matrix)
+        states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)))
+        states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)))
+        states.append(thermal_xxz(XXZParams(j=float(j), delta=1.0, b=0.0)))
     states += [MIXED, bell_psi_plus()]
     return states
 

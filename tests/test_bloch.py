@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spincorr import bloch, qmat
+from spincorr import bloch, models, qmat
 from spincorr.bloch import BlochForm, decompose
 from spincorr.errors import InvalidState
 from spincorr.models import IsoDMParams, XXZParams, thermal_isodm, thermal_xxz
@@ -54,8 +54,8 @@ def test_decompose_matches_per_operator_trace_bit_for_bit():
     states = [random_state(rng) for _ in range(1000)]
     states += [random_product_state(rng) for _ in range(50)]
     for j in np.linspace(-20.0, 20.0, 201):
-        states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)).matrix)
-        states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)).matrix)
+        states.append(thermal_isodm(IsoDMParams(j=float(j), d=1.5)))
+        states.append(thermal_xxz(XXZParams(j=float(j), delta=0.5, b=1.0)))
     states += [MIXED, bell_psi_plus(), ground_product_state()]
     for rho in states:
         form = decompose(rho)
@@ -108,16 +108,10 @@ def test_decompose_reads_any_memory_layout():
 
 
 def test_thermal_correlation_singular_values():
-    state = thermal_isodm(IsoDMParams(j=1.5, d=0.7))
-    form = decompose(state.matrix)
-    e = state.entries
-    expected = sorted(
-        [
-            abs(e["nu"]) / e["Z"],
-            abs(e["nu"]) / e["Z"],
-            abs(e["omega"] - e["mu"]) / e["Z"],
-        ]
-    )
+    p = IsoDMParams(j=1.5, d=0.7)
+    form = decompose(thermal_isodm(p))
+    mu, omega, _, nu, z = models._isodm_entries(p.j, p)
+    expected = sorted([abs(nu) / z, abs(nu) / z, abs(omega - mu) / z])
     singular = sorted(np.linalg.svd(form.T, compute_uv=False))
     assert np.allclose(singular, expected, atol=1e-12)
 
@@ -125,7 +119,7 @@ def test_thermal_correlation_singular_values():
 def test_purity_identity():
     rng = Lcg(13)
     states = [random_state(rng) for _ in range(100)]
-    states.append(thermal_isodm(IsoDMParams(j=-2.0, d=1.0)).matrix)
+    states.append(thermal_isodm(IsoDMParams(j=-2.0, d=1.0)))
     states.append(bell_psi_plus())
     for rho in states:
         form = decompose(rho)

@@ -777,6 +777,12 @@ ERROR_EXITS = {
     "measures": (3, "--model is required (or give --state)", False),
     "measures --model isodm": (3, "--j is required", False),
     "measures --model isodm --j nan": (3, "argument --j: must be finite, got 'nan'", True),
+    # A value that starts with "-" and is not a number is still the flag's value.
+    "measures --model isodm --j -1x": (3, "argument --j: not a number: '-1x'", True),
+    "measures --model isodm --j -inf": (3, "argument --j: must be finite, got '-inf'", True),
+    "measures --model isodm --j -nan": (3, "argument --j: must be finite, got '-nan'", True),
+    "measures --model isodm --j -Infinity":
+        (3, "argument --j: must be finite, got '-Infinity'", True),
     # Every flag given is checked, also one the chosen model does not use.
     "measures --model isodm --j 1 --b nan": (3, "argument --b: must be finite, got 'nan'", True),
     "measures --j 1 --model heisenberg":
@@ -789,6 +795,8 @@ ERROR_EXITS = {
                                         "could not convert string to float: 'oops'", False),
     "measures --state nope.txt": (2, "invalid state: cannot read state file: "
                                      "[Errno 2] No such file or directory: 'nope.txt'", False),
+    "measures --state dir.csv": (2, "invalid state: cannot read state file: "
+                                   "[Errno 21] Is a directory: 'dir.csv'", True),
     "measures --state binary.txt":
         (2, f"invalid state: cannot read state file: {UTF8_ERROR}", False),
     # The 1e308 pair overflows the sums of a check; the file is refused by the
@@ -802,6 +810,8 @@ ERROR_EXITS = {
     "measures --config nonnumeric.cfg": (3, "argument --j: not a number: 'one'", False),
     "measures --config nope.cfg":
         (3, "cannot read config file: [Errno 2] No such file or directory: 'nope.cfg'", False),
+    "measures --config dir.csv":
+        (3, "cannot read config file: [Errno 21] Is a directory: 'dir.csv'", False),
     "verify --config binary.cfg": (3, f"cannot read config file: {UTF8_ERROR}", False),
     # A config key is a long flag of the subcommand, spelled out; its value
     # passes the flag's checks.
@@ -849,7 +859,7 @@ ERROR_EXITS = {
     "sweep --model isodm --out s.csv --j-steps 10000000000000":
         (3, "--j-steps 10000000000000 x 1 series = 10000000000000 rows, "
             "above the limit of 1000000", True),
-    # The temporary file cannot be made, or cannot replace a directory.
+    # The temporary file cannot be made, or would have to replace a directory.
     "sweep --model isodm --j-steps 2 --out not-here/x.csv":
         (4, "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'", True),
     "sweep --model isodm --j-steps 2 --out dir.csv":
@@ -914,10 +924,28 @@ def test_error_exits(tmp_path, capsys, monkeypatch, argv, files, code, line):
 
 def test_unwritable_sweep_exits_before_the_first_row(tmp_path, capsys, monkeypatch):
     calls = _edit_results_at(monkeypatch, models, "measures_isodm", {})
-    argv = "sweep --model isodm --j-steps 20001 --out not-here/x.csv".split()
-    line = "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'"
-    assert_error_exit(tmp_path, capsys, monkeypatch, argv, {}, 4, line)
+    lines = {
+        "not-here/x.csv":
+            "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'",
+        "dir.csv": "cannot write CSV: [Errno 21] Is a directory: 'dir.csv.tmp' -> 'dir.csv'",
+    }
+    for out, line in lines.items():
+        argv = f"sweep --model isodm --j-steps 20001 --out {out}".split()
+        assert_error_exit(tmp_path, capsys, monkeypatch, argv, {"dir.csv/kept": b""}, 4, line)
     assert next(calls) == 0
+
+
+def test_sweep_replaces_a_symlink_to_a_directory(tmp_path, capsys, monkeypatch):
+    """os.replace renames over the link itself: the run succeeds, the link
+    becomes the CSV, and the directory it named is left as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link.csv").symlink_to("dir", target_is_directory=True)
+    argv = "sweep --model isodm --j-steps 3 --out".split()
+    assert run_cli(capsys, *argv, "plain.csv") == run_cli(capsys, *argv, "link.csv") == (0, "", "")
+    assert not (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "link.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / n for n in ("dir", "link.csv", "plain.csv")]
 
 
 def test_a_sweep_row_that_fails_verification_leaves_no_file(tmp_path, capsys, monkeypatch):
@@ -1003,7 +1031,6 @@ NEGATIVE_VALUE_CALLS = [
     ("measures", "--model", "isodm", "--j", "-nan"),
     ("measures", "--model", "isodm", "--j", "-Infinity"),
 ]
-NON_FINITE_VALUES = ("-inf", "-nan", "-Infinity")
 
 
 @pytest.mark.parametrize("argv", NEGATIVE_VALUE_CALLS, ids=" ".join)
@@ -1012,12 +1039,6 @@ def test_negative_values_parse_like_the_equals_form(tmp_path, capsys, argv):
     extra = ["--out", str(out_path)] if argv[0] == "sweep" else []
     spaced = run_cli_csv(capsys, out_path, *argv, *extra)
     assert spaced == run_cli_csv(capsys, out_path, *argv[:-2], f"{argv[-2]}={argv[-1]}", *extra)
-    code, out, err, csv = spaced
-    if argv[-1] == "-1x":
-        assert (code, out) == (3, "")
-        assert err.splitlines()[-1].endswith("argument --j: not a number: '-1x'")
-    elif argv[-1] in NON_FINITE_VALUES:
-        assert (code, out) == (3, "")
-        assert err.splitlines()[-1].endswith(f"argument --j: must be finite, got '{argv[-1]}'")
-    else:
+    code, _, err, csv = spaced
+    if " ".join(argv) not in ERROR_EXITS:  # the failing calls' stderr is pinned there
         assert (code, err) == (0, "") and (csv is not None) == (argv[0] == "sweep")

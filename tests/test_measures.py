@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincorr import qmat
+from spincorr import models, qmat
 from spincorr.bloch import decompose
 from spincorr.errors import InvalidState
 from spincorr.measures import (
@@ -40,7 +40,7 @@ def test_concurrence_reference_states():
 
 
 def test_concurrence_thermal_closed_form():
-    rho = thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix
+    rho = thermal_isodm(IsoDMParams(j=1.0, d=0.0))
     assert abs(concurrence(rho) - 0.42246918845518766) <= 1e-10
 
 
@@ -101,13 +101,13 @@ def test_gmod_exact_thermal_closed_form():
     # (a + b) / (2 Z^2) with a = |nu|^2, b = (omega - mu)^2, valid because
     # a >= b holds for every coupling.
     for j, d in ((0.5, 0.0), (1.0, 0.7), (-1.2, 2.0), (2.0, 1.0)):
-        state = thermal_isodm(IsoDMParams(j=j, d=d))
-        e = state.entries
-        a = abs(e["nu"]) ** 2
-        b = (e["omega"] - e["mu"]) ** 2
+        p = IsoDMParams(j=j, d=d)
+        mu, omega, _, nu, z = models._isodm_entries(p.j, p)
+        a = abs(nu) ** 2
+        b = (omega - mu) ** 2
         assert a >= b - 1e-15
-        expected = (a + b) / (2.0 * e["Z"] ** 2)
-        assert abs(report(state.matrix).gmod_exact - expected) <= 1e-12
+        expected = (a + b) / (2.0 * z**2)
+        assert abs(report(thermal_isodm(p)).gmod_exact - expected) <= 1e-12
 
 
 def test_gmod_lower_reference_states():
@@ -155,7 +155,7 @@ def test_report_reference_states():
 
 
 def test_report_thermal_reference_point():
-    rep = report(thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix)
+    rep = report(thermal_isodm(IsoDMParams(j=1.0, d=0.0)))
     assert abs(rep.concurrence - 0.42246918845518766) <= 1e-10
     assert abs(rep.min_value - 0.18909986747759386) <= 1e-12
     assert abs(rep.gmod_exact - 0.09454993373879693) <= 1e-12

@@ -51,17 +51,17 @@ def test_hamiltonian_reduction_at_zero_anisotropy_and_field():
 
 
 def test_thermal_isodm_entries_and_structure():
-    state = thermal_isodm(IsoDMParams(j=1.0, d=0.0))
-    e = state.entries
-    assert e["mu"] == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert e["omega"] == pytest.approx(math.exp(0.5) * math.cosh(1.0), abs=1e-14)
-    assert abs(e["nu"]) == pytest.approx(1.9375792053127168, abs=1e-13)
-    assert e["nu"].real < 0.0 and e["nu"].imag == 0.0
-    assert e["Z"] == pytest.approx(6.301281049475971, abs=1e-13)
+    p = IsoDMParams(j=1.0, d=0.0)
+    mu, omega, _, nu, z = models._isodm_entries(p.j, p)
+    assert mu == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert omega == pytest.approx(math.exp(0.5) * math.cosh(1.0), abs=1e-14)
+    assert abs(nu) == pytest.approx(1.9375792053127168, abs=1e-13)
+    assert nu.real < 0.0 and nu.imag == 0.0
+    assert z == pytest.approx(6.301281049475971, abs=1e-13)
     # Z is the trace of the unnormalized matrix: 2 (mu + omega).
-    assert e["Z"] == pytest.approx(2.0 * (e["mu"] + e["omega"]), abs=1e-15)
+    assert z == pytest.approx(2.0 * (mu + omega), abs=1e-15)
 
-    m = state.matrix
+    m = thermal_isodm(p)
     assert abs(np.trace(m).real - 1.0) <= 1e-15
     for row, col in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (1, 0), (3, 2)):
         assert m[row, col] == 0.0  # X pattern is structurally exact
@@ -69,43 +69,41 @@ def test_thermal_isodm_entries_and_structure():
 
 
 def test_thermal_isodm_identity_at_zero_coupling():
-    m = thermal_isodm(IsoDMParams(j=0.0, d=0.0)).matrix
+    m = thermal_isodm(IsoDMParams(j=0.0, d=0.0))
     assert np.array_equal(m, np.eye(4, dtype=complex) / 4.0)
 
 
 def test_thermal_xxz_entries_and_structure():
-    state = thermal_xxz(XXZParams(j=1.0, delta=0.0, b=1.0))
-    e = state.entries
-    assert e["delta_plus"] == pytest.approx(math.exp(-1.5), abs=1e-15)
-    assert e["delta_minus"] == pytest.approx(math.exp(0.5), abs=1e-15)
-    assert e["epsilon"] == pytest.approx(math.exp(0.5) * math.cosh(1.0), abs=1e-14)
-    assert e["kappa"] == pytest.approx(-1.9375792053127168, abs=1e-13)
+    p = XXZParams(j=1.0, delta=0.0, b=1.0)
+    delta_plus, epsilon, delta_minus, kappa, z = models._xxz_entries(p.j, p)
+    assert delta_plus == pytest.approx(math.exp(-1.5), abs=1e-15)
+    assert delta_minus == pytest.approx(math.exp(0.5), abs=1e-15)
+    assert epsilon == pytest.approx(math.exp(0.5) * math.cosh(1.0), abs=1e-14)
+    assert kappa == pytest.approx(-1.9375792053127168, abs=1e-13)
     # Z is the trace of the unnormalized matrix, not 2(delta_plus+delta_minus).
-    assert e["Z"] == pytest.approx(
-        e["delta_plus"] + e["delta_minus"] + 2.0 * e["epsilon"], abs=1e-15
-    )
-    assert e["Z"] == pytest.approx(6.960071160899262, abs=1e-13)
-    assert np.max(np.abs(state.matrix.imag)) == 0.0
+    assert z == pytest.approx(delta_plus + delta_minus + 2.0 * epsilon, abs=1e-15)
+    assert z == pytest.approx(6.960071160899262, abs=1e-13)
+    assert np.max(np.abs(thermal_xxz(p).imag)) == 0.0
 
 
 def test_thermal_states_match_gibbs_over_grid():
     for j in np.linspace(-5.0, 5.0, 101):
         j = float(j)
         for d in (0.0, 1.0, 2.0):
-            closed = thermal_isodm(IsoDMParams(j=j, d=d)).matrix
+            closed = thermal_isodm(IsoDMParams(j=j, d=d))
             reference = gibbs(hamiltonian_isodm(IsoDMParams(j=j, d=d)), 1.0)
             assert math.sqrt(hs_norm2(closed - reference)) <= 1e-10
         for delta in (-2.0, -1.0, 0.0, 1.0):
             for b in (0.0, 1.0, 2.0):
                 p = XXZParams(j=j, delta=delta, b=b)
-                closed = thermal_xxz(p).matrix
+                closed = thermal_xxz(p)
                 reference = gibbs(hamiltonian_xxz(p), 1.0)
                 assert math.sqrt(hs_norm2(closed - reference)) <= 1e-10
 
 
 def test_thermal_isodm_series_branch_near_zero_coupling():
     p = IsoDMParams(j=1e-7, d=1e-7)
-    closed = thermal_isodm(p).matrix
+    closed = thermal_isodm(p)
     reference = gibbs(hamiltonian_isodm(p), 1.0)
     assert math.sqrt(hs_norm2(closed - reference)) <= 1e-10
 
@@ -121,16 +119,16 @@ def test_sinhc_switches_to_its_series_at_1e_minus_6():
 
 
 def test_isodm_marginals_are_maximally_mixed():
-    form = decompose(thermal_isodm(IsoDMParams(j=1.3, d=0.8)).matrix)
+    form = decompose(thermal_isodm(IsoDMParams(j=1.3, d=0.8)))
     assert np.max(np.abs(form.x)) <= 1e-15
     assert np.max(np.abs(form.y)) <= 1e-15
 
 
 def test_xxz_marginal_vector():
-    state = thermal_xxz(XXZParams(j=1.2, delta=0.5, b=0.9))
-    form = decompose(state.matrix)
-    e = state.entries
-    expected_z = (e["delta_plus"] - e["delta_minus"]) / (2.0 * e["Z"])
+    p = XXZParams(j=1.2, delta=0.5, b=0.9)
+    form = decompose(thermal_xxz(p))
+    dp, _, dm, _, z = models._xxz_entries(p.j, p)
+    expected_z = (dp - dm) / (2.0 * z)
     assert form.x[0] == 0.0 and form.x[1] == 0.0
     assert abs(form.x[2] - expected_z) <= 1e-15
     assert np.allclose(form.x, form.y, atol=1e-15)
@@ -173,8 +171,8 @@ def test_measures_xxz_validity_domain():
         p = XXZParams(j=j, delta=1.0, b=0.0)
         rep = measures_xxz(p)
         assert abs(rep.n_closed - rep.pipeline.min_value) <= 1e-12
-        e = thermal_xxz(p).entries
-        gaps[j] = rep.n_closed - 2.0 * e["kappa"] ** 2 / e["Z"] ** 2
+        _, _, _, kappa, z = models._xxz_entries(p.j, p)
+        gaps[j] = rep.n_closed - 2.0 * kappa**2 / z**2
     assert gaps[-5.0] == pytest.approx(0.24665064314347485, abs=1e-9)
     assert gaps[-1.0] > 1e-3
 
@@ -527,8 +525,8 @@ def test_xxz_branch_follows_the_pipeline_at_the_marginal_cutoff():
         p = XXZParams(j=2.0, delta=3.0, b=b)
         rep = measures_xxz(p)
         assert rep.n_deviation <= 1e-12
-        e = thermal_xxz(p).entries
-        x_z = (e["delta_plus"] - e["delta_minus"]) / (2.0 * e["Z"])
+        dp, _, dm, _, z = models._xxz_entries(p.j, p)
+        x_z = (dp - dm) / (2.0 * z)
         split += (abs(x_z) > 1e-9) != (rep.pipeline.branch == "XNonzero")
         b = math.nextafter(b, math.inf)
     assert split > 0
@@ -590,10 +588,11 @@ def test_cross_check_guard_trips_on_wrong_closed_form(monkeypatch):
 
 # float.hex of every ModelReport field (c_closed, n_closed, q_paper, the
 # three deviations, then the pipeline's concurrence, min_value, gmod_exact
-# and gmod_lower) and its branch, of every closed-form entry, and the sha256
-# of the assembled matrix's bytes. Points: isodm at d = 0 where |mu - omega|
-# and |nu| are equal floats (j = 0.7, 2.5), zero coupling, the series branch
-# of sinh(x)/x, xxz at zero field on both sides of delta = 0, and the
+# and gmod_lower) and its branch, of the closed-form entries in X-state
+# order (rho00, rho11, rho33, rho12, Z), and the sha256 of the thermal
+# matrix's bytes. Points: isodm at d = 0 where |mu - omega| and |nu| are
+# equal floats (j = 0.7, 2.5), zero coupling, the series branch of
+# sinh(x)/x, xxz at zero field on both sides of delta = 0, and the
 # marginal-cutoff field of the test above.
 MODEL_PINS = {
     ("isodm", 1.0, 0.0): (
@@ -603,12 +602,10 @@ MODEL_PINS = {
             "0x1.b09bc34fee46ep-2", "0x1.8346ca93f41f0p-3", "0x1.8346ca93f41efp-4",
             "0x1.8346ca93f41f0p-4", "XZero",
         ),
-        {
-            "Z": "0x1.9348304f99d86p+2",
-            "mu": "0x1.368b2fc6f960ap-1",
-            "nu": ("-0x1.f00530d83a500p+0", "-0x0.0p+0"),
-            "omega": "0x1.45a5645ddb803p+1",
-        },
+        (
+            "0x1.368b2fc6f960ap-1", "0x1.45a5645ddb803p+1", "0x1.368b2fc6f960ap-1",
+            ("-0x1.f00530d83a500p+0", "-0x0.0p+0"), "0x1.9348304f99d86p+2",
+        ),
         "e39876f3daaf876bfb3f484d593ab05cf538b1e66defa55fe907b5a36e7a9adb",
     ),
     ("isodm", 0.7, 0.0): (
@@ -618,12 +615,10 @@ MODEL_PINS = {
             "0x1.324e50eab48a6p-3", "0x1.800d6f98acb26p-4", "0x1.800d6f98acb24p-5",
             "0x1.800d6f98acb22p-5", "XZero",
         ),
-        {
-            "Z": "0x1.3e3095bc481eep+2",
-            "mu": "0x1.68cce09671f71p-1",
-            "nu": ("-0x1.13944ae21e46cp+0", "-0x0.0p+0"),
-            "omega": "0x1.c7fabb2d57424p+0",
-        },
+        (
+            "0x1.68cce09671f71p-1", "0x1.c7fabb2d57424p+0", "0x1.68cce09671f71p-1",
+            ("-0x1.13944ae21e46cp+0", "-0x0.0p+0"), "0x1.3e3095bc481eep+2",
+        ),
         "2f3b68c2d4e76abc119c33e114be2aaf01ae5f2894c66f6a99756a13798a1921",
     ),
     ("isodm", 2.5, 0.0): (
@@ -633,12 +628,10 @@ MODEL_PINS = {
             "0x1.ebb60d7049dbdp-1", "0x1.e54e3632c288ep-2", "0x1.e54e3632c288ep-3",
             "0x1.e54e3632c288dp-3", "XZero",
         ),
-        {
-            "Z": "0x1.5b0b761ed64f8p+5",
-            "mu": "0x1.25618372a584fp-2",
-            "nu": ("-0x1.51e06a0341236p+4", "-0x0.0p+0"),
-            "omega": "0x1.5675f0110bb97p+4",
-        },
+        (
+            "0x1.25618372a584fp-2", "0x1.5675f0110bb97p+4", "0x1.25618372a584fp-2",
+            ("-0x1.51e06a0341236p+4", "-0x0.0p+0"), "0x1.5b0b761ed64f8p+5",
+        ),
         "cecce04d44fa3319054b7f05e3c9906f8cb766bc139bf90996decae612f0da8d",
     ),
     ("isodm", 0.0, 0.0): (
@@ -648,12 +641,10 @@ MODEL_PINS = {
             "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
             "0x0.0p+0", "XZero",
         ),
-        {
-            "Z": "0x1.0000000000000p+2",
-            "mu": "0x1.0000000000000p+0",
-            "nu": ("0x0.0p+0", "0x0.0p+0"),
-            "omega": "0x1.0000000000000p+0",
-        },
+        (
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            ("0x0.0p+0", "0x0.0p+0"), "0x1.0000000000000p+2",
+        ),
         "6304437c75ddd80d1ffa4f80c236ed263f8f54164d8c029d76bfeaa7693ef01d",
     ),
     ("isodm", -1.5, 2.0): (
@@ -663,12 +654,10 @@ MODEL_PINS = {
             "0x1.2ea65fef5f3d9p-3", "0x1.4cb9401a3f191p-3", "0x1.657cee72392ffp-5",
             "0x1.fdab7bb8445e6p-6", "XZero",
         ),
-        {
-            "Z": "0x1.40e0458e6e66bp+3",
-            "mu": "0x1.0ef9db467dcf8p+1",
-            "nu": ("0x1.b6f9c2a61b1f0p+0", "-0x1.24a681c41214bp+1"),
-            "omega": "0x1.72c6afd65efdep+1",
-        },
+        (
+            "0x1.0ef9db467dcf8p+1", "0x1.72c6afd65efdep+1", "0x1.0ef9db467dcf8p+1",
+            ("0x1.b6f9c2a61b1f0p+0", "-0x1.24a681c41214bp+1"), "0x1.40e0458e6e66bp+3",
+        ),
         "79f44a5f33b7986d14073d0ceab67c7e91bdeaa9038a9992a8edabf8f62739da",
     ),
     ("isodm", 1e-07, 1e-07): (
@@ -678,12 +667,10 @@ MODEL_PINS = {
             "0x0.0p+0", "0x1.6849bac6893a9p-49", "0x1.0e374caa2f768p-50",
             "0x1.e0624fec2314dp-51", "XZero",
         ),
-        {
-            "Z": "0x1.000000000001cp+2",
-            "mu": "0x1.fffffe5280d71p-1",
-            "nu": ("-0x1.ad7f2b1414af1p-24", "-0x1.ad7f2b1414af1p-24"),
-            "omega": "0x1.000000d6bf980p+0",
-        },
+        (
+            "0x1.fffffe5280d71p-1", "0x1.000000d6bf980p+0", "0x1.fffffe5280d71p-1",
+            ("-0x1.ad7f2b1414af1p-24", "-0x1.ad7f2b1414af1p-24"), "0x1.000000000001cp+2",
+        ),
         "3d3b0505ffa5433410d94fe024f4f4c72bd22505dcbe09868f296fdd75c70882",
     ),
     ("xxz", 0.0, 1.0, 3.0): (
@@ -693,13 +680,10 @@ MODEL_PINS = {
             "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
             "0x0.0p+0", "XNonzero",
         ),
-        {
-            "Z": "0x1.622a497d6185ep+4",
-            "delta_minus": "0x1.415e5bf6fb106p+4",
-            "delta_plus": "0x1.97db0ccceb0afp-5",
-            "epsilon": "0x1.0000000000000p+0",
-            "kappa": "-0x0.0p+0",
-        },
+        (
+            "0x1.97db0ccceb0afp-5", "0x1.0000000000000p+0", "0x1.415e5bf6fb106p+4",
+            "-0x0.0p+0", "0x1.622a497d6185ep+4",
+        ),
         "98363c9f6975a6308ff17f5d7b156f5957cd27080dd6a24f971bfd00bdc88a38",
     ),
     ("xxz", -5.0, 1.0, 0.0): (
@@ -709,13 +693,10 @@ MODEL_PINS = {
             "0x0.0p+0", "0x1.f926ed710be48p-3", "0x1.7a412b3aa0000p-19",
             "0x1.7a412b3aa0000p-19", "XZero",
         ),
-        {
-            "Z": "0x1.29d38c90b26fap+8",
-            "delta_minus": "0x1.28d389970338fp+7",
-            "delta_plus": "0x1.28d389970338fp+7",
-            "epsilon": "0x1.0002f9af36ac9p-1",
-            "kappa": "0x1.fffa0ca192a6dp-2",
-        },
+        (
+            "0x1.28d389970338fp+7", "0x1.0002f9af36ac9p-1", "0x1.28d389970338fp+7",
+            "0x1.fffa0ca192a6dp-2", "0x1.29d38c90b26fap+8",
+        ),
         "6eaf223c1b6bfef28241f2753644bd1bd52d84dfa1b7e7e20e6b5c9852964292",
     ),
     ("xxz", 2.0, -1.0, 0.0): (
@@ -725,13 +706,10 @@ MODEL_PINS = {
             "0x1.1a6c3b12eb07fp-1", "0x1.28f91f83379dfp-2", "0x1.d539a52a187e1p-4",
             "0x1.aba6c735fb942p-4", "XZero",
         ),
-        {
-            "Z": "0x1.30c7d06f96cdep+3",
-            "delta_minus": "0x1.0000000000000p+0",
-            "delta_plus": "0x1.0000000000000p+0",
-            "epsilon": "0x1.e18fa0df2d9bcp+1",
-            "kappa": "-0x1.d03cf63b6e1a0p+1",
-        },
+        (
+            "0x1.0000000000000p+0", "0x1.e18fa0df2d9bcp+1", "0x1.0000000000000p+0",
+            "-0x1.d03cf63b6e1a0p+1", "0x1.30c7d06f96cdep+3",
+        ),
         "67c8f7361656cb75676864111528079d8ccfcc67a58ed405753bd70b39736419",
     ),
     ("xxz", 2.0, 3.0, 2.243189458650676e-05): (
@@ -741,13 +719,10 @@ MODEL_PINS = {
             "0x1.ed7e1227f40a5p-1", "0x1.edc798db76278p-2", "0x1.dbbdef559970ep-3",
             "0x1.dbbdef559970ep-3", "XZero",
         ),
-        {
-            "Z": "0x1.9adabf421d5b1p+8",
-            "delta_minus": "0x1.2c1714aa29efcp-6",
-            "delta_plus": "0x1.2c13a25c86381p-6",
-            "epsilon": "0x1.9ad15e9741405p+7",
-            "kappa": "-0x1.8c0a2c3ad6d19p+7",
-        },
+        (
+            "0x1.2c13a25c86381p-6", "0x1.9ad15e9741405p+7", "0x1.2c1714aa29efcp-6",
+            "-0x1.8c0a2c3ad6d19p+7", "0x1.9adabf421d5b1p+8",
+        ),
         "088b38041ab6d868b6355fb9ff4f27a7361843aafe0efeefedce86436738615e",
     ),
     ("xxz", 1.0, 0.0, 1.0): (
@@ -757,13 +732,10 @@ MODEL_PINS = {
             "0x1.87a92dca3c9ddp-2", "0x1.3d6ebe774b305p-3", "0x1.2188f3f6f5084p-4",
             "0x1.183c5b2182fadp-4", "XNonzero",
         ),
-        {
-            "Z": "0x1.bd71ce4f7948bp+2",
-            "delta_minus": "0x1.a61298e1e069cp+0",
-            "delta_plus": "0x1.c8f87724b5c1dp-3",
-            "epsilon": "0x1.45a5645ddb803p+1",
-            "kappa": "-0x1.f00530d83a500p+0",
-        },
+        (
+            "0x1.c8f87724b5c1dp-3", "0x1.45a5645ddb803p+1", "0x1.a61298e1e069cp+0",
+            "-0x1.f00530d83a500p+0", "0x1.bd71ce4f7948bp+2",
+        ),
         "81aa74f0f5e1f7cc6d655926056941e88f52ecbb5e8f916e6ccdca222b89724f",
     ),
     ("xxz", -3.0, 0.5, -2.0): (
@@ -773,13 +745,10 @@ MODEL_PINS = {
             "0x0.0p+0", "0x1.b0a80dbdcdc00p-12", "0x1.b0a80dbdcdc00p-13",
             "0x1.b0a80dbdcdd55p-13", "XNonzero",
         ),
-        {
-            "Z": "0x1.260bf73b19ac2p+6",
-            "delta_minus": "0x1.48b5e3c3e8186p+0",
-            "delta_plus": "0x1.186bf136d679dp+6",
-            "epsilon": "0x1.0fa5cea6723eap+0",
-            "kappa": "0x1.0e4de7e689605p+0",
-        },
+        (
+            "0x1.186bf136d679dp+6", "0x1.0fa5cea6723eap+0", "0x1.48b5e3c3e8186p+0",
+            "0x1.0e4de7e689605p+0", "0x1.260bf73b19ac2p+6",
+        ),
         "625311225d4a8a6e6ba6cc7660e281e601536b1ca43efd9af97f9c55ef19250a",
     ),
 }
@@ -809,13 +778,13 @@ def test_model_results_are_bit_pinned(point):
             # sqrt(fl(mu^2)) == mu on the scan grid, so the X-state gap
             # |rho12| - sqrt(rho00 rho33) is the isodm gap |nu| - mu exactly.
             for j in np.linspace(*models.SCAN_RANGE, models.SCAN_POINTS):
-                e = thermal_isodm(IsoDMParams(j=float(j), d=args[0])).entries
-                mu, nu = e["mu"], e["nu"]
+                mu, _, _, nu, _ = models._isodm_entries(float(j), IsoDMParams(0.0, args[0]))
                 assert (abs(nu) - math.sqrt(mu * mu)).hex() == (abs(nu) - mu).hex()
         return
     params = {"isodm": IsoDMParams, "xxz": XXZParams}[model](*args)
     rep = getattr(models, f"measures_{model}")(params)
-    state = getattr(models, f"thermal_{model}")(params)
+    entries = getattr(models, f"_{model}_entries")(params.j, params)
+    matrix = getattr(models, f"thermal_{model}")(params)
     pipe = rep.pipeline
     values = (
         rep.c_closed, rep.n_closed, rep.q_paper,
@@ -824,5 +793,5 @@ def test_model_results_are_bit_pinned(point):
     )
     report_pin, entries_pin, matrix_pin = MODEL_PINS[point]
     assert tuple(_hex(v) for v in values) + (pipe.branch,) == report_pin
-    assert {name: _hex(v) for name, v in state.entries.items()} == entries_pin
-    assert hashlib.sha256(state.matrix.tobytes()).hexdigest() == matrix_pin
+    assert tuple(map(_hex, entries)) == entries_pin
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == matrix_pin

@@ -185,7 +185,7 @@ def _pinned_state(name: str) -> np.ndarray:
         return random_state(rng)
     if name == "spin_flip":
         return spin_flip_average(random_state(Lcg(61)))
-    return thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix
+    return thermal_isodm(IsoDMParams(j=1.0, d=0.0))
 
 
 def test_fibonacci_grid_shape_and_norms():
@@ -256,7 +256,7 @@ def test_min_oracle_maximally_mixed():
 
 
 def test_min_oracle_thermal_point():
-    rho = thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix
+    rho = thermal_isodm(IsoDMParams(j=1.0, d=0.0))
     assert abs(min_oracle(rho).value - 0.18909986747759386) <= 1e-6
 
 
@@ -286,7 +286,7 @@ def test_gmod_oracle_is_twice_the_closed_form():
 
 
 def test_min_oracle_dominates_gmod_oracle_at_degeneracy():
-    states = [bell_psi_plus(), thermal_isodm(IsoDMParams(j=1.5, d=0.7)).matrix]
+    states = [bell_psi_plus(), thermal_isodm(IsoDMParams(j=1.5, d=0.7))]
     states.extend(x_zeroed_states(seed=11, want=8))
     for rho in states:
         low = gmod_oracle(rho).value
@@ -330,8 +330,8 @@ def test_ppt_reference_states():
 
 def test_ppt_flips_at_the_thermal_threshold():
     j_c = math.log(3.0) / 2.0
-    assert not ppt_entangled(thermal_isodm(IsoDMParams(j=j_c, d=0.0)).matrix)
-    assert ppt_entangled(thermal_isodm(IsoDMParams(j=j_c + 0.01, d=0.0)).matrix)
+    assert not ppt_entangled(thermal_isodm(IsoDMParams(j=j_c, d=0.0)))
+    assert ppt_entangled(thermal_isodm(IsoDMParams(j=j_c + 0.01, d=0.0)))
 
 
 def test_ppt_cutoff_is_held_from_both_sides():
@@ -361,12 +361,12 @@ def test_ppt_agrees_with_concurrence_on_thermal_grids():
     for j in js:
         for d in (0.0, 1.0, 2.0):
             rep = measures_isodm(IsoDMParams(j=float(j), d=d))
-            state = thermal_isodm(IsoDMParams(j=float(j), d=d)).matrix
+            state = thermal_isodm(IsoDMParams(j=float(j), d=d))
             assert ppt_entangled(state) == (rep.c_closed > 1e-8)
         for delta in (-2.0, -1.0, 0.0, 1.0):
             for b in (0.0, 1.0, 2.0):
                 rep = measures_xxz(XXZParams(j=float(j), delta=delta, b=b))
-                state = thermal_xxz(XXZParams(j=float(j), delta=delta, b=b)).matrix
+                state = thermal_xxz(XXZParams(j=float(j), delta=delta, b=b))
                 assert ppt_entangled(state) == (rep.c_closed > 1e-8)
 
 
@@ -412,7 +412,7 @@ def test_projector_table_matches_kron_bit_for_bit():
     edges = np.vstack((edges, np.eye(3), -np.eye(3)))
     rng = Lcg(51)
     states = [random_state(rng) for _ in range(300)]
-    states += [MIXED, bell_psi_plus(), thermal_isodm(IsoDMParams(j=1.0, d=0.0)).matrix]
+    states += [MIXED, bell_psi_plus(), thermal_isodm(IsoDMParams(j=1.0, d=0.0))]
     stacks = []
     for rho in states:
         dirs = np.array([[rng.normal() for _ in range(3)] for _ in range(40)])
