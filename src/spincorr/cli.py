@@ -22,15 +22,15 @@ integer digit from 1e12 up and 13 digits when rounding carries; ``critical``
 prints 9 decimals. ``sweep`` writes each CSV row to ``<out>.tmp`` as it is
 computed, so memory does not grow with the rows and an unwritable ``--out``
 exits 4 before the first row; the file is renamed into place at the end, or
-removed on any error. An optional ``--config`` file supplies ``key=value``
-defaults (keys are the subcommand's long flag names, values pass the flags'
-checks); explicit flags win on conflict.
+removed on any error. An ``--out`` that exists and is neither a regular file
+nor a symlink exits 4 before any file is touched. An optional ``--config`` file
+supplies ``key=value`` defaults (keys are the subcommand's long flag names,
+values pass the flags' checks); explicit flags win on conflict.
 """
 
 import argparse
 import contextlib
 import dataclasses
-import errno
 import functools
 import math
 import os
@@ -335,12 +335,11 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
     make_params = _PARAMS[args.model]
     measure = getattr(models, f"measures_{args.model}")
     tmp_path = args.out + ".tmp"
+    # os.replace would refuse a directory after the last row, and replace a FIFO or device node.
+    if os.path.lexists(args.out) and not (os.path.islink(args.out) or os.path.isfile(args.out)):
+        print(f"cannot write CSV: {args.out!r} exists and is not a regular file", file=sys.stderr)
+        return EXIT_IO
     try:
-        # os.replace refuses a directory, only after the last row; it replaces a symlink to one.
-        if os.path.isdir(args.out) and not os.path.islink(args.out):
-            raise IsADirectoryError(
-                errno.EISDIR, os.strerror(errno.EISDIR), tmp_path, None, args.out
-            )
         with open(tmp_path, "w", encoding="ascii", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for j in np.linspace(args.j_start, args.j_end, args.j_steps).tolist():

@@ -45,15 +45,16 @@ def spin_flip_average(rho: np.ndarray) -> np.ndarray:
     return (rho + yy @ rho.conj() @ yy) / 2.0
 
 
-def x_zeroed_states(seed: int, want: int, max_attempts: int = 200) -> list:
+def x_zeroed_states(seed: int, want: int) -> list:
     """Random states with the first marginal forced maximally mixed.
 
-    Zeroes the x vector of random states and keeps the reconstructions that
-    remain positive semidefinite. Deterministic for a fixed seed.
+    Zeroes the x vector of up to 200 random states and keeps the
+    reconstructions that remain positive semidefinite. Deterministic for a
+    fixed seed.
     """
     rng = Lcg(seed)
     states = []
-    for _ in range(max_attempts):
+    for _ in range(200):
         if len(states) >= want:
             break
         form = decompose(random_state(rng))

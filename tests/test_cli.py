@@ -128,11 +128,6 @@ def run_cli_csv(capsys, csv_path, *argv):
     return code, out, err, csv
 
 
-def run_module(cwd, *argv):
-    """Run ``python -m spincorr`` in ``cwd``; returns (code, stdout, stderr)."""
-    return run_python(cwd, "-m", "spincorr", *argv)
-
-
 UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
@@ -577,10 +572,11 @@ def test_module_entrypoint_subprocess(tmp_path):
     # The subprocess runs the package under test, wherever that is.
     code, out, _ = run_python(tmp_path, "-c", "import spincorr; print(spincorr.__file__)")
     assert (code, os.path.realpath(out.rstrip("\n"))) == (0, os.path.realpath(spincorr.__file__))
-    code, out, _ = run_module(tmp_path, "critical", "--model", "isodm", "--d", "0")
+    critical = ("-m", "spincorr", "critical", "--model", "isodm")
+    code, out, _ = run_python(tmp_path, *critical, "--d", "0")
     assert code == 0
     assert out == "0.549306144\n"
-    code, out, err = run_module(tmp_path, "critical", "--model", "isodm", "--bogus")
+    code, out, err = run_python(tmp_path, *critical, "--bogus")
     assert (code, out) == (3, "")
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [
@@ -767,6 +763,7 @@ ERROR_FILES = {
     ".tmp": b"",
     "dir.csv/kept": b"",  # dir.csv is a directory
     "dir.csv/.tmp": b"",
+    "dir.csv.tmp": b"kept",
 }
 
 # Every documented error exit that a call reaches in-process, as argv: (exit
@@ -859,11 +856,11 @@ ERROR_EXITS = {
     "sweep --model isodm --out s.csv --j-steps 10000000000000":
         (3, "--j-steps 10000000000000 x 1 series = 10000000000000 rows, "
             "above the limit of 1000000", True),
-    # The temporary file cannot be made, or would have to replace a directory.
+    # The temporary file cannot be made, or --out is there and is not a regular file.
     "sweep --model isodm --j-steps 2 --out not-here/x.csv":
         (4, "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'", True),
     "sweep --model isodm --j-steps 2 --out dir.csv":
-        (4, "cannot write CSV: [Errno 21] Is a directory: 'dir.csv.tmp' -> 'dir.csv'", True),
+        (4, "cannot write CSV: 'dir.csv' exists and is not a regular file", True),
     "critical --model isodm --d 10":
         (5, "no bracket: isodm threshold at d=10: no sign change over j in [-50, 50]", True),
     # Here abs(nu) overflows from finite parts in a window of j > 0; the
@@ -927,7 +924,7 @@ def test_unwritable_sweep_exits_before_the_first_row(tmp_path, capsys, monkeypat
     lines = {
         "not-here/x.csv":
             "cannot write CSV: [Errno 2] No such file or directory: 'not-here/x.csv.tmp'",
-        "dir.csv": "cannot write CSV: [Errno 21] Is a directory: 'dir.csv.tmp' -> 'dir.csv'",
+        "dir.csv": "cannot write CSV: 'dir.csv' exists and is not a regular file",
     }
     for out, line in lines.items():
         argv = f"sweep --model isodm --j-steps 20001 --out {out}".split()
@@ -946,6 +943,25 @@ def test_sweep_replaces_a_symlink_to_a_directory(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "link.csv").is_symlink()
     assert (tmp_path / "link.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
     assert sorted(tmp_path.rglob("*")) == [tmp_path / n for n in ("dir", "link.csv", "plain.csv")]
+
+
+def test_sweep_leaves_a_fifo_in_place(tmp_path, capsys, monkeypatch):
+    """A FIFO --out exits 4 before the first row, and neither it nor its
+    <out>.tmp neighbour changes; a symlink to the FIFO is replaced by the CSV."""
+    calls = _edit_results_at(monkeypatch, models, "measures_isodm", {})
+    fifo, tmp = tmp_path / "fifo.csv", tmp_path / "fifo.csv.tmp"
+    os.mkfifo(fifo)
+    argv = "sweep --model isodm --j-steps 20001 --out fifo.csv".split()
+    line = "cannot write CSV: 'fifo.csv' exists and is not a regular file"
+    assert_error_exit(tmp_path, capsys, monkeypatch, argv, {"fifo.csv.tmp": b"kept"}, 4, line)
+    assert next(calls) == 0
+    assert fifo.is_fifo() and tmp.read_bytes() == b"kept"
+    (tmp_path / "link.csv").symlink_to("fifo.csv")
+    argv = "sweep --model isodm --j-steps 3 --out link.csv".split()
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert not (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "link.csv").read_text().startswith(cli.CSV_HEADER + "\n")
+    assert fifo.is_fifo() and tmp.read_bytes() == b"kept"
 
 
 def test_a_sweep_row_that_fails_verification_leaves_no_file(tmp_path, capsys, monkeypatch):

@@ -50,15 +50,15 @@ ROOT_INPUTS_ISODM = (0.0, 1.0, 2.0, 3.0, 10.0, 685.85)
 ROOT_INPUTS_XXZ = ((0.0, 0.0), (0.0, 2.0), (0.0, 5.0), (-0.5, 3.0), (-1.0, 0.0), (-2.0, 0.0))
 
 
-def _model_points(model: str, count: int = 200):
-    """Seeded (params, exact entries, report) triples over j in [-20, 20],
+def _model_points(model: str):
+    """200 seeded (params, exact entries, report) triples over j in [-20, 20],
     d in [-10, 10], delta in [-3, 3] and b in [-5, 5], every fourth b zero."""
     rng = Lcg(2024 if model == "isodm" else 2025)
 
     def uniform(lo, hi):
         return lo + (hi - lo) * rng.uniform()
 
-    for k in range(count):
+    for k in range(200):
         if model == "isodm":
             j, d = uniform(-20.0, 20.0), uniform(-10.0, 10.0)
             yield (j, d), isodm_entries(j, d), measures_isodm(IsoDMParams(j, d))

@@ -235,15 +235,6 @@ def test_post_measurement_is_idempotent():
             assert np.max(np.abs(twice - once)) <= 1e-12
 
 
-def test_post_measurement_rejects_non_unit_directions():
-    unit = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    with pytest.raises(ValueError):
-        post_measurement(MIXED, np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        post_measurement(MIXED, unit * (1.0 + 2e-9))
-    post_measurement(MIXED, unit * (1.0 + 5e-10))  # inside tolerance
-
-
 def test_min_oracle_bell_state():
     result = min_oracle(bell_psi_plus())
     assert abs(result.value - 0.5) <= 1e-9
@@ -313,13 +304,6 @@ def test_nested_spotcheck_never_undercuts_dephasing():
         rho = random_state(rng)
         dephased = hs_norm2(rho - post_measurement(rho, Z_AXIS))
         assert nested_gmod_spotcheck(rho, Z_AXIS, k=200) >= dephased - 1e-9
-
-
-def test_nested_spotcheck_rejects_bad_input():
-    with pytest.raises(ValueError):
-        nested_gmod_spotcheck(MIXED, Z_AXIS, k=0)
-    with pytest.raises(ValueError):
-        nested_gmod_spotcheck(MIXED, np.array([0.0, 0.0, 2.0]), k=1)
 
 
 def test_ppt_reference_states():

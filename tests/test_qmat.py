@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from spincorr import measures, oracle, qmat
 from spincorr.bloch import decompose
-from spincorr.errors import InvalidState, NonFiniteParameter
+from spincorr.errors import InvalidState
 from spincorr.models import IsoDMParams
 from spincorr.rng import Lcg, random_state
 
@@ -61,13 +61,6 @@ def test_gibbs_extreme_couplings_stay_finite():
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
-def test_gibbs_rejects_bad_beta():
-    h = PAULIS[2]
-    for beta in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(NonFiniteParameter):
-            gibbs(h, beta)
-
-
 def test_kron_reference_matrices():
     # All 15 product operators, bit for bit and in their order, against
     # np.kron of the tests' written-out Paulis: sigma_i (x) I, then
@@ -112,13 +105,6 @@ def test_partial_trace_entangled_state_marginals():
     )
 
 
-def test_partial_trace_rejects_bad_input():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(2, dtype=complex) / 2.0, "B")
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4, dtype=complex) / 4.0, "C")
-
-
 @pytest.mark.parametrize("dim", [2, 4])
 def test_gaussian_matrix_keeps_the_per_entry_stream(dim):
     """One list of 2 dim^2 normals viewed as complex gives, bit for bit, the
@@ -161,13 +147,6 @@ def test_mat_sqrt_clamps_roundoff_negatives():
     root = qmat.mat_sqrt(m)
     assert np.linalg.eigvalsh(root).min() >= 0.0
     assert math.sqrt(hs_norm2(root @ root - m)) <= 1e-9
-
-
-def test_gibbs_rejects_non_hermitian():
-    m = np.zeros((2, 2), dtype=complex)
-    m[0, 1] = 1.0  # no conjugate partner
-    with pytest.raises(ValueError):
-        gibbs(m, beta=1.0)
 
 
 def test_validate_state_accepts_random_states():
