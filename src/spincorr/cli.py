@@ -10,7 +10,7 @@ Four subcommands cover the workflows:
 - ``critical``: the exchange threshold where concurrence turns on; no ``--j``.
 - ``verify``: the brute-force oracle suite on seeded random states.
 
-Both spin models share one path: the fields of a model's params dataclass
+Both spin models share one path: the fields of a model's params named tuple
 name its flags, defaults, ``--series`` members and CSV labels, and a model
 flag that a call would ignore is refused (exit 3).
 
@@ -30,7 +30,6 @@ values pass the flags' checks); explicit flags win on conflict.
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import math
 import os
@@ -59,7 +58,7 @@ LOWER_BOUND_TOL = 1e-12
 # time, so a wrapped or replaced function is the one that runs.
 _PARAMS = {"isodm": models.IsoDMParams, "xxz": models.XXZParams}
 _MODEL_FLAGS = tuple(  # every params field, j first
-    dict.fromkeys(f.name for params in _PARAMS.values() for f in dataclasses.fields(params))
+    dict.fromkeys(name for params in _PARAMS.values() for name in params._fields)
 )
 
 
@@ -246,15 +245,16 @@ def _refuse(args: argparse.Namespace, parser: _Parser, flags, why: str) -> None:
 
 def _secondary_params(args: argparse.Namespace, parser: _Parser) -> dict:
     """The secondary parameters of ``--model`` by params field, from the
-    flags or the dataclass defaults. Another model's flag exits 3."""
+    flags or the named tuple's defaults, which every field after j has.
+    Another model's flag exits 3."""
     if args.model is None:
         parser.error("--model is required")
-    fields = dataclasses.fields(_PARAMS[args.model])
-    names = {f.name for f in fields}
-    others = [flag for flag in _MODEL_FLAGS if flag not in names]
+    params = _PARAMS[args.model]
+    others = [flag for flag in _MODEL_FLAGS if flag not in params._fields]
     _refuse(args, parser, others, f"is not a parameter of {args.model}")
-    values = {f.name: getattr(args, f.name) for f in fields[1:]}
-    return {f.name: f.default if values[f.name] is None else values[f.name] for f in fields[1:]}
+    defaults = params._field_defaults
+    values = {name: getattr(args, name) for name in defaults}
+    return {name: defaults[name] if values[name] is None else values[name] for name in defaults}
 
 
 def _cmd_measures(args: argparse.Namespace, parser: _Parser) -> int:
@@ -288,7 +288,7 @@ def _series_label(values: dict) -> str:
 def _parse_series(model: str, text: str, parser: _Parser) -> list[tuple[str, dict]]:
     """Parse the --series flag into (label, secondary parameters) members:
     the params fields after j, joined by ':' in a member."""
-    names = [f.name for f in dataclasses.fields(_PARAMS[model])[1:]]
+    names = _PARAMS[model]._fields[1:]
     members = []
     for part in text.split(","):
         part = part.strip()

@@ -42,7 +42,7 @@ import bisect
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 # numpy and measures are imported where used: the critical search needs neither.
 from .errors import ClosedFormMismatch, NonFiniteParameter, NoSignChange
@@ -54,18 +54,24 @@ BISECT_WIDTH = 1e-9
 
 
 class _ModelParams:
-    """Base of the params dataclasses: the exchange ``j`` comes first and
-    the model's secondary parameters follow it. Every field must be a finite
-    real number (``bool`` is not one) and is stored as a Python float: an
-    exact float as given, anything else converted, so numpy scalars such as
-    ``np.float32`` carry no single precision into the closed forms."""
+    """Base of the params named tuples: the exchange ``j`` comes first and
+    the model's secondary parameters, each with a default, follow it. Every
+    field must be a finite real number (``bool`` is not one) and is stored
+    as a Python float: an exact float as given, anything else converted, so
+    numpy scalars such as ``np.float32`` carry no single precision into the
+    closed forms. ``_make``, and so ``_replace``, check their values too."""
 
-    def __post_init__(self):
-        # fields(self)'s names without its per-call tuple: no ClassVar or InitVar fields here.
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if type(value) is float and math.isfinite(value):
-                continue  # float(value) is value, which __init__ stored
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)  # binds j, defaults and TypeErrors
+        for value in self:
+            if type(value) is not float or not math.isfinite(value):
+                break
+        else:
+            return self  # float(value) is value for every field
+        values = []
+        for name, value in zip(self._fields, self):
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             try:
                 number = float(value) if real else math.nan
@@ -73,26 +79,26 @@ class _ModelParams:
                 number = value = math.inf if value > 0 else -math.inf
             if not math.isfinite(number):
                 raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, number)
+            values.append(number)  # float(value) is value for an exact float
+        return tuple.__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class IsoDMParams(_ModelParams):
+class IsoDMParams(_ModelParams, namedtuple("IsoDMParams", "j d", defaults=(0.0,))):
     """Dimensionless couplings of the isotropic + Dzyaloshinskii-Moriya
     model: exchange ``j`` = J/kT and antisymmetric coupling ``d`` = D/kT."""
 
-    j: float
-    d: float = 0.0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class XXZParams(_ModelParams):
+class XXZParams(_ModelParams, namedtuple("XXZParams", "j delta b", defaults=(0.0, 0.0))):
     """Dimensionless couplings of the XXZ model in a field: exchange
     ``j`` = J/kT, anisotropy ``delta``, and field ``b`` = B/kT."""
 
-    j: float
-    delta: float = 0.0
-    b: float = 0.0
+    __slots__ = ()
 
 
 def _sinhc(x: float) -> float:
@@ -168,28 +174,21 @@ def thermal_xxz(p: XXZParams) -> "np.ndarray":
     return _x_matrix(_xxz_entries(p.j, p))
 
 
-@dataclass(frozen=True)
-class ModelReport:
-    """Closed-form measures of a model point, cross-checked against the
-    generic pipeline.
+ModelReport = namedtuple(
+    "ModelReport", "c_closed n_closed q_paper pipeline c_deviation n_deviation q_deviation"
+)
+ModelReport.__doc__ = """Closed-form measures of a model point, cross-checked against the
+generic pipeline, as a named tuple.
 
-    ``c_closed``/``n_closed`` are the model's closed-form concurrence and
-    nonlocality; ``q_paper`` is the closed proportionality value
-    n_closed/2. ``pipeline`` carries the generic-pipeline measures of the
-    assembled state, whose ``gmod_lower`` is the state's actual discord
-    lower bound Q. ``c_deviation`` and ``n_deviation`` are the cross-check
-    gaps, each at most 1e-10 (a larger one raises
-    :class:`ClosedFormMismatch`). ``q_deviation`` = |Q - n_closed/2| is the
-    proportionality gap, reported rather than asserted to vanish.
-    """
-
-    c_closed: float
-    n_closed: float
-    q_paper: float
-    pipeline: "measures.MeasureReport"
-    c_deviation: float
-    n_deviation: float
-    q_deviation: float
+``c_closed``/``n_closed`` are the model's closed-form concurrence and
+nonlocality; ``q_paper`` is the closed proportionality value
+n_closed/2. ``pipeline`` carries the generic-pipeline measures of the
+assembled state, a ``measures.MeasureReport`` whose ``gmod_lower`` is
+the state's actual discord lower bound Q. ``c_deviation`` and
+``n_deviation`` are the cross-check gaps, each at most 1e-10 (a larger
+one raises :class:`ClosedFormMismatch`). ``q_deviation`` = |Q - n_closed/2|
+is the proportionality gap, reported rather than asserted to vanish.
+"""
 
 
 def _x_report(e: tuple, n_x_nonzero: float, n_x_zero: float, label: str) -> ModelReport:
@@ -330,7 +329,7 @@ def _first_root(label: str, entries, p: _ModelParams, walk_to: float) -> float:
         if (f_hi < 0.0) != negative:
             return _bisect_root(entries, p, xs[lo], xs[hi], f_lo)
         return xs[hi]
-    at = ", ".join(f"{f.name}={getattr(p, f.name):g}" for f in fields(p)[1:])
+    at = ", ".join(f"{name}={getattr(p, name):g}" for name in p._fields[1:])
     raise NoSignChange(
         f"{label} threshold at {at}: no sign change over j in "
         f"[{SCAN_RANGE[0]:g}, {SCAN_RANGE[1]:g}]"

@@ -28,7 +28,6 @@ condition in log form. They share no formula with the package.
 
 import math
 from collections import namedtuple
-from dataclasses import fields
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -234,7 +233,7 @@ def dense_first_root(label: str, entries, p) -> float:
         if value == 0.0:
             return hi
         prev = value
-    at = ", ".join(f"{f.name}={getattr(p, f.name):g}" for f in fields(p)[1:])
+    at = ", ".join(f"{name}={getattr(p, name):g}" for name in p._fields[1:])
     raise NoSignChange(
         f"{label} threshold at {at}: no sign change over j in "
         f"[{models.SCAN_RANGE[0]:g}, {models.SCAN_RANGE[1]:g}]"

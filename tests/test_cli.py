@@ -585,26 +585,30 @@ def test_module_entrypoint_subprocess(tmp_path):
 
 
 def test_critical_help_and_usage_errors_load_no_numpy(tmp_path):
-    calls = [  # (argv, exit code, numpy loaded after the call)
-        (["critical", "--model", "isodm", "--d", "2"], 0, False),
-        (["critical", "--model", "isodm", "--d", "10"], 5, False),
-        (["critical", "--model", "xxz", "--delta", "-3"], 0, False),
-        (["-h"], 0, False),
-        (["critical", "--model", "isodm", "--bogus"], 3, False),
-        (["measures", "--model", "xxz", "--j", "-5", "--delta", "1", "--b", "0"], 0, True),
+    # numpy imports inspect itself: before it, dataclasses and inspect are start-up time.
+    calls = [  # (argv, exit code, then numpy, dataclasses, inspect loaded after the call)
+        (["critical", "--model", "isodm", "--d", "2"], 0, False, False, False),
+        (["critical", "--model", "isodm", "--d", "10"], 5, False, False, False),
+        (["critical", "--model", "xxz", "--delta", "-3"], 0, False, False, False),
+        (["-h"], 0, False, False, False),
+        (["critical", "--model", "isodm", "--bogus"], 3, False, False, False),
+        (["measures", "--model", "xxz", "--j", "-5", "--delta", "1", "--b", "0"],
+         0, True, True, True),
     ]
     script = f"""if True:
         import sys
         import spincorr
         import spincorr.cli
-        seen = [("import", None, "numpy" in sys.modules)]
-        for argv in {[argv for argv, _, _ in calls]!r}:
-            seen.append((argv, spincorr.cli.main(argv), "numpy" in sys.modules))
+        def loaded():
+            return tuple(name in sys.modules for name in ("numpy", "dataclasses", "inspect"))
+        seen = [("import", None, *loaded())]
+        for argv in {[call[0] for call in calls]!r}:
+            seen.append((argv, spincorr.cli.main(argv), *loaded()))
         print(seen)
     """
     code, out, _ = run_python(tmp_path, "-c", script)
     assert code == 0
-    assert ast.literal_eval(out.splitlines()[-1]) == [("import", None, False), *calls]
+    assert ast.literal_eval(out.splitlines()[-1]) == [("import", None, False, False, False), *calls]
 
 
 def test_console_script_runs_main(monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """Unit tests for the thermal spin models and their closed-form measures."""
 
+import copy
 import hashlib
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -491,11 +493,16 @@ def test_parameters_must_be_finite_reals(value, accepted):
         assert IsoDMParams(j=1.0, d=value).d == 1.0
         assert critical_coupling_isodm(value) == critical_coupling_isodm(1.0)
         assert critical_coupling_xxz(value, value) == critical_coupling_xxz(1.0, 1.0)
+        assert repr(pickle.loads(pickle.dumps(p))) == repr(copy.copy(p)) == repr(p)
         return
     with pytest.raises(NonFiniteParameter):
         IsoDMParams(j=value)
     with pytest.raises(NonFiniteParameter):
         XXZParams(j=1.0, b=value)
+    with pytest.raises(NonFiniteParameter):
+        IsoDMParams(1.0)._replace(d=value)
+    with pytest.raises(NonFiniteParameter):
+        XXZParams._make([1.0, value, 0.0])
     with pytest.raises(NonFiniteParameter):
         critical_coupling_isodm(value)
     with pytest.raises(NonFiniteParameter):
