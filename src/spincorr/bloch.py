@@ -10,12 +10,12 @@ with the half-trace normalization x_i = tr[rho (sigma_i (x) I)]/2 (and
 likewise for y and T), so every component lies in [-1/2, 1/2]. The Pauli
 basis order is (sigma_x, sigma_y, sigma_z); the computational basis order
 is |00>, |01>, |10>, |11>. All closed-form measures in this package consume
-exactly this normalization. All 15 components are read from ``rho`` by
-one gather over tables built from ``qmat.PAULI_PRODUCTS``, bit for bit the
-per-operator traces tr(rho P)/2.
+exactly this normalization. ``decompose`` returns x, y and T as a named
+tuple, all 15 components read from ``rho`` by one gather over tables built
+from ``qmat.PAULI_PRODUCTS``, bit for bit the per-operator traces tr(rho P)/2.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,19 +44,15 @@ def _gather_tables(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _TERM_INDEX, _TERM_SIGN = _gather_tables(PAULI_PRODUCTS)
 
 
-@dataclass(frozen=True)
-class BlochForm:
-    """Local Bloch vectors and correlation matrix of a two-qubit state.
+BlochForm = namedtuple("BlochForm", "x y T")
+BlochForm.__doc__ = """Local Bloch vectors and correlation matrix of a two-qubit state, as a
+named tuple.
 
-    ``x`` and ``y`` are the real 3-vectors of the first and second qubit;
-    ``T`` is the real 3x3 correlation matrix. With the half-trace
-    normalization, purity satisfies
-    tr(rho^2) = 1/4 + |x|^2 + |y|^2 + sum_ij T_ij^2.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    T: np.ndarray
+``x`` and ``y`` are the real 3-vectors of the first and second qubit;
+``T`` is the real 3x3 correlation matrix. With the half-trace
+normalization, purity satisfies
+tr(rho^2) = 1/4 + |x|^2 + |y|^2 + sum_ij T_ij^2.
+"""
 
 
 def decompose(rho: np.ndarray) -> BlochForm:

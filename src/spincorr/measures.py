@@ -1,6 +1,6 @@
 """Closed-form correlation measures for arbitrary two-qubit states.
 
-Four measures of a density matrix, all given by ``report``:
+Four measures of a density matrix, given by ``report`` as a named tuple:
 
 - Wootters concurrence ``C``: entanglement monotone from the spin-flipped
   spectrum; :func:`concurrence` gives its route.
@@ -24,7 +24,7 @@ Four measures of a density matrix, all given by ``report``:
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,21 +39,14 @@ BRANCH_X_NONZERO = "XNonzero"
 _SPIN_FLIP = PAULI_PRODUCTS[10]  # sigma_y (x) sigma_y
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Bundle of the four correlation measures of one state.
+MeasureReport = namedtuple("MeasureReport", "concurrence min_value gmod_exact gmod_lower branch")
+MeasureReport.__doc__ = """Bundle of the four correlation measures of one state, as a named tuple.
 
-    ``branch`` records which nonlocality branch fired (``"XZero"`` when the
-    first qubit's marginal is maximally mixed, ``"XNonzero"`` otherwise).
-    Invariants: all values are finite and >= -1e-12, and
-    ``gmod_lower <= gmod_exact + 1e-12``.
-    """
-
-    concurrence: float
-    min_value: float
-    gmod_exact: float
-    gmod_lower: float
-    branch: str
+``branch`` records which nonlocality branch fired (``"XZero"`` when the
+first qubit's marginal is maximally mixed, ``"XNonzero"`` otherwise).
+Invariants: all values are finite and >= -1e-12, and
+``gmod_lower <= gmod_exact + 1e-12``.
+"""
 
 
 def _trace3(a: np.ndarray) -> float:

@@ -6,7 +6,7 @@ conjugations, and the squared Hilbert-Schmidt disturbance is extremized
 over measurement directions by a scan of one fixed grid, 2000 Fibonacci
 sphere directions, followed by derivative-free coordinate-descent
 refinement. The module also provides an independent entanglement witness
-(negative partial transpose).
+(negative partial transpose). Both oracles return a named tuple.
 
 Measuring the first qubit along n dephases rho to (rho + U rho U)/2 with
 U = n.sigma (x) I, so the disturbance is the quadratic form
@@ -31,7 +31,7 @@ ties broken by the lowest grid index.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -75,17 +75,12 @@ _PROJ_BASE = np.stack((np.eye(4, dtype=complex),) * 2).view(float).reshape(64)
 _GRID_COLUMNS.flags.writeable = _PROJ_TABLE.flags.writeable = _PROJ_BASE.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Extremized disturbance: the value, the direction attaining it, and
-    how many objective evaluations were spent: grid directions plus
-    refinement trials, each scored by the Gram screen, or 1 on the pinned
-    axis. Explicit rows are not counted. Reproducible bit-for-bit for
-    identical states."""
-
-    value: float
-    direction: np.ndarray
-    evaluations: int
+OracleResult = namedtuple("OracleResult", "value direction evaluations")
+OracleResult.__doc__ = """Extremized disturbance, as a named tuple: the value, the direction
+attaining it, and how many objective evaluations were spent: grid
+directions plus refinement trials, each scored by the Gram screen, or 1 on
+the pinned axis. Explicit rows are not counted. Reproducible bit-for-bit
+for identical states."""
 
 
 def _projectors(dirs: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ Every test prints ``criterion NN: PASS/FAIL - detail`` to the real terminal
 complete scoreboard. Each criterion is a claim that the numerics support
 as stated: closed forms agree with the pipeline everywhere on the grid
 (criterion 06), and the nonlocality-over-concurrence envelope is checked
-over its true extent, -0.6 < j < 0 (criterion 11).
+over its true extent, -0.6 < j < 0 (criterion 11). Where a claim of the
+paper fails, a criterion pins the failure (criterion 13).
 """
 
 import hashlib
@@ -22,7 +23,7 @@ from spincorr.models import (
     measures_isodm,
     measures_xxz,
 )
-from spincorr.oracle import min_oracle
+from spincorr.oracle import gmod_oracle, min_oracle
 
 from helpers import bell_psi_plus
 
@@ -227,6 +228,33 @@ def test_criterion_10_field_suppression_ladder(capsys):
         capsys, 10, ok,
         f"j=2, delta=0, b=0..4: C {c_values[0]:.6f} -> {c_values[-1]:.6f}, "
         f"N {n_values[0]:.6f} -> {n_values[-1]:.6f}, both nonincreasing",
+    )
+
+
+def test_criterion_13_field_raises_discord_where_c_vanishes(capsys):
+    # The paper's "the field decreases non-classicality" fails here for the
+    # discord: with C = 0 throughout, N falls while D and Q rise, peak and fall.
+    points = [XXZParams(j=2.0, delta=-1.75, b=b) for b in (0.0, 0.65, 1.0)]
+    reps = [measures_xxz(p) for p in points]
+    c = [r.c_closed for r in reps]
+    n = [r.n_closed for r in reps]
+    d = [r.pipeline.gmod_exact for r in reps]
+    q = [r.pipeline.gmod_lower for r in reps]
+    oracle = [gmod_oracle(models.thermal_xxz(p)).value / 2.0 for p in points]
+    oracle_dev = max(abs(o - v) for o, v in zip(oracle, d))
+    ok = (
+        c == [0.0, 0.0, 0.0]
+        and n[0] > n[1] > n[2]
+        and all(v[0] < v[2] < v[1] for v in (d, q))
+        and oracle_dev <= 6.4e-16
+    )
+    verdict(
+        capsys, 13, ok,
+        f"xxz j=2, delta=-1.75, b=0, 0.65, 1: C = {c}, "
+        f"N {n[0]:.4f} -> {n[1]:.4f} -> {n[2]:.4f}, "
+        f"D {d[0]:.6f} -> {d[1]:.6f} -> {d[2]:.6f} "
+        f"(oracle/2 {oracle[0]:.6f}, {oracle[1]:.6f}, {oracle[2]:.6f}, max dev {oracle_dev:.1e}), "
+        f"Q {q[0]:.4f} -> {q[1]:.4f} -> {q[2]:.4f}",
     )
 
 

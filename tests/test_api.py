@@ -5,11 +5,14 @@ module never reads, and one entry to LAPACK's spectra."""
 
 import ast
 import pathlib
+import pickle
 import tomllib
+
+import pytest
 
 import spincorr
 
-from helpers import run_python
+from helpers import bell_psi_plus, run_python
 
 PUBLIC_NAMES = [
     "BlochForm",
@@ -44,6 +47,36 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(spincorr.__all__) == PUBLIC_NAMES
     assert all(hasattr(spincorr, name) for name in PUBLIC_NAMES)
+
+
+# Each record's fields in order: records unpack and index, so the order is API.
+RECORD_FIELDS = {
+    "IsoDMParams": ("j", "d"),
+    "XXZParams": ("j", "delta", "b"),
+    "ModelReport": ("c_closed", "n_closed", "q_paper", "pipeline", "c_deviation",
+                    "n_deviation", "q_deviation"),
+    "MeasureReport": ("concurrence", "min_value", "gmod_exact", "gmod_lower", "branch"),
+    "BlochForm": ("x", "y", "T"),
+    "OracleResult": ("value", "direction", "evaluations"),
+}
+
+
+def test_records_are_named_tuples():
+    for name, fields in RECORD_FIELDS.items():
+        cls = getattr(spincorr, name)
+        assert cls._fields == fields, name
+        values = [float(i) for i in range(len(fields))]
+        record = cls(*values)
+        assert isinstance(record, tuple) and list(record) == values, name
+        for i, field in enumerate(fields):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 9.0)
+            changed = record._replace(**{field: 9.0})
+            assert type(changed) is cls, name
+            assert changed == cls(*values[:i], 9.0, *values[i + 1:]), (name, field)
+    rep = spincorr.report(bell_psi_plus())
+    copy = pickle.loads(pickle.dumps(rep))
+    assert type(copy) is spincorr.MeasureReport and copy == rep
 
 
 def test_public_names_resolve_lazily_to_their_home_objects(tmp_path):

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
 import ast
-import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -409,11 +408,11 @@ def _edit_results_at(monkeypatch, module, name, edits):
 
 
 def _replace(**changes):
-    return lambda result: dataclasses.replace(result, **changes)
+    return lambda result: result._replace(**changes)
 
 
 def _shift(delta):
-    return lambda result: dataclasses.replace(result, value=result.value + delta)
+    return lambda result: result._replace(value=result.value + delta)
 
 
 def _flip(entangled):
@@ -421,7 +420,7 @@ def _flip(entangled):
 
 
 def _lower_above_exact(delta):
-    return lambda rep: dataclasses.replace(rep, gmod_lower=rep.gmod_exact + delta)
+    return lambda rep: rep._replace(gmod_lower=rep.gmod_exact + delta)
 
 
 def _raise(error):
@@ -585,7 +584,7 @@ def test_module_entrypoint_subprocess(tmp_path):
 
 
 def test_critical_help_and_usage_errors_load_no_numpy(tmp_path):
-    # numpy imports inspect itself: before it, dataclasses and inspect are start-up time.
+    # numpy imports inspect itself, and no spincorr module imports dataclasses.
     calls = [  # (argv, exit code, then numpy, dataclasses, inspect loaded after the call)
         (["critical", "--model", "isodm", "--d", "2"], 0, False, False, False),
         (["critical", "--model", "isodm", "--d", "10"], 5, False, False, False),
@@ -593,7 +592,9 @@ def test_critical_help_and_usage_errors_load_no_numpy(tmp_path):
         (["-h"], 0, False, False, False),
         (["critical", "--model", "isodm", "--bogus"], 3, False, False, False),
         (["measures", "--model", "xxz", "--j", "-5", "--delta", "1", "--b", "0"],
-         0, True, True, True),
+         0, True, False, True),
+        # verify loads measures, oracle and bloch.
+        (["verify", "--count", "1"], 0, True, False, True),
     ]
     script = f"""if True:
         import sys
